@@ -7,7 +7,10 @@ likely to be picked, which gives clean exploration. The mirror-descent
 ranker works on selection marginals directly: it runs a bandit
 linear-optimization loop over the polytope of achievable marginals with the
 regularizer ``F(p) = -2 * sum(sqrt(p))``, realizing each iterate as a random
-ranking through the matrix coupling and peeling machinery.
+ranking drawn straight from the comonotone coupling of the marginals with the
+window law: one uniform picks a rank in every window column, without building
+the coupling matrix. The draw follows the mixture that
+``rfsm_decompose(feasible_matrix(p, q))`` peels, which is its reference.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Permutation, _family_from_arrays, items_by_rank
-from .polytope import feasible_matrix, rfsm_decompose, window_suffix_bounds
+from .polytope import coupling_sample, window_suffix_bounds
 
 _LAZY_TOL = 1e-12
 
@@ -268,10 +271,14 @@ class MirrorDescent:
 class BLORanker:
     """Ranking policy driven by :class:`MirrorDescent`.
 
-    Each trial: take the current marginals, realize them as an admissible
-    matrix, peel it into a ranking mixture, sample one ranking, and display
-    it with ranks mapped back to item indices. On feedback, the picked item's
-    rank gets the importance-weighted loss ``-payoff / p[rank]``.
+    Each trial: take the current marginals, draw one ranking from their
+    comonotone coupling with ``q`` using a single uniform from ``rng``
+    (:func:`~rankbandit.polytope.coupling_sample`; the reference is the
+    mixture :func:`~rankbandit.polytope.rfsm_decompose` peels off
+    :func:`~rankbandit.polytope.feasible_matrix`), and display it with ranks
+    mapped back to item indices. On feedback, the picked item's rank gets
+    the importance-weighted loss ``-payoff / p[rank]``, where ``p`` are the
+    marginals the coupling realizes.
 
     With ``changing_utilities=True`` the per-trial utilities must be exactly
     a permutation of ``1..n`` (the rank encoding); learning then happens in
@@ -288,7 +295,6 @@ class BLORanker:
         self._fixed_maps: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
         self.last_marginals: np.ndarray | None = None
-        self.last_decomposition = None
 
     def _rank_maps(self, utilities: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """(item -> rank, rank -> item) under the current utilities."""
@@ -322,12 +328,11 @@ class BLORanker:
         # renormalize, then weight losses by the marginals actually realized
         p = np.clip(self.engine.act(), 0.0, None)
         p /= p.sum()
-        matrix = feasible_matrix(p, self.q, atol=1e-6, validate=False)
-        mixture = rfsm_decompose(matrix, check_input=False)
-        rank_order = mixture.sample(self.rng)
-        realized = matrix @ self.q
+        rank_order, realized = coupling_sample(p, self.q, float(self.rng.random()))
+        residual = float(np.max(np.abs(realized - p)))
+        if residual > 1e-6:
+            raise RuntimeError(f"coupling residual {residual:.3g} exceeds 1e-06")
         self.last_marginals = realized
-        self.last_decomposition = mixture
         self._pending = (realized, ranks)
         return tuple(int(by_rank[r]) for r in rank_order)
 

@@ -322,7 +322,11 @@ def best_fixed_hindsight(tape_values: np.ndarray, q, utilities) -> HindsightBenc
 
 def hindsight_regret(trace: RegretTrace, tape: TapePayoffs, q, utilities) -> RegretTrace:
     """Replace the regret columns with regret against the best fixed marginals."""
-    bench = best_fixed_hindsight(tape.values, q, utilities)
+    return _regret_against(trace, tape, best_fixed_hindsight(tape.values, q, utilities))
+
+
+def _regret_against(trace: RegretTrace, tape: TapePayoffs,
+                    bench: HindsightBenchmark) -> RegretTrace:
     horizon = len(trace)
     inst = bench.marginals @ tape.values[:, :horizon] - trace.payoffs
     return RegretTrace(
@@ -425,11 +429,10 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> tuple[dict, RegretTrace]
         "burn_in_trials": burn_used,
     }
     if tape is not None and cfg.window["type"] == "multinomial":
-        trace = hindsight_regret(trace, tape, np.asarray(cfg.window["q"], dtype=float),
-                                 instance.utilities)
-        summary["hindsight_value"] = float(
-            best_fixed_hindsight(tape.values, np.asarray(cfg.window["q"], dtype=float),
-                                 instance.utilities).value)
+        bench = best_fixed_hindsight(tape.values, np.asarray(cfg.window["q"], dtype=float),
+                                     instance.utilities)
+        trace = _regret_against(trace, tape, bench)
+        summary["hindsight_value"] = float(bench.value)
     summary["final_regret"] = float(trace.cum_regret[-1])
     return summary, trace
 

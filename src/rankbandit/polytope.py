@@ -20,6 +20,7 @@ nonzero entries.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,6 +302,32 @@ def marginal_deficit(p, q) -> tuple[int, float]:
     return j + 1, float(gaps[j])
 
 
+def _coupling_cumulatives(pl: list[float], ql: list[float]) -> tuple[list[float], list[float]]:
+    """Cumulative masses ``(F, G)`` of ``p`` over ranks and ``q`` over windows.
+
+    ``F`` is clamped under ``G`` (and kept non-decreasing in [0, 1]) so the
+    coupling is exact even when ``p`` is feasible only up to a tolerance; both
+    end at exactly 1.
+    """
+    n = len(pl)
+    F = [0.0] * n
+    G = [0.0] * n
+    run = 0.0  # running maximum, so it also clamps from below at 0
+    acc_p = 0.0
+    acc_q = 0.0
+    for i in range(n):
+        acc_p += pl[i]
+        acc_q += ql[i]
+        G[i] = acc_q
+        v = acc_p if acc_p < acc_q else acc_q
+        if v > run:
+            run = v if v < 1.0 else 1.0
+        F[i] = run
+    F[-1] = 1.0
+    G[-1] = 1.0
+    return F, G
+
+
 def feasible_matrix(p, q, *, atol: float = 1e-8, feas_tol: float = 1e-9,
                     validate: bool = True) -> np.ndarray:
     """An admissible matrix ``P`` with ``P q = p``, or raise if none exists.
@@ -334,25 +361,8 @@ def feasible_matrix(p, q, *, atol: float = 1e-8, feas_tol: float = 1e-9,
             raise InfeasibleTargetError(start, float(Q[start]),
                                         float(Q[start] - deficit))
 
-    # clamp the cumulative target under the window cumulative so the coupling
-    # below is exact even when p is feasible only up to feas_tol; plain lists
-    # from here on, the column scans dominate at bandit sizes
-    F = [0.0] * n
-    G = [0.0] * n
-    run = 0.0
-    acc_p = 0.0
-    acc_q = 0.0
-    for i in range(n):
-        acc_p += pl[i]
-        acc_q += ql[i]
-        G[i] = acc_q
-        v = acc_p if acc_p < acc_q else acc_q
-        v = min(max(v, 0.0), 1.0)
-        if v > run:
-            run = v
-        F[i] = run
-    F[-1] = 1.0
-    G[-1] = 1.0
+    # plain lists from here on, the column scans dominate at bandit sizes
+    F, G = _coupling_cumulatives(pl, ql)
 
     rows = [[0.0] * n for _ in range(n)]
     for c in range(n):
@@ -383,7 +393,9 @@ def feasible_matrix(p, q, *, atol: float = 1e-8, feas_tol: float = 1e-9,
             if F[i] >= hi:
                 break
             i += 1
-        if abs(colsum - 1.0) > 1e-9:
+        # shares carry rounding of order eps / width; judge the shortfall as
+        # window mass, so a narrow (rare) window is not rejected for it
+        if abs(colsum - 1.0) * width > 1e-9:
             raise RuntimeError(f"coupling column {c} sums to {colsum!r}")
         if colsum != 1.0:
             inv = 1.0 / colsum
@@ -403,3 +415,44 @@ def feasible_matrix(p, q, *, atol: float = 1e-8, feas_tol: float = 1e-9,
     if residual > atol:
         raise RuntimeError(f"coupling residual {residual:.3g} exceeds {atol:.3g}")
     return np.asarray(rows)
+
+
+def coupling_sample(p, q, u: float) -> tuple[Permutation, np.ndarray]:
+    """One ranking from the coupling of :func:`feasible_matrix`, without the matrix.
+
+    Returns ``(ranking, realized)``: the ranking is the term of the mixture
+    ``rfsm_decompose(feasible_matrix(p, q))`` whose cumulative weight covers
+    ``u``, and ``realized[i] = F[i] - F[i-1]`` equals that matrix's ``P q`` up
+    to rounding. Peeling takes the lowest nonzero rank of every column and
+    peels in absolute scale, so that term picks, in every column ``c``, the
+    rank whose coupling segment holds ``G[c-1] + u * q[c]``; a uniform ``u``
+    thus samples the peeled mixture exactly. ``p`` must be feasible for ``q``:
+    the checks of :func:`feasible_matrix` do not run here.
+    """
+    F, G = _coupling_cumulatives(np.asarray(p, dtype=float).tolist(),
+                                 np.asarray(q, dtype=float).tolist())
+    n = len(F)
+    last = n - 1
+    picks = [0] * n
+    lo = 0.0
+    for c in range(n):
+        hi = G[c]
+        if hi - lo <= ZERO_SNAP:
+            # impossible window length: the rank the coupling sits on, as in
+            # feasible_matrix
+            i = bisect_right(F, hi)
+            if i > last:
+                i = last
+            picks[c] = i if i > c else c
+            lo = hi
+            continue
+        i = bisect_right(F, lo + u * (hi - lo))
+        if i > last or (i and F[i - 1] >= hi):
+            # lo + u * (hi - lo) rounded up to hi: the column's top rank
+            i = bisect_left(F, hi)
+            if i > last:
+                i = last
+        picks[c] = i
+        lo = hi
+    realized = np.asarray([F[0]] + [F[i] - F[i - 1] for i in range(1, n)])
+    return _permutation_from_picks(picks), realized

@@ -13,9 +13,10 @@ from rankbandit.adversarial import (
     pivot_marginals,
     pivot_permutation,
 )
-from rankbandit.core import user_select
+from rankbandit.core import Instance, user_select
+from rankbandit.environments import MultinomialWindows, TapePayoffs, run_episode
 from rankbandit.lp import solve_lp
-from rankbandit.polytope import feasible_matrix, window_suffix_bounds
+from rankbandit.polytope import feasible_matrix, rfsm_decompose, window_suffix_bounds
 
 
 class TestPivots:
@@ -226,6 +227,68 @@ class TestBLORanker:
         before = ranker.engine.act().copy()
         ranker.feed(1, 2, 1.0)  # item 2 holds the top rank
         assert ranker.engine.act()[2] > before[2]
+
+
+class _PeelingBLORanker(BLORanker):
+    """Reference ranker: build the coupling matrix, peel it, draw one term."""
+
+    def act(self, t, utilities):
+        ranks, by_rank = self._rank_maps(utilities)
+        p = np.clip(self.engine.act(), 0.0, None)
+        p /= p.sum()
+        matrix = feasible_matrix(p, self.q, atol=1e-6, validate=False)
+        rank_order = rfsm_decompose(matrix, check_input=False).sample(self.rng)
+        realized = matrix @ self.q
+        self.last_marginals = realized
+        self._pending = (realized, ranks)
+        return tuple(int(by_rank[r]) for r in rank_order)
+
+
+class TestBLORankerSampler:
+    @pytest.mark.parametrize("q, seed", [
+        ([0.3, 0.25, 0.2, 0.15, 0.1, 0.0], 3),          # lazy, zero last window
+        ([0.1, 0.0, 0.4, 0.05, 0.25, 0.0, 0.2, 0.0], 5),  # non-lazy, zero windows
+        (np.full(20, 0.05), 7),
+    ])
+    def test_episode_matches_peeling(self, q, seed):
+        n = len(q)
+        rng = np.random.default_rng(seed)
+        instance = Instance(utilities=rng.permutation(n) + 1.0)
+        rates = rng.uniform(0.0, 1.0, size=n)
+        horizon = 1000
+
+        def episode(cls):
+            ranker = cls(q, horizon=horizon, rng=np.random.default_rng([seed, 1]))
+            tape = TapePayoffs.bernoulli(rates, horizon, seed, 0)
+            windows = MultinomialWindows(np.asarray(q, dtype=float), seed, 0)
+            trace = run_episode(ranker, instance, tape, windows, horizon,
+                                benchmark="none", record_orders=False)
+            return trace, ranker
+
+        direct, direct_ranker = episode(BLORanker)
+        peeled, peeled_ranker = episode(_PeelingBLORanker)
+        assert np.array_equal(direct.selected, peeled.selected)
+        assert np.array_equal(direct.windows, peeled.windows)
+        assert np.max(np.abs(direct_ranker.last_marginals
+                             - peeled_ranker.last_marginals)) < 1e-9
+
+    def test_act_draws_one_uniform(self):
+        q = [0.4, 0.1, 0.3, 0.2]
+        ranker = BLORanker(q, eta=0.2, rng=np.random.default_rng(89))
+        twin = np.random.default_rng(89)
+        u = [3.0, 1.0, 4.0, 2.0]
+        for t in range(1, 30):
+            ranker.act(t, u)
+            twin.random()
+            assert ranker.rng.bit_generator.state == twin.bit_generator.state
+            ranker.feed(t, t % 4, 0.5)
+
+    def test_residual_check(self):
+        # a target the window law cannot realize is caught, not played
+        ranker = BLORanker([0.5, 0.5], rng=np.random.default_rng(97))
+        ranker.engine.p = np.array([0.9, 0.1])
+        with pytest.raises(RuntimeError, match="coupling residual"):
+            ranker.act(1, [1.0, 2.0])
 
 
 class TestEpsilonGreedy:

@@ -229,6 +229,36 @@ class TestRunReplication:
         assert "hindsight_value" in summary
         assert summary["final_regret"] == pytest.approx(trace.cum_regret[-1])
 
+    def test_hindsight_solved_once_per_tape_replication(self, monkeypatch):
+        import rankbandit.harness as harness
+
+        raw = base_config(policy={"name": "osmd"},
+                          payoffs={"type": "bernoulli", "rates": [0.2, 0.8, 0.5]},
+                          horizon=150)
+        cfg = ExperimentConfig.from_dict(raw)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return best_fixed_hindsight(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "best_fixed_hindsight", counted)
+        summary, trace = run_replication(cfg, 0)
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+        # the two-call path: hindsight_regret for the columns, a second solve
+        # for the value
+        q = np.asarray(raw["window"]["q"])
+        utilities = raw["instance"]["utilities"]
+        tape = TapePayoffs.bernoulli(raw["payoffs"]["rates"], 150, cfg.seed, 0)
+        expected = hindsight_regret(trace, tape, q, utilities)
+        assert summary["hindsight_value"] == best_fixed_hindsight(
+            tape.values, q, utilities).value
+        assert summary["final_regret"] == float(expected.cum_regret[-1])
+        for name in ("selected", "windows", "payoffs", "inst_regret", "cum_regret"):
+            assert np.array_equal(getattr(trace, name), getattr(expected, name)), name
+
     def test_sort_burn_in(self):
         raw = base_config(estimate="sort", horizon=400)
         summary, trace = run_replication(ExperimentConfig.from_dict(raw), 0)

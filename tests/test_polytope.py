@@ -9,6 +9,7 @@ from rankbandit.polytope import (
     InadmissibleMatrixError,
     InfeasibleTargetError,
     admissibility_report,
+    coupling_sample,
     feasible_matrix,
     integral_permutation,
     is_admissible,
@@ -205,6 +206,14 @@ class TestFeasibleMatrix:
         P = feasible_matrix([0.0, 1.0], [1.0, 0.0])
         assert np.array_equal(P, [[0.0, 0.0], [1.0, 1.0]])
 
+    def test_narrow_window_with_overshooting_cumulative(self):
+        # the window cumulative rounds one ulp above 1 before the trailing
+        # zero window; the 1e-7 window's shares then miss 2e-9 of their sum
+        q = [0.2, 0.7999999000000001, 1e-07, 0.0]
+        P = feasible_matrix(q, q)
+        assert is_admissible(P)
+        assert np.max(np.abs(P @ q - q)) < 1e-12
+
     def test_validation(self):
         with pytest.raises(ValueError):
             feasible_matrix([0.5, 0.5], [0.7, 0.4])
@@ -264,3 +273,67 @@ class TestFeasibleMatrix:
             agree_infeasible += not lp_ok
         # exercise both outcomes
         assert agree_feasible > 0 and agree_infeasible > 0
+
+
+class _FixedDraw:
+    """Stands in for a generator whose next ``random()`` is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _random_target(rng, n):
+    """Random window law (with zero entries, lazy or not) and a feasible target."""
+    q = rng.dirichlet(np.ones(n) * rng.choice([0.3, 1.0, 3.0]))
+    kind = rng.integers(4)
+    if kind == 0 and n > 1:  # zero windows, possibly the shortest
+        q[rng.random(n) < 0.3] = 0.0
+        if q.sum() == 0.0:
+            q[-1] = 1.0
+        q /= q.sum()
+    elif kind == 1:
+        q = np.sort(q)[::-1]  # lazy
+    M, _, _ = random_mixture(rng, n, int(rng.integers(1, 2 * n + 1)))
+    return M @ q, q
+
+
+class TestCouplingSample:
+    def test_matches_peeled_mixture(self):
+        """The direct draw is the peeled term covering u, and the realized
+        marginals are those of the coupling matrix."""
+        rng = np.random.default_rng(61)
+        degenerate = 0
+        for _ in range(5000):
+            n = int(rng.integers(1, 31))
+            p, q = _random_target(rng, n)
+            u = float(rng.random())
+            P = feasible_matrix(p, q)
+            expected = rfsm_decompose(P).sample(_FixedDraw(u))
+            ranking, realized = coupling_sample(p, q, u)
+            assert ranking == expected, (p.tolist(), q.tolist(), u)
+            assert np.max(np.abs(realized - P @ q)) <= 1e-12
+            degenerate += bool(np.any(q == 0.0))
+        assert degenerate > 500
+
+    def test_frozen_two_item_example(self):
+        # coupling [[5/6, 0], [1/6, 1]]: window 1 picks rank 0 below u = 5/6
+        assert coupling_sample([0.5, 0.5], [0.6, 0.4], 0.8)[0] == (0, 1)
+        ranking, realized = coupling_sample([0.5, 0.5], [0.6, 0.4], 0.9)
+        assert ranking == (1, 0)
+        assert np.allclose(realized, [0.5, 0.5], atol=1e-15)
+
+    def test_degenerate_window(self):
+        for u in (0.0, 0.5, 1.0 - 2.0 ** -53):
+            assert coupling_sample([0.0, 1.0], [1.0, 0.0], u)[0] == (1, 0)
+
+    def test_top_of_unit_interval(self):
+        # p == q couples rank c to window c alone; a u just below 1 can round
+        # G[c-1] + u q[c] up to G[c] == F[c] and must not step to rank c+1
+        u = 1.0 - 2.0 ** -53
+        for q in ([0.2, 0.3, 0.5], [0.6, 0.4], [0.1] * 10):
+            ranking, _ = coupling_sample(q, q, u)
+            assert ranking == tuple(range(len(q)))
+            assert ranking == rfsm_decompose(feasible_matrix(q, q)).sample(_FixedDraw(u))
