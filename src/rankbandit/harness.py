@@ -30,7 +30,7 @@ from .extensions import (
     DelayModel, GreedyUserEnv, bold_wrap, estimate_order_sorting,
     estimate_social_learning, merge_sort_comparison_bound, qpmd_wrap,
 )
-from .lp import solve_lp
+from .polytope import _permutation_from_picks
 
 STREAM_ESTIMATE = 5
 WORKERS_ENV = "RANKBANDIT_WORKERS"
@@ -257,20 +257,27 @@ def default_sort_budget(n: int, horizon: int) -> int:
 
 @dataclass(frozen=True)
 class HindsightBenchmark:
-    """Best fixed achievable marginals against a full payoff tape."""
+    """Best fixed ranking against a full payoff tape, with its marginals."""
 
     marginals: np.ndarray  # by item
     rank_marginals: np.ndarray
     matrix: np.ndarray  # rank space
     value: float
+    ranking: Permutation  # rank labels
 
 
 def best_fixed_hindsight(tape_values: np.ndarray, q, utilities) -> HindsightBenchmark:
     """Maximize total tape payoff over achievable fixed selection marginals.
 
-    Solved as a linear program over admissible matrices (entries on or below
-    the diagonal; column sums one; suffix masses non-decreasing across
-    adjacent columns), then read off the marginals ``P q``.
+    With ``R[a]`` the tape total of the item of utility rank ``a``, the best
+    value is ``sum_c q[c] * max_{a >= c} R[a]``. A window of ``c + 1`` slots
+    shows ``c + 1`` distinct ranks, so its selection has rank at least ``c``:
+    every admissible column ``c`` lives on ranks ``>= c`` and earns at most
+    that suffix maximum. Column ``c`` picks ``picks[c]``, the lowest rank
+    attaining it (ties go to the lowest rank). A suffix argmax never
+    decreases in ``c`` and ``picks[c] >= c``, so the picks are the prefix
+    maxima of one ranking; its 0/1 selection matrix is admissible and meets
+    the bound, which makes it optimal over the whole polytope.
     """
     tape_values = np.asarray(tape_values, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -280,43 +287,19 @@ def best_fixed_hindsight(tape_values: np.ndarray, q, utilities) -> HindsightBenc
     rank_totals = np.zeros(n)
     rank_totals[ranks] = totals
 
-    index: dict[tuple[int, int], int] = {}
-    for c in range(n):
-        for i in range(c, n):
-            index[(i, c)] = len(index)
-    nvar = len(index)
-
-    cost = np.zeros(nvar)
-    for (i, c), k in index.items():
-        cost[k] = -rank_totals[i] * q[c]
-
-    A_eq = np.zeros((n, nvar))
-    for c in range(n):
-        for i in range(c, n):
-            A_eq[c, index[(i, c)]] = 1.0
-    b_eq = np.ones(n)
-
-    rows = []
-    for j in range(1, n):
-        for c in range(n - 1):
-            row = np.zeros(nvar)
-            for i in range(max(j, c), n):
-                row[index[(i, c)]] = 1.0
-            for i in range(max(j, c + 1), n):
-                row[index[(i, c + 1)]] -= 1.0
-            rows.append(row)
-    A_ub = np.vstack(rows) if rows else None
-    b_ub = np.zeros(len(rows)) if rows else None
-
-    result = solve_lp(cost, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub)
+    picks = [0] * n
+    best = n - 1
+    for c in range(n - 1, -1, -1):
+        if rank_totals[c] >= rank_totals[best]:
+            best = c
+        picks[c] = best
     P = np.zeros((n, n))
-    for (i, c), k in index.items():
-        P[i, c] = result.x[k]
+    P[picks, np.arange(n)] = 1.0
     rank_marginals = P @ q
     marginals = rank_marginals[ranks]
     return HindsightBenchmark(
         marginals=marginals, rank_marginals=rank_marginals, matrix=P,
-        value=float(totals @ marginals),
+        value=float(totals @ marginals), ranking=_permutation_from_picks(picks),
     )
 
 
@@ -549,18 +532,3 @@ def write_outputs(report: ExperimentReport, output_dir) -> None:
     for rep, trace in enumerate(report.traces):
         trace.to_csv(out / "traces" / f"rep{rep:04d}.csv")
 
-
-def summarize_traces(trace_dir, checkpoints: list[int]) -> tuple[list[float], list[float]]:
-    """Recompute mean/se checkpoint regret from stored trace CSVs."""
-    paths = sorted(Path(trace_dir).glob("rep*.csv"))
-    if not paths:
-        raise FileNotFoundError(f"no trace files under {trace_dir}")
-    curves = []
-    for path in paths:
-        trace = RegretTrace.from_csv(path)
-        curves.append([float(trace.cum_regret[t - 1]) for t in checkpoints])
-    arr = np.asarray(curves)
-    mean = arr.mean(axis=0)
-    se = (arr.std(axis=0, ddof=1) / math.sqrt(len(paths))
-          if len(paths) > 1 else np.zeros(arr.shape[1]))
-    return [float(x) for x in mean], [float(x) for x in se]

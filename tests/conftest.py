@@ -1,8 +1,9 @@
 """Shared brute-force oracles and generators for the test suite.
 
 Everything here is deliberately independent of the library internals: the
-oracles enumerate permutations and scan prefixes directly, so library results
-can be checked against them without circularity.
+oracles enumerate permutations, scan prefixes directly or hand a linear
+program to scipy, so library results can be checked against them without
+circularity.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def naive_select(order, utilities, w):
@@ -58,6 +60,62 @@ def brute_force_best_fixed(tape_values, q, utilities):
             value += q[w0] * rank_totals[top]
         best = max(best, value)
     return float(best)
+
+
+def admissible_lp(n):
+    """Linear description of the admissible polytope, for scipy's ``linprog``.
+
+    Variables are the entries ``P[i, c]`` on or below the diagonal, numbered
+    by ``index[(i, c)]``. ``A_cols @ x = 1`` makes every column sum to one and
+    ``A_ub @ x <= 0`` makes suffix masses non-decreasing from column ``c`` to
+    ``c + 1``. Returns ``(index, A_cols, A_ub)``.
+    """
+    index = {}
+    for c in range(n):
+        for i in range(c, n):
+            index[(i, c)] = len(index)
+    nv = len(index)
+    A_cols = np.zeros((n, nv))
+    for (i, c), k in index.items():
+        A_cols[c, k] = 1.0
+    rows = []
+    for j in range(1, n):
+        for c in range(n - 1):
+            row = np.zeros(nv)
+            for i in range(max(j, c), n):
+                row[index[(i, c)]] = 1.0
+            for i in range(max(j, c + 1), n):
+                row[index[(i, c + 1)]] -= 1.0
+            rows.append(row)
+    return index, A_cols, np.array(rows).reshape(len(rows), nv)  # 0 rows at n = 1
+
+
+def hindsight_linprog(tape_values, q, utilities):
+    """Best fixed ``(value, item marginals)`` over the admissible polytope, by LP.
+
+    Maximizes ``sum_{i, c} R[i] q[c] P[i, c]`` with ``R`` the tape total per
+    utility rank. Under tied totals the optimal marginals are not unique and
+    the solver returns one optimal vertex.
+    """
+    tape_values = np.asarray(tape_values, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n = q.size
+    totals = tape_values.sum(axis=1)
+    order = np.argsort(np.asarray(utilities, dtype=float))
+    rank_totals = totals[order]
+    index, A_cols, A_ub = admissible_lp(n)
+    cost = np.zeros(len(index))
+    for (i, c), k in index.items():
+        cost[k] = -rank_totals[i] * q[c]
+    res = linprog(cost, A_ub=A_ub, b_ub=np.zeros(len(A_ub)), A_eq=A_cols,
+                  b_eq=np.ones(n), bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    P = np.zeros((n, n))
+    for (i, c), k in index.items():
+        P[i, c] = res.x[k]
+    marginals = np.empty(n)
+    marginals[order] = P @ q
+    return float(-res.fun), marginals
 
 
 def selection_matrix_oracle(order):

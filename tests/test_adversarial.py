@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from conftest import random_lazy_q
 from rankbandit.adversarial import (
@@ -15,7 +16,6 @@ from rankbandit.adversarial import (
 )
 from rankbandit.core import Instance, user_select
 from rankbandit.environments import MultinomialWindows, TapePayoffs, run_episode
-from rankbandit.lp import solve_lp
 from rankbandit.polytope import feasible_matrix, rfsm_decompose, window_suffix_bounds
 
 
@@ -152,17 +152,18 @@ class TestMirrorDescent:
             md.feed(idx, -payoff / max(p[idx], 1e-9))
 
     def test_fixed_loss_drives_to_lp_optimum(self):
-        # repeated identical dense losses push the iterate to the vertex a
-        # simplex solve identifies on the same polytope
+        # repeated identical dense losses push the iterate to the vertex an
+        # LP solve identifies on the same polytope
         loss = np.array([0.3, -0.2, -1.0])
         md = MirrorDescent(self.q, eta=0.05)
         for _ in range(3000):
             md.feed(dense=loss)
         bounds = window_suffix_bounds(self.q)
         A_ub = np.array([[-float(i >= j) for i in range(3)] for j in range(1, 3)])
-        res = solve_lp(loss, A_eq=np.ones((1, 3)), b_eq=np.array([1.0]),
-                       A_ub=A_ub, b_ub=-bounds[1:])
-        assert float(loss @ md.act()) == pytest.approx(res.objective, abs=0.02)
+        res = linprog(loss, A_ub=A_ub, b_ub=-bounds[1:], A_eq=np.ones((1, 3)),
+                      b_eq=np.array([1.0]), bounds=(0, None), method="highs")
+        assert res.status == 0
+        assert float(loss @ md.act()) == pytest.approx(res.fun, abs=0.02)
 
 
 class TestBLORanker:

@@ -1,10 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_best_fixed
+from conftest import brute_force_best_fixed, hindsight_linprog, selection_matrix_oracle
 from rankbandit.core import regret_upper_bound
 from rankbandit.environments import RegretTrace, TapePayoffs
 from rankbandit.harness import (
@@ -17,8 +18,24 @@ from rankbandit.harness import (
     hindsight_regret,
     run_experiment,
     run_replication,
-    summarize_traces,
 )
+from rankbandit.polytope import is_admissible
+
+
+def summarize_traces(trace_dir, checkpoints: list[int]) -> tuple[list[float], list[float]]:
+    """Recompute mean/se checkpoint regret from stored trace CSVs."""
+    paths = sorted(Path(trace_dir).glob("rep*.csv"))
+    if not paths:
+        raise FileNotFoundError(f"no trace files under {trace_dir}")
+    curves = []
+    for path in paths:
+        trace = RegretTrace.from_csv(path)
+        curves.append([float(trace.cum_regret[t - 1]) for t in checkpoints])
+    arr = np.asarray(curves)
+    mean = arr.mean(axis=0)
+    se = (arr.std(axis=0, ddof=1) / math.sqrt(len(paths))
+          if len(paths) > 1 else np.zeros(arr.shape[1]))
+    return [float(x) for x in mean], [float(x) for x in se]
 
 
 def base_config(**overrides) -> dict:
@@ -167,6 +184,54 @@ class TestHindsight:
             bench = best_fixed_hindsight(tape, q, utilities)
             assert bench.value == pytest.approx(
                 brute_force_best_fixed(tape, q, utilities), rel=1e-7, abs=1e-7)
+
+    def test_closed_form_against_linprog(self):
+        """The closed form against the LP over the admissible polytope: same
+        value, a 0/1 admissible matrix realized by ``ranking``, and the LP's
+        marginals whenever the optimum is unique (distinct rank totals)."""
+        rng = np.random.default_rng(113)
+        distinct = tied = 0
+        for k in range(600):
+            n = int(rng.integers(1, 21))
+            if k % 2:
+                # short Bernoulli tapes, so rank totals often tie
+                horizon = int(rng.integers(1, 6))
+                tape = (rng.random((n, horizon)) < rng.random((n, 1))).astype(float)
+            else:
+                tape = rng.normal(size=(n, int(rng.integers(1, 40))))
+            q = rng.dirichlet(np.ones(n))
+            if k % 3 == 0:
+                q[rng.random(n) < 0.4] = 0.0  # zero windows
+                q[int(rng.integers(0, n))] += 0.1
+                q /= q.sum()
+            utilities = rng.permutation(n) + rng.random()
+            bench = best_fixed_hindsight(tape, q, utilities)
+            value, marginals = hindsight_linprog(tape, q, utilities)
+            tol = 1e-9 * max(1.0, abs(value))
+            assert abs(bench.value - value) <= tol, k
+            if n <= 6:
+                assert abs(bench.value - brute_force_best_fixed(tape, q, utilities)) <= tol, k
+            assert np.all((bench.matrix == 0.0) | (bench.matrix == 1.0)), k
+            assert is_admissible(bench.matrix), k
+            assert sorted(bench.ranking) == list(range(n)), k
+            assert np.array_equal(selection_matrix_oracle(bench.ranking), bench.matrix), k
+            if np.unique(tape.sum(axis=1)).size == n:
+                distinct += 1
+                assert np.max(np.abs(bench.marginals - marginals)) <= 1e-9, k
+            else:
+                tied += 1
+        assert distinct >= 100 and tied >= 100
+
+    def test_ties_go_to_the_lowest_rank(self):
+        # rank totals R = [1, 2, 2] (items 2, 0, 1): the one- and two-slot
+        # windows tie ranks 1 and 2 and pick rank 1
+        tape = np.array([[2.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
+        bench = best_fixed_hindsight(tape, [0.5, 0.3, 0.2], [2.0, 3.0, 1.0])
+        assert bench.ranking == (1, 0, 2)
+        assert np.array_equal(bench.matrix, [[0, 0, 0], [1, 1, 0], [0, 0, 1]])
+        assert np.allclose(bench.rank_marginals, [0.0, 0.8, 0.2])
+        assert np.allclose(bench.marginals, [0.8, 0.2, 0.0])
+        assert bench.value == pytest.approx(2.0)
 
     def test_dominant_item_takes_every_window(self):
         # one item clearly best: the optimum serves it at every window length

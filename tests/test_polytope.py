@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from conftest import random_mixture, selection_matrix_oracle
+from conftest import admissible_lp, random_mixture, selection_matrix_oracle
 from rankbandit.core import selection_matrix
-from rankbandit.lp import LPInfeasibleError, solve_lp
 from rankbandit.polytope import (
     Decomposition,
     InadmissibleMatrixError,
@@ -234,7 +234,7 @@ class TestFeasibleMatrix:
             assert np.max(np.abs(P @ q - p)) < 1e-8
 
     def test_feasibility_agrees_with_lp(self):
-        """Dual route: the suffix-deficit test must agree with a simplex
+        """Dual route: the suffix-deficit test must agree with an LP
         feasibility solve over the constraint system."""
         rng = np.random.default_rng(59)
         agree_feasible = agree_infeasible = 0
@@ -243,31 +243,16 @@ class TestFeasibleMatrix:
             q = rng.dirichlet(np.ones(n))
             p = rng.dirichlet(np.ones(n))
             deficit_ok = marginal_deficit(p, q)[1] <= 1e-9
-            index = {}
-            for c in range(n):
-                for i in range(c, n):
-                    index[(i, c)] = len(index)
-            nv = len(index)
-            A_eq = np.zeros((2 * n, nv))
-            b_eq = np.concatenate([np.ones(n), p])
+            index, A_cols, A_ub = admissible_lp(n)
+            A_marg = np.zeros((n, len(index)))
             for (i, c), k in index.items():
-                A_eq[c, k] = 1.0      # column sums
-                A_eq[n + i, k] += q[c]  # marginals
-            rows = []
-            for j in range(1, n):
-                for c in range(n - 1):
-                    row = np.zeros(nv)
-                    for i in range(max(j, c), n):
-                        row[index[(i, c)]] = 1.0
-                    for i in range(max(j, c + 1), n):
-                        row[index[(i, c + 1)]] -= 1.0
-                    rows.append(row)
-            try:
-                solve_lp(np.zeros(nv), A_eq=A_eq, b_eq=b_eq,
-                         A_ub=np.vstack(rows), b_ub=np.zeros(len(rows)))
-                lp_ok = True
-            except LPInfeasibleError:
-                lp_ok = False
+                A_marg[i, k] = q[c]
+            res = linprog(np.zeros(len(index)), A_ub=A_ub, b_ub=np.zeros(len(A_ub)),
+                          A_eq=np.vstack([A_cols, A_marg]),
+                          b_eq=np.concatenate([np.ones(n), p]),
+                          bounds=(0, None), method="highs")
+            assert res.status in (0, 2), res.message  # 2: infeasible
+            lp_ok = res.status == 0
             assert lp_ok == deficit_ok
             agree_feasible += lp_ok
             agree_infeasible += not lp_ok
