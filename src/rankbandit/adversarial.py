@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Permutation, _family_from_arrays, items_by_rank
+from .core import Permutation, _family_from_arrays, items_by_rank, probability_vector
 from .polytope import coupling_sample, window_suffix_bounds
 
 _LAZY_TOL = 1e-12
@@ -50,14 +50,8 @@ def lazy_alpha(q: Sequence) -> np.ndarray:
     floats; the result dtype follows the input.
     """
     q = list(q)
+    probability_vector(q)
     n = len(q)
-    if n == 0:
-        raise ValueError("q must be non-empty")
-    if any(x < -_LAZY_TOL for x in q):
-        raise ValueError("q must be non-negative")
-    total = sum(q)
-    if abs(float(total) - 1.0) > 1e-9:
-        raise ValueError("q must sum to 1")
     for a, b in zip(q, q[1:]):
         if b > a + _LAZY_TOL:
             raise ValueError("q must be non-increasing (lazy)")
@@ -192,13 +186,8 @@ class MirrorDescent:
 
     def __init__(self, q: Sequence[float], *, horizon: int | None = None,
                  eta: float | None = None):
-        q = np.asarray(q, dtype=float)
-        if q.ndim != 1 or q.size == 0:
-            raise ValueError("q must be a non-empty 1-d array")
-        if np.any(q < -1e-12) or abs(q.sum() - 1.0) > 1e-9:
-            raise ValueError("q must be a probability vector")
-        self.n = int(q.size)
-        self.q = np.clip(q, 0.0, None)
+        self.q = probability_vector(q)
+        self.n = int(self.q.size)
         bounds = window_suffix_bounds(self.q)
         self._bounds = bounds
         # ranks with no window short enough to ever pick them carry no mass
@@ -289,7 +278,6 @@ class BLORanker:
                  eta: float | None = None, rng: np.random.Generator | None = None,
                  changing_utilities: bool = False):
         self.engine = MirrorDescent(q, horizon=horizon, eta=eta)
-        self.q = np.asarray(q, dtype=float)
         self.rng = rng if rng is not None else np.random.default_rng()
         self.changing_utilities = changing_utilities
         self._fixed_maps: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -328,7 +316,7 @@ class BLORanker:
         # renormalize, then weight losses by the marginals actually realized
         p = np.clip(self.engine.act(), 0.0, None)
         p /= p.sum()
-        rank_order, realized = coupling_sample(p, self.q, float(self.rng.random()))
+        rank_order, realized = coupling_sample(p, self.engine.q, float(self.rng.random()))
         residual = float(np.max(np.abs(realized - p)))
         if residual > 1e-6:
             raise RuntimeError(f"coupling residual {residual:.3g} exceeds 1e-06")

@@ -18,9 +18,34 @@ import numpy as np
 
 Permutation = tuple[int, ...]
 
+# how far from 1 the sum of a probability vector may drift (rounding only)
+PROBABILITY_TOL = 1e-9
+
 
 class DegenerateInstanceError(ValueError):
     """Raised when an operation needs strictly positive mean gaps but found a tie."""
+
+
+def probability_vector(v, name: str = "q") -> np.ndarray:
+    """Check that ``v`` is a probability vector and return it as a float array.
+
+    ``v`` must be a non-empty 1-d array of finite entries ``>= 0`` whose sum
+    is within :data:`PROBABILITY_TOL` of 1. Every window law and mixture
+    weight vector in the package is checked here; errors start with ``name``.
+    """
+    try:
+        arr = np.array(v, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected an array of numbers") from None
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name}: expected a non-empty 1-d array")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name}: entries must be finite")
+    if np.any(arr < 0):
+        raise ValueError(f"{name}: entries must be >= 0")
+    if abs(float(arr.sum()) - 1.0) > PROBABILITY_TOL:
+        raise ValueError(f"{name}: must sum to 1 within {PROBABILITY_TOL:g}")
+    return arr
 
 
 def validate_permutation(order: Sequence[int], n: int) -> Permutation:
@@ -143,6 +168,8 @@ class Instance:
     def from_dict(cls, d: dict) -> "Instance":
         if "utilities" not in d:
             raise ValueError("instance.utilities: required")
+        if "utility_sequence" in d:
+            raise ValueError("instance.utility_sequence: not supported in configs")
         utilities = d["utilities"]
         if "n" in d and int(d["n"]) != len(utilities):
             raise ValueError("instance.n: does not match utilities length")

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Instance, OptimalFamily, optimal_family, user_select
+from .core import Instance, OptimalFamily, optimal_family, probability_vector, user_select
 
 STREAM_PAYOFF = 0
 STREAM_WINDOW = 1
@@ -103,18 +103,22 @@ class TapePayoffs:
         return cls(draws.astype(float))
 
     @classmethod
-    def from_csv(cls, path, n: int | None = None) -> "TapePayoffs":
+    def from_csv(cls, path) -> "TapePayoffs":
         """Load the long format ``t,item,payoff`` (t 1-based, item 0-based)."""
         rows: list[tuple[int, int, float]] = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if [h.strip() for h in header] != ["t", "item", "payoff"]:
                 raise ValueError(f"unexpected tape header {header!r}")
             for rec in reader:
+                if len(rec) != 3:
+                    raise ValueError(f"tape row {rec!r} does not have 3 fields")
                 rows.append((int(rec[0]), int(rec[1]), float(rec[2])))
+        if not rows:
+            raise ValueError("tape file has no rows")
         horizon = max(r[0] for r in rows)
-        n_items = n if n is not None else max(r[1] for r in rows) + 1
+        n_items = max(r[1] for r in rows) + 1
         values = np.full((n_items, horizon), np.nan)
         for t, item, payoff in rows:
             values[item, t - 1] = payoff
@@ -154,18 +158,13 @@ class MultinomialWindows:
     """
 
     def __init__(self, q: Sequence[float], seed: int, replication: int = 0):
-        q = np.asarray(q, dtype=float)
-        if np.any(q < 0) or abs(q.sum() - 1.0) > 1e-12:
-            raise ValueError("q must be a probability vector summing to 1 within 1e-12")
-        self.q = q
-        self.n = int(q.size)
+        self.q = probability_vector(q)
+        self.n = int(self.q.size)
         self._rng = substream(seed, replication, STREAM_WINDOW)
         self._buffer = np.empty(0, dtype=np.int64)
         self._used = 0
-        self._count = 0
 
     def draw(self, t: int) -> int:
-        self._count += 1
         if self._used >= self._buffer.size:
             self._buffer = self._rng.choice(self.n, size=4096, p=self.q) + 1
             self._used = 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -19,7 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .adversarial import BLORanker, EpsilonGreedyRanker, lazy_alpha
-from .core import Instance, Permutation, optimal_family, regret_upper_bound, utility_ranks
+from .core import (
+    Instance, Permutation, optimal_family, probability_vector, regret_upper_bound,
+    utility_ranks,
+)
 from .elimination import EliminationRanker
 from .environments import (
     STREAM_DELAY, STREAM_POLICY, GaussianPayoffs, LowerBoundBlockWindows,
@@ -45,6 +49,28 @@ class ConfigError(ValueError):
 def _require(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{path}: {message}")
+
+
+def _require_positive(value, path: str) -> None:
+    _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
+             path, f"must be a number, got {value!r}")
+    _require(math.isfinite(value) and value > 0, path,
+             f"must be finite and > 0, got {value!r}")
+
+
+def _load_tape(path, n: int, horizon: int) -> TapePayoffs:
+    """Read a ``.npy`` or long-format CSV tape that covers n items for horizon trials."""
+    try:
+        if str(path).endswith(".npy"):
+            tape = TapePayoffs(np.load(path))
+        else:
+            tape = TapePayoffs.from_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"payoffs.path: {exc}") from None
+    _require(tape.n == n, "payoffs.path", f"tape has {tape.n} rows, instance n is {n}")
+    _require(tape.horizon >= horizon, "payoffs.path",
+             f"tape has {tape.horizon} columns, horizon is {horizon}")
+    return tape
 
 
 @dataclass
@@ -77,18 +103,22 @@ class ExperimentConfig:
         wtype = window.get("type")
         _require(wtype in ("multinomial", "schedule", "blocks"),
                  "window.type", f"must be one of multinomial/schedule/blocks, got {wtype!r}")
+        horizon = int(raw["horizon"])
+        _require(horizon >= 1, "horizon", "must be >= 1")
         if wtype == "multinomial":
             _require("q" in window, "window.q", "required for multinomial windows")
-            q = np.asarray(window["q"], dtype=float)
+            try:
+                q = probability_vector(window["q"], name="window.q")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
             _require(q.size == n, "window.q", f"length {q.size} != instance n {n}")
-            _require(bool(np.all(q >= 0)), "window.q", "entries must be >= 0")
-            _require(abs(float(q.sum()) - 1.0) <= 1e-12, "window.q",
-                     "must sum to 1 within 1e-12")
         elif wtype == "schedule":
             _require("schedule" in window, "window.schedule", "required for schedule windows")
             sched = window["schedule"]
             _require(all(1 <= int(w) <= n for w in sched), "window.schedule",
                      f"entries must lie in 1..{n}")
+            _require(len(sched) >= horizon, "window.schedule",
+                     f"has {len(sched)} entries, horizon is {horizon}")
 
         payoffs = dict(raw.get("payoffs", {"type": "gaussian"}))
         ptype = payoffs.get("type")
@@ -104,6 +134,7 @@ class ExperimentConfig:
                      "payoffs.rates", "entries must lie in [0, 1]")
         else:
             _require("path" in payoffs, "payoffs.path", "required for tape payoffs")
+            _load_tape(payoffs["path"], n, horizon)
 
         policy = dict(raw.get("policy", {"name": "elim"}))
         name = policy.get("name")
@@ -113,17 +144,21 @@ class ExperimentConfig:
             delta = float(policy.get("delta", 0.01))
             _require(0 < delta <= 1, "policy.delta", "must lie in (0, 1]")
             policy["delta"] = delta
+        for key in ("eta", "explore_constant"):
+            if policy.get(key) is not None:
+                _require_positive(policy[key], f"policy.{key}")
+        wrapper = policy.get("delay_wrapper", "qpmd")
+        _require(wrapper in ("qpmd", "bold"), "policy.delay_wrapper",
+                 f"must be qpmd or bold, got {wrapper!r}")
         if name in ("eps-greedy", "osmd"):
             _require(wtype == "multinomial", "window.type",
                      f"policy {name!r} requires multinomial windows with known q")
         if name == "eps-greedy":
             try:
-                lazy_alpha(np.asarray(window["q"], dtype=float))
+                lazy_alpha(q)
             except ValueError as exc:
                 raise ConfigError(f"window.q: {exc}") from None
 
-        horizon = int(raw["horizon"])
-        _require(horizon >= 1, "horizon", "must be >= 1")
         replications = int(raw.get("replications", 1))
         _require(replications >= 1, "replications", "must be >= 1")
         seed = int(raw.get("seed", 0))
@@ -214,10 +249,7 @@ def _build_payoffs(cfg: ExperimentConfig, rep: int):
     if ptype == "bernoulli":
         return TapePayoffs.bernoulli(np.asarray(cfg.payoffs["rates"], dtype=float),
                                      cfg.horizon, cfg.seed, rep)
-    path = cfg.payoffs["path"]
-    if str(path).endswith(".npy"):
-        return TapePayoffs(np.load(path))
-    return TapePayoffs.from_csv(path, n=cfg.instance.n)
+    return _load_tape(cfg.payoffs["path"], cfg.instance.n, cfg.horizon)
 
 
 def _build_base_policy(cfg: ExperimentConfig, rep: int, instance_idx: int = 0):
@@ -241,11 +273,8 @@ def _build_policy(cfg: ExperimentConfig, rep: int):
     if delay.kind == "none":
         return _build_base_policy(cfg, rep)
     rng = substream(cfg.seed, rep, STREAM_DELAY)
-    wrapper = cfg.policy.get("delay_wrapper", "qpmd")
-    if wrapper == "bold":
+    if cfg.policy.get("delay_wrapper", "qpmd") == "bold":
         return bold_wrap(lambda idx: _build_base_policy(cfg, rep, idx), delay, rng)
-    if wrapper != "qpmd":
-        raise ConfigError(f"policy.delay_wrapper: unknown wrapper {wrapper!r}")
     return qpmd_wrap(_build_base_policy(cfg, rep), delay, rng)
 
 
@@ -305,7 +334,8 @@ def best_fixed_hindsight(tape_values: np.ndarray, q, utilities) -> HindsightBenc
 
 def hindsight_regret(trace: RegretTrace, tape: TapePayoffs, q, utilities) -> RegretTrace:
     """Replace the regret columns with regret against the best fixed marginals."""
-    return _regret_against(trace, tape, best_fixed_hindsight(tape.values, q, utilities))
+    bench = best_fixed_hindsight(tape.values[:, :len(trace)], q, utilities)
+    return _regret_against(trace, tape, bench)
 
 
 def _regret_against(trace: RegretTrace, tape: TapePayoffs,
@@ -412,7 +442,8 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> tuple[dict, RegretTrace]
         "burn_in_trials": burn_used,
     }
     if tape is not None and cfg.window["type"] == "multinomial":
-        bench = best_fixed_hindsight(tape.values, np.asarray(cfg.window["q"], dtype=float),
+        bench = best_fixed_hindsight(tape.values[:, :cfg.horizon],
+                                     np.asarray(cfg.window["q"], dtype=float),
                                      instance.utilities)
         trace = _regret_against(trace, tape, bench)
         summary["hindsight_value"] = float(bench.value)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation
+from .core import Permutation, probability_vector
 
 ZERO_SNAP = 1e-12
 
@@ -158,13 +158,11 @@ class Decomposition:
     permutations: tuple[Permutation, ...]
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or len(w) != len(self.permutations):
+        w = probability_vector(self.weights, name="weights")
+        if len(w) != len(self.permutations):
             raise ValueError("weights and permutations must align")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
         object.__setattr__(self, "weights", w)
 
     def matrix(self) -> np.ndarray:
@@ -181,16 +179,6 @@ class Decomposition:
             if r < acc:
                 return order
         return self.permutations[-1]
-
-    @classmethod
-    def _from_trusted(cls, weights: np.ndarray,
-                      permutations: tuple[Permutation, ...]) -> "Decomposition":
-        # hot-path constructor for weights already known to be a positive
-        # unit-sum vector; skips __post_init__ revalidation
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "weights", weights)
-        object.__setattr__(obj, "permutations", permutations)
-        return obj
 
 
 def rfsm_decompose(P, *, atol: float = 1e-9, check_input: bool = True,
@@ -272,7 +260,7 @@ def rfsm_decompose(P, *, atol: float = 1e-9, check_input: bool = True,
     if not weights:
         raise ValueError("matrix carries no mass to decompose")
     w = np.asarray(weights)
-    return Decomposition._from_trusted(w / w.sum(), tuple(orders))
+    return Decomposition(w / w.sum(), tuple(orders))
 
 
 def window_suffix_bounds(q) -> np.ndarray:
@@ -328,8 +316,7 @@ def _coupling_cumulatives(pl: list[float], ql: list[float]) -> tuple[list[float]
     return F, G
 
 
-def feasible_matrix(p, q, *, atol: float = 1e-8, feas_tol: float = 1e-9,
-                    validate: bool = True) -> np.ndarray:
+def feasible_matrix(p, q, *, atol: float = 1e-8, feas_tol: float = 1e-9) -> np.ndarray:
     """An admissible matrix ``P`` with ``P q = p``, or raise if none exists.
 
     Built by the order-preserving coupling of the two distributions: lay the
@@ -338,28 +325,19 @@ def feasible_matrix(p, q, *, atol: float = 1e-8, feas_tol: float = 1e-9,
     suffix-domination check of :func:`marginal_deficit`, and the coupling puts
     mass only on cells with rank >= window - 1 with suffix mass non-decreasing
     in the window, so the result is admissible by construction.
-
-    ``validate=False`` skips the simplex and feasibility checks for callers
-    that guarantee them (the final residual check still runs).
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = probability_vector(p, name="p")
+    q = probability_vector(q, name="q")
+    if q.size != p.size:
+        raise ValueError("p and q must have equal length")
+    start, deficit = marginal_deficit(p, q)
+    if deficit > feas_tol:
+        Q = window_suffix_bounds(q)
+        raise InfeasibleTargetError(start, float(Q[start]),
+                                    float(Q[start] - deficit))
     n = p.size
     pl = p.tolist()
     ql = q.tolist()
-    if validate:
-        if q.shape != p.shape or p.ndim != 1:
-            raise ValueError("p and q must be 1-d arrays of equal length")
-        for name, vec in (("p", pl), ("q", ql)):
-            if any(v < -1e-12 for v in vec):
-                raise ValueError(f"{name} must be non-negative")
-            if abs(sum(vec) - 1.0) > 1e-9:
-                raise ValueError(f"{name} must sum to 1")
-        start, deficit = marginal_deficit(p, q)
-        if deficit > feas_tol:
-            Q = window_suffix_bounds(q)
-            raise InfeasibleTargetError(start, float(Q[start]),
-                                        float(Q[start] - deficit))
 
     # plain lists from here on, the column scans dominate at bandit sizes
     F, G = _coupling_cumulatives(pl, ql)

@@ -89,7 +89,7 @@ class TestMirrorDescent:
     def test_initial_iterate_feasible(self):
         md = MirrorDescent(self.q)
         self._assert_feasible(md, md.act())
-        feasible_matrix(md.act(), self.q, atol=1e-6, validate=False)
+        feasible_matrix(md.act(), self.q, atol=1e-6, feas_tol=1e-6)
 
     def test_projection_idempotent(self):
         md = MirrorDescent(self.q)
@@ -237,9 +237,10 @@ class _PeelingBLORanker(BLORanker):
         ranks, by_rank = self._rank_maps(utilities)
         p = np.clip(self.engine.act(), 0.0, None)
         p /= p.sum()
-        matrix = feasible_matrix(p, self.q, atol=1e-6, validate=False)
+        q = self.engine.q
+        matrix = feasible_matrix(p, q, atol=1e-6, feas_tol=1e-6)
         rank_order = rfsm_decompose(matrix, check_input=False).sample(self.rng)
-        realized = matrix @ self.q
+        realized = matrix @ q
         self.last_marginals = realized
         self._pending = (realized, ranks)
         return tuple(int(by_rank[r]) for r in rank_order)

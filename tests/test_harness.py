@@ -88,6 +88,24 @@ class TestConfig:
         (lambda r: r.update(delay="gamma:3"), "delay"),
         (lambda r: r.update(estimate="guess"), "estimate"),
         (lambda r: r.update(estimate="sort", estimate_budget=0), "estimate_budget"),
+        (lambda r: r["instance"].update(utility_sequence=[[1, 2, 3]]),
+         "instance.utility_sequence"),
+        (lambda r: r.update(window={"type": "schedule", "schedule": [1, 2]}),
+         "window.schedule"),
+        (lambda r: r["policy"].update(delay_wrapper="fifo"), "policy.delay_wrapper"),
+        (lambda r: r.update(delay="fixed:2", policy={"name": "elim", "delay_wrapper": "fifo"}),
+         "policy.delay_wrapper"),
+        (lambda r: r.update(policy={"name": "osmd", "eta": -1}), "policy.eta"),
+        (lambda r: r.update(policy={"name": "osmd", "eta": 0.0}), "policy.eta"),
+        (lambda r: r.update(policy={"name": "osmd", "eta": math.nan}), "policy.eta"),
+        (lambda r: r.update(policy={"name": "osmd", "eta": math.inf}), "policy.eta"),
+        (lambda r: r.update(policy={"name": "osmd", "eta": "0.1"}), "policy.eta"),
+        (lambda r: r.update(policy={"name": "eps-greedy", "explore_constant": "big"}),
+         "policy.explore_constant"),
+        (lambda r: r.update(policy={"name": "eps-greedy", "explore_constant": 0}),
+         "policy.explore_constant"),
+        (lambda r: r.update(policy={"name": "eps-greedy", "explore_constant": True}),
+         "policy.explore_constant"),
     ])
     def test_field_errors_name_the_path(self, mutate, path_fragment):
         raw = base_config()
@@ -137,6 +155,61 @@ class TestConfig:
             ExperimentConfig.from_dict(raw)
         raw = base_config(window={"type": "blocks"}, horizon=201)
         assert ExperimentConfig.from_dict(raw).horizon == 201
+
+    @pytest.mark.parametrize("policy", [
+        {"name": "osmd", "eta": 0.05},
+        {"name": "eps-greedy", "explore_constant": 2},
+        {"name": "elim", "delay_wrapper": "bold"},
+    ])
+    def test_valid_policy_numbers_accepted(self, policy):
+        cfg = ExperimentConfig.from_dict(base_config(policy=policy))
+        assert cfg.policy.items() >= policy.items()
+
+    def test_q_within_tolerance_accepted(self):
+        raw = base_config(window={"type": "multinomial", "q": [0.5, 0.3, 0.2 + 5e-11]})
+        assert ExperimentConfig.from_dict(raw).window["q"][2] == 0.2 + 5e-11
+
+
+def tape_config(path, horizon: int = 50) -> dict:
+    return base_config(
+        instance={"utilities": [1.0, 2.0, 3.0, 4.0, 5.0]},
+        window={"type": "multinomial", "q": [0.3, 0.25, 0.2, 0.15, 0.1]},
+        payoffs={"type": "tape", "path": str(path)}, policy={"name": "osmd"},
+        horizon=horizon, replications=1)
+
+
+class TestTapeAtLoad:
+    """A tape file that cannot serve the whole episode fails in ``from_dict``."""
+
+    def test_short_tape(self, tmp_path):
+        path = tmp_path / "tape.npy"
+        np.save(path, np.random.default_rng(0).random((5, 10)))
+        with pytest.raises(ConfigError, match=r"payoffs\.path: .*10 columns, horizon is 50"):
+            ExperimentConfig.from_dict(tape_config(path))
+        assert ExperimentConfig.from_dict(tape_config(path, horizon=10)).horizon == 10
+
+    def test_tape_rows_must_match_n(self, tmp_path):
+        path = tmp_path / "tape.npy"
+        np.save(path, np.random.default_rng(0).random((7, 50)))
+        with pytest.raises(ConfigError, match=r"payoffs\.path: .*7 rows, instance n is 5"):
+            ExperimentConfig.from_dict(tape_config(path))
+
+    def test_csv_tape_rows_must_match_n(self, tmp_path):
+        path = tmp_path / "tape.csv"
+        TapePayoffs(np.random.default_rng(0).random((7, 50))).to_csv(path)
+        with pytest.raises(ConfigError, match=r"payoffs\.path: .*7 rows"):
+            ExperimentConfig.from_dict(tape_config(path))
+
+    def test_unreadable_tape(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"payoffs\.path"):
+            ExperimentConfig.from_dict(tape_config(tmp_path / "missing.npy"))
+        path = tmp_path / "tape.csv"
+        for text, message in (("time,item,payoff\n1,0,1.0\n", "header"), ("", "header"),
+                              ("t,item,payoff\n", "no rows"),
+                              ("t,item,payoff\n1,0\n", "3 fields")):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=rf"payoffs\.path: .*{message}"):
+                ExperimentConfig.from_dict(tape_config(path))
 
 
 class TestCheckpoints:
@@ -285,6 +358,20 @@ class TestRunReplication:
         a = run_replication(cfg, 0)
         b = run_replication(cfg, 1)
         assert not np.array_equal(a[1].payoffs, b[1].payoffs)
+
+    def test_hindsight_over_the_trials_played(self, tmp_path):
+        path = tmp_path / "tape.npy"
+        np.save(path, np.random.default_rng(7).random((5, 100)))
+        summary, trace = run_replication(ExperimentConfig.from_dict(tape_config(path)), 0)
+        assert len(trace) == 50
+        assert summary["hindsight_value"] - summary["total_payoff"] == pytest.approx(
+            summary["final_regret"], abs=1e-9)
+        utilities = [1.0, 2.0, 3.0, 4.0, 5.0]
+        q = [0.3, 0.25, 0.2, 0.15, 0.1]
+        assert summary["hindsight_value"] == best_fixed_hindsight(
+            np.load(path)[:, :50], q, utilities).value
+        redone = hindsight_regret(trace, TapePayoffs(np.load(path)), q, utilities)
+        assert np.array_equal(redone.cum_regret, trace.cum_regret)
 
     def test_tape_policy_gets_hindsight_columns(self):
         raw = base_config(policy={"name": "osmd"},
