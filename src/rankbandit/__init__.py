@@ -27,7 +27,7 @@ from .core import (
     pseudo_regret, regret_upper_bound, selection_matrix, user_select,
 )
 from .elimination import (
-    EliminationRanker, RankerConfig, confidence_event_holds, count_inversions,
+    EliminationRanker, confidence_event_holds, count_inversions,
     find_permutation, inversion_budget,
 )
 from .environments import (
@@ -58,7 +58,7 @@ __all__ = [
     "GaussianPayoffs", "InadmissibleMatrixError", "InfeasibleTargetError",
     "Instance", "LowerBoundBlockWindows", "MirrorDescent", "MultinomialWindows",
     "OptimalFamily", "PartialOrderError", "Permutation", "PooledDelayPolicy",
-    "ProjectionError", "QueuedDelayPolicy", "RankerConfig", "RegretTrace",
+    "ProjectionError", "QueuedDelayPolicy", "RegretTrace",
     "ScheduleWindows", "SocialLearningReport", "SortResult", "TapePayoffs",
     "admissibility_report", "best_fixed_hindsight", "bold_wrap",
     "confidence_event_holds", "count_inversions", "estimate_order_sorting",

@@ -333,8 +333,8 @@ class BLORanker:
         self.engine.feed(rank, -float(payoff) / float(p[rank]))
 
 
-def _default_epsilon(t: int, n: int) -> float:
-    return min(1.0, (n * math.log(t + 1.0) / t) ** (1.0 / 3.0))
+def _default_epsilon(t: int, n: int, c: float = 1.0) -> float:
+    return min(1.0, c * (n * math.log(t + 1.0) / t) ** (1.0 / 3.0))
 
 
 class EpsilonGreedyRanker:
@@ -344,8 +344,10 @@ class EpsilonGreedyRanker:
     pivot ranking drawn from the lazy-alpha mixture (every item picked with
     probability ``1/n``) and the optimal-family representative under the
     empirical mean payoffs. The anytime rate is
-    ``min(1, (n log(t+1) / t)^(1/3))``; with a known horizon the constant
-    rate ``min(1, c * (n / T)^(1/3))`` is used instead.
+    ``min(1, c * (n log(t+1) / t)^(1/3))``; with a known horizon the
+    constant rate ``min(1, c * (n / T)^(1/3))`` is used instead. Both scale
+    with ``c = explore_constant``; at the default ``c = 1`` the multiply is
+    exact, so the anytime rate is the unscaled one bit for bit.
     """
 
     def __init__(self, q: Sequence[float], *, rng: np.random.Generator | None = None,
@@ -363,7 +365,7 @@ class EpsilonGreedyRanker:
             rate = min(1.0, explore_constant * (self.n / horizon) ** (1.0 / 3.0))
             self._epsilon = lambda t: rate
         else:
-            self._epsilon = lambda t: _default_epsilon(t, self.n)
+            self._epsilon = lambda t: _default_epsilon(t, self.n, explore_constant)
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
         if self.rng.random() < self._epsilon(t):

@@ -7,47 +7,22 @@ least-played contender goes next, immediately followed by every unplaced item
 of lower utility ("blocked": a user who can see past them can also see the
 contender, and prefers it). Blocking is what lets one shared top slot explore
 without giving up payoff at larger windows.
+
+Because each pick takes every unplaced item of lower utility with it, the
+unplaced items are always the top of the utility order: a suffix of the items
+sorted by ascending utility. One pass therefore sweeps that order once. The
+utilities must be pairwise distinct, as :func:`rankbandit.core.user_select`
+requires and :class:`rankbandit.core.Instance` checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import OptimalFamily, Permutation
-
-
-@dataclass(frozen=True)
-class RankerConfig:
-    n: int
-    delta: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0 < self.delta <= 1:
-            raise ValueError("delta must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class ItemStats:
-    """Payoff record of one item: cumulative payoff and selection count."""
-
-    reward_sum: float
-    count: int
-
-    def mean(self) -> float:
-        """Empirical mean payoff; 0 before the first observation."""
-        return self.reward_sum / self.count if self.count else 0.0
-
-    def radius(self, t: int, n: int, delta: float) -> float:
-        """Confidence radius sqrt(log(4 n t^2 / delta) / count); infinite when unseen."""
-        if self.count == 0:
-            return math.inf
-        return math.sqrt(math.log(4.0 * n * t * t / delta) / self.count)
 
 
 def find_permutation(rewards: Sequence[float], counts: Sequence[int], t: int,
@@ -57,34 +32,51 @@ def find_permutation(rewards: Sequence[float], counts: Sequence[int], t: int,
     Ties for the least-played contender break toward the lowest item index,
     and each blocked set is appended in ascending item index, so the output
     is a deterministic function of the statistics.
+
+    With ``asc`` the items in ascending utility order, the unplaced items
+    are always a suffix ``asc[s:]``: a pick at position ``k`` is followed by
+    the blocked items ``asc[s:k]``, which leaves ``asc[k + 1:]``. So the
+    largest lower bound among the unplaced items is a suffix maximum,
+    computed once, and each pick is one scan of the current suffix. The
+    utilities must be pairwise distinct.
     """
     n = len(counts)
     log_term = math.log(4.0 * n * t * t / delta)
-    upper = [0.0] * n
-    lower = [0.0] * n
-    for i in range(n):
+    asc = np.argsort(utilities, kind="stable").tolist()
+    # By position in asc: upper bound, (count, item) packed as count * n + item
+    # so one integer comparison orders least-played then lowest index, and the
+    # largest lower bound over the suffix starting there.
+    upper = [math.inf] * n
+    key = [0] * n
+    sufmax = [0.0] * n
+    best = -math.inf
+    for k in range(n - 1, -1, -1):
+        i = asc[k]
         c = counts[i]
-        if c == 0:
-            upper[i] = math.inf
-            lower[i] = -math.inf
-        else:
+        key[k] = c * n + i
+        if c:
             mean = rewards[i] / c
             radius = math.sqrt(log_term / c)
-            upper[i] = mean + radius
-            lower[i] = mean - radius
+            upper[k] = mean + radius
+            low = mean - radius
+            if low > best:
+                best = low
+        sufmax[k] = best
 
-    remaining = list(range(n))
     out: list[int] = []
-    while remaining:
-        max_lower = max(lower[j] for j in remaining)
-        contenders = [i for i in remaining if upper[i] > max_lower]
-        pick = min(contenders, key=lambda i: (counts[i], i))
-        blocked = [j for j in remaining if j != pick and utilities[j] < utilities[pick]]
-        out.append(pick)
-        out.extend(blocked)
-        placed = set(blocked)
-        placed.add(pick)
-        remaining = [j for j in remaining if j not in placed]
+    s = 0
+    while s < n:
+        bound = sufmax[s]
+        pick = -1
+        for k in range(s, n):
+            if upper[k] > bound and (pick < 0 or key[k] < key[pick]):
+                pick = k
+        if pick < 0:
+            raise ValueError(f"no contender among {n - s} unplaced items at t={t}: "
+                             "confidence radii vanish against the means")
+        out.append(asc[pick])
+        out.extend(sorted(asc[s:pick]))
+        s = pick + 1
     return tuple(out)
 
 
@@ -92,19 +84,20 @@ class EliminationRanker:
     """Policy wrapper around :func:`find_permutation` with running statistics."""
 
     def __init__(self, n: int, delta: float):
-        self.config = RankerConfig(n=n, delta=delta)
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if not 0 < delta <= 1:
+            raise ValueError("delta must be in (0, 1]")
+        self.delta = delta
         self.rewards = [0.0] * n
         self.counts = [0] * n
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
-        return find_permutation(self.rewards, self.counts, t, self.config.delta, utilities)
+        return find_permutation(self.rewards, self.counts, t, self.delta, utilities)
 
     def feed(self, t: int, item: int, payoff: float) -> None:
         self.rewards[item] += payoff
         self.counts[item] += 1
-
-    def stats(self, item: int) -> ItemStats:
-        return ItemStats(reward_sum=self.rewards[item], count=self.counts[item])
 
 
 def inversion_budget_value(gap: float, horizon: int, delta: float, n: int) -> float:

@@ -51,11 +51,22 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
-def _require_positive(value, path: str) -> None:
+def _number(value, path: str, kind: type = float):
+    """``value`` as a finite ``kind`` (``int`` or ``float``); a ConfigError names ``path``.
+
+    Booleans and strings are not numbers, and an ``int`` field rejects a
+    fractional value instead of truncating it.
+    """
     _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
              path, f"must be a number, got {value!r}")
-    _require(math.isfinite(value) and value > 0, path,
-             f"must be finite and > 0, got {value!r}")
+    _require(math.isfinite(value), path, f"must be finite, got {value!r}")
+    _require(kind is float or value == int(value), path,
+             f"must be an integer, got {value!r}")
+    return kind(value)
+
+
+def _require_positive(value, path: str) -> None:
+    _require(_number(value, path) > 0, path, f"must be > 0, got {value!r}")
 
 
 def _load_tape(path, n: int, horizon: int) -> TapePayoffs:
@@ -103,7 +114,7 @@ class ExperimentConfig:
         wtype = window.get("type")
         _require(wtype in ("multinomial", "schedule", "blocks"),
                  "window.type", f"must be one of multinomial/schedule/blocks, got {wtype!r}")
-        horizon = int(raw["horizon"])
+        horizon = _number(raw["horizon"], "horizon", int)
         _require(horizon >= 1, "horizon", "must be >= 1")
         if wtype == "multinomial":
             _require("q" in window, "window.q", "required for multinomial windows")
@@ -115,8 +126,12 @@ class ExperimentConfig:
         elif wtype == "schedule":
             _require("schedule" in window, "window.schedule", "required for schedule windows")
             sched = window["schedule"]
-            _require(all(1 <= int(w) <= n for w in sched), "window.schedule",
+            _require(isinstance(sched, (list, tuple)), "window.schedule",
+                     f"must be a list, got {type(sched).__name__}")
+            sched = [_number(w, f"window.schedule[{i}]", int) for i, w in enumerate(sched)]
+            _require(all(1 <= w <= n for w in sched), "window.schedule",
                      f"entries must lie in 1..{n}")
+            window["schedule"] = sched
             _require(len(sched) >= horizon, "window.schedule",
                      f"has {len(sched)} entries, horizon is {horizon}")
 
@@ -141,7 +156,7 @@ class ExperimentConfig:
         _require(name in POLICY_NAMES, "policy.name",
                  f"must be one of {'/'.join(POLICY_NAMES)}, got {name!r}")
         if name == "elim":
-            delta = float(policy.get("delta", 0.01))
+            delta = _number(policy.get("delta", 0.01), "policy.delta")
             _require(0 < delta <= 1, "policy.delta", "must lie in (0, 1]")
             policy["delta"] = delta
         for key in ("eta", "explore_constant"):
@@ -159,9 +174,9 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"window.q: {exc}") from None
 
-        replications = int(raw.get("replications", 1))
+        replications = _number(raw.get("replications", 1), "replications", int)
         _require(replications >= 1, "replications", "must be >= 1")
-        seed = int(raw.get("seed", 0))
+        seed = _number(raw.get("seed", 0), "seed", int)
         _require(seed >= 0, "seed", "must be >= 0")
 
         delay = str(raw.get("delay", "none"))
@@ -175,7 +190,7 @@ class ExperimentConfig:
                  f"must be null, 'sort' or 'social', got {estimate!r}")
         estimate_budget = raw.get("estimate_budget")
         if estimate_budget is not None:
-            estimate_budget = int(estimate_budget)
+            estimate_budget = _number(estimate_budget, "estimate_budget", int)
             _require(estimate_budget >= 1, "estimate_budget", "must be >= 1")
 
         if wtype == "blocks":

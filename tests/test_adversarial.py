@@ -316,6 +316,15 @@ class TestEpsilonGreedy:
         assert _default_epsilon(10_000, 5) == pytest.approx(
             (5 * np.log(10_001) / 10_000) ** (1 / 3))
 
+    def test_anytime_rate_scales_with_constant(self):
+        for t in (1, 7, 100, 10_000):
+            assert _default_epsilon(t, 5, 1.0) == _default_epsilon(t, 5)
+            assert _default_epsilon(t, 5, 50.0) == 1.0
+        for t in (100, 10_000):  # below the cap of 1
+            assert _default_epsilon(t, 5, 0.01) == 0.01 * _default_epsilon(t, 5)
+        ranker = EpsilonGreedyRanker([0.5, 0.5], explore_constant=0.5)
+        assert ranker._epsilon(1000) == pytest.approx(0.5 * _default_epsilon(1000, 2))
+
     def test_horizon_rate(self):
         ranker = EpsilonGreedyRanker([0.5, 0.5], horizon=1000,
                                      explore_constant=2.0)

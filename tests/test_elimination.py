@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,8 +7,6 @@ import pytest
 from rankbandit.core import Instance, optimal_family
 from rankbandit.elimination import (
     EliminationRanker,
-    ItemStats,
-    RankerConfig,
     confidence_event_holds,
     count_inversions,
     find_permutation,
@@ -15,6 +14,66 @@ from rankbandit.elimination import (
     inversion_budget_value,
 )
 from rankbandit.environments import GaussianPayoffs, MultinomialWindows, run_episode
+from rankbandit.extensions import DelayModel, bold_wrap
+
+
+@dataclass(frozen=True)
+class ItemStats:
+    """Payoff record of one item: cumulative payoff and selection count."""
+
+    reward_sum: float
+    count: int
+
+    def mean(self) -> float:
+        """Empirical mean payoff; 0 before the first observation."""
+        return self.reward_sum / self.count if self.count else 0.0
+
+    def radius(self, t: int, n: int, delta: float) -> float:
+        """Confidence radius sqrt(log(4 n t^2 / delta) / count); infinite when unseen."""
+        if self.count == 0:
+            return math.inf
+        return math.sqrt(math.log(4.0 * n * t * t / delta) / self.count)
+
+
+def find_permutation_oracle(rewards, counts, t, delta, utilities):
+    """The elimination pass written out pick by pick, as the rule states it.
+
+    Reference for :func:`find_permutation`, which sweeps the utility order
+    once instead of rebuilding the unplaced, contender and blocked sets.
+    """
+    n = len(counts)
+    log_term = math.log(4.0 * n * t * t / delta)
+    upper = [0.0] * n
+    lower = [0.0] * n
+    for i in range(n):
+        c = counts[i]
+        if c == 0:
+            upper[i] = math.inf
+            lower[i] = -math.inf
+        else:
+            mean = rewards[i] / c
+            radius = math.sqrt(log_term / c)
+            upper[i] = mean + radius
+            lower[i] = mean - radius
+
+    remaining = list(range(n))
+    out: list[int] = []
+    while remaining:
+        max_lower = max(lower[j] for j in remaining)
+        contenders = [i for i in remaining if upper[i] > max_lower]
+        pick = min(contenders, key=lambda i: (counts[i], i))
+        blocked = [j for j in remaining if j != pick and utilities[j] < utilities[pick]]
+        out.append(pick)
+        out.extend(blocked)
+        placed = set(blocked)
+        placed.add(pick)
+        remaining = [j for j in remaining if j not in placed]
+    return tuple(out)
+
+
+class OracleEliminationRanker(EliminationRanker):
+    def act(self, t, utilities):
+        return find_permutation_oracle(self.rewards, self.counts, t, self.delta, utilities)
 
 
 class TestItemStats:
@@ -32,10 +91,13 @@ class TestItemStats:
         assert all(a > b for a, b in zip(radii, radii[1:]))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RankerConfig(n=0, delta=0.1)
-        with pytest.raises(ValueError):
-            RankerConfig(n=2, delta=0.0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            EliminationRanker(n=0, delta=0.1)
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\]"):
+            EliminationRanker(n=2, delta=0.0)
+        with pytest.raises(ValueError, match="delta"):
+            EliminationRanker(n=2, delta=1.5)
+        assert EliminationRanker(n=2, delta=1.0).delta == 1.0
 
 
 class TestFindPermutation:
@@ -87,14 +149,66 @@ class TestFindPermutation:
         b = find_permutation(rewards, counts, 7, 0.05, u)
         assert a == b
 
+    def test_matches_oracle_on_random_states(self):
+        rng = np.random.default_rng(2024)
+        kinds = {"unseen": 0, "tied": 0, "t=1": 0}
+        for case in range(3000):
+            n = int(rng.integers(1, 61))
+            # small count ranges give many ties and unseen items, large ones
+            # give narrow, disjoint intervals
+            top = int(rng.choice([2, 5, 50, 5000]))
+            counts = rng.integers(0, top, n).tolist()
+            means = rng.uniform(-1.0, 1.0, n)
+            rewards = [float(c * m + rng.normal(0.0, math.sqrt(c) + 1e-12))
+                       for c, m in zip(counts, means)]
+            t = [1, int(rng.integers(2, 1000)), 10**9][case % 3]
+            delta = float(rng.choice([1.0, 0.1, 1e-3]))
+            utilities = rng.permutation(n) + rng.uniform(0.0, 0.5)
+            if case % 2:
+                utilities = tuple(utilities.tolist())
+            kinds["unseen"] += 0 in counts
+            kinds["tied"] += len(set(counts)) < n
+            kinds["t=1"] += t == 1
+            got = find_permutation(rewards, counts, t, delta, utilities)
+            assert got == find_permutation_oracle(rewards, counts, t, delta, utilities), case
+            assert all(type(i) is int for i in got)
+        assert min(kinds.values()) >= 500, kinds
+
+    def test_episode_matches_oracle(self):
+        n, horizon, seed = 50, 3000, 5
+        rng = np.random.default_rng(seed)
+        inst = Instance(utilities=rng.permutation(n) + 1.0,
+                        means=rng.permutation(np.linspace(0.0, 1.0, n)))
+        q = 1.0 / np.arange(1, n + 1)
+
+        def episode(cls):
+            policy = bold_wrap(lambda idx: cls(n, 0.01), DelayModel.parse("uniform:0..4"),
+                               np.random.default_rng([seed, 1]))
+            return run_episode(policy, inst, GaussianPayoffs(inst.means, seed, 0),
+                               MultinomialWindows(q / q.sum(), seed, 0), horizon)
+
+        fast, slow = episode(EliminationRanker), episode(OracleEliminationRanker)
+        for name in ("selected", "windows", "payoffs", "orders"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+        # the pass really explores: picks are spread over many items
+        assert len(set(fast.selected.tolist())) > 10
+
+    def test_no_contender_raises_like_oracle(self):
+        # the radius (about 1.2) is lost in rounding against the mean 1e20
+        state = ([1e20], [1], 1, 1.0, (0.5,))
+        with pytest.raises(ValueError):
+            find_permutation_oracle(*state)
+        with pytest.raises(ValueError, match="no contender"):
+            find_permutation(*state)
+
 
 class TestEliminationRanker:
     def test_stats_track_feeds(self):
         r = EliminationRanker(3, 0.1)
         r.feed(1, 2, 0.7)
         r.feed(2, 2, 0.3)
-        assert r.stats(2) == ItemStats(reward_sum=1.0, count=2)
-        assert r.stats(0).count == 0
+        assert (r.rewards[2], r.counts[2]) == (1.0, 2)
+        assert r.counts[0] == 0
 
     def test_act_matches_function(self):
         r = EliminationRanker(3, 0.1)

@@ -106,6 +106,24 @@ class TestConfig:
          "policy.explore_constant"),
         (lambda r: r.update(policy={"name": "eps-greedy", "explore_constant": True}),
          "policy.explore_constant"),
+        # numbers are type-checked, not coerced: the error starts with the field
+        pytest.param(lambda r: r.update(horizon="ten"), "^horizon: ", id="horizon-string"),
+        pytest.param(lambda r: r.update(horizon=True), "^horizon: ", id="horizon-bool"),
+        pytest.param(lambda r: r.update(replications=2.7), "^replications: ",
+                     id="replications-fraction"),
+        pytest.param(lambda r: r.update(seed="3"), "^seed: ", id="seed-string"),
+        pytest.param(lambda r: r.update(seed=math.inf), "^seed: ", id="seed-inf"),
+        pytest.param(lambda r: r.update(estimate="sort", estimate_budget=2.5),
+                     "^estimate_budget: ", id="estimate_budget-fraction"),
+        pytest.param(lambda r: r["policy"].update(delta="0.05"), "^policy.delta: ",
+                     id="delta-string"),
+        pytest.param(lambda r: r.update(window={"type": "schedule", "schedule": "1" * 200}),
+                     "^window.schedule: ", id="schedule-not-a-list"),
+        pytest.param(lambda r: r.update(window={"type": "schedule",
+                                                "schedule": [1, "2"] + [1] * 198}),
+                     r"^window.schedule\[1\]: ", id="schedule-entry-string"),
+        pytest.param(lambda r: r.update(window={"type": "schedule", "schedule": [1.5] * 200}),
+                     r"^window.schedule\[0\]: ", id="schedule-entry-fraction"),
     ])
     def test_field_errors_name_the_path(self, mutate, path_fragment):
         raw = base_config()
@@ -164,6 +182,15 @@ class TestConfig:
     def test_valid_policy_numbers_accepted(self, policy):
         cfg = ExperimentConfig.from_dict(base_config(policy=policy))
         assert cfg.policy.items() >= policy.items()
+
+    def test_integral_numbers_accepted(self):
+        raw = base_config(horizon=200.0, replications=np.int64(3), seed=11.0,
+                          window={"type": "schedule", "schedule": [1.0, 2] * 100})
+        cfg = ExperimentConfig.from_dict(raw)
+        assert (cfg.horizon, cfg.replications, cfg.seed) == (200, 3, 11)
+        assert all(type(x) is int for x in (cfg.horizon, cfg.replications, cfg.seed))
+        assert cfg.window["schedule"] == [1, 2] * 100
+        assert all(type(w) is int for w in cfg.window["schedule"])
 
     def test_q_within_tolerance_accepted(self):
         raw = base_config(window={"type": "multinomial", "q": [0.5, 0.3, 0.2 + 5e-11]})
@@ -358,6 +385,16 @@ class TestRunReplication:
         a = run_replication(cfg, 0)
         b = run_replication(cfg, 1)
         assert not np.array_equal(a[1].payoffs, b[1].payoffs)
+
+    def test_explore_constant_changes_the_trace(self):
+        def selected(**policy):
+            cfg = ExperimentConfig.from_dict(base_config(policy={"name": "eps-greedy", **policy}))
+            return run_replication(cfg, 0)[1].selected
+
+        rare, often = selected(explore_constant=0.01), selected(explore_constant=50)
+        assert not np.array_equal(rare, often)
+        # the default constant is 1 and scales the anytime rate exactly
+        assert np.array_equal(selected(), selected(explore_constant=1.0))
 
     def test_hindsight_over_the_trials_played(self, tmp_path):
         path = tmp_path / "tape.npy"
