@@ -24,7 +24,7 @@ from .adversarial import (
 )
 from .core import (
     DegenerateInstanceError, Instance, OptimalFamily, Permutation, optimal_family,
-    pseudo_regret, regret_upper_bound, selection_matrix, user_select,
+    regret_upper_bound, selection_matrix, user_select,
 )
 from .elimination import (
     EliminationRanker, confidence_event_holds, count_inversions,
@@ -45,7 +45,7 @@ from .harness import (
 )
 from .polytope import (
     Decomposition, InadmissibleMatrixError, InfeasibleTargetError,
-    admissibility_report, feasible_matrix, integral_permutation, is_admissible,
+    admissibility_report, feasible_matrix, is_admissible,
     marginal_deficit, rfsm_decompose, window_suffix_bounds,
 )
 
@@ -63,10 +63,10 @@ __all__ = [
     "admissibility_report", "best_fixed_hindsight", "bold_wrap",
     "confidence_event_holds", "count_inversions", "estimate_order_sorting",
     "estimate_social_learning", "feasible_matrix", "find_permutation",
-    "hindsight_regret", "integral_permutation", "inversion_budget",
+    "hindsight_regret", "inversion_budget",
     "is_admissible", "lazy_alpha", "marginal_deficit",
     "merge_sort_comparison_bound", "optimal_family", "pivot_marginals",
-    "pivot_permutation", "pseudo_regret", "qpmd_wrap", "regret_upper_bound",
+    "pivot_permutation", "qpmd_wrap", "regret_upper_bound",
     "rfsm_decompose", "run_episode", "run_experiment", "run_replication",
     "selection_matrix", "substream", "user_select", "window_suffix_bounds",
 ]

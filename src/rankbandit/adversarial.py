@@ -6,11 +6,13 @@ rankings, mixed with closed-form weights, then makes every item equally
 likely to be picked, which gives clean exploration. The mirror-descent
 ranker works on selection marginals directly: it runs a bandit
 linear-optimization loop over the polytope of achievable marginals with the
-regularizer ``F(p) = -2 * sum(sqrt(p))``, realizing each iterate as a random
-ranking drawn straight from the comonotone coupling of the marginals with the
-window law: one uniform picks a rank in every window column, without building
-the coupling matrix. The draw follows the mixture that
-``rfsm_decompose(feasible_matrix(p, q))`` peels, which is its reference.
+regularizer ``F(p) = -2 * sum(sqrt(p))``. The iterate is a plain list of
+marginals over utility ranks. Each trial realizes it as a random ranking drawn
+straight from the comonotone coupling of the marginals with the window law:
+one uniform picks a rank in every window column, without building the
+coupling matrix. The draw follows the mixture that
+``rfsm_decompose(feasible_matrix(p, q))`` peels, which is its reference. The
+feedback is a one-sparse loss, ``feed(index, value)``, on the picked rank.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ _LAZY_TOL = 1e-12
 
 
 class ProjectionError(RuntimeError):
-    """The constrained mirror step failed to converge; carries the iterate."""
+    """The constrained mirror step failed; names the step and carries the iterate."""
 
 
 def pivot_permutation(i: int, n: int) -> Permutation:
@@ -112,7 +114,7 @@ def _block_constant(g: Sequence[float], mass: float) -> float:
     return c
 
 
-def _solve_masses(g: list[float], lower: list[float], *, max_iter: int | None = None):
+def _solve_masses(g: list[float], lower: list[float]) -> list[float]:
     """Minimize ``g @ p - 2 * sum(sqrt(p))`` over the suffix-bounded simplex.
 
     ``lower[j]`` bounds the mass on coordinates ``>= j`` from below, with
@@ -123,8 +125,7 @@ def _solve_masses(g: list[float], lower: list[float], *, max_iter: int | None = 
     (the block constants must be non-increasing).
     """
     n = len(g)
-    if max_iter is None:
-        max_iter = 8 * n + 32
+    max_iter = 8 * n + 32
     active: list[int] = []
     for _ in range(max_iter):
         bounds = [0] + active + [n]
@@ -171,30 +172,32 @@ def _solve_masses(g: list[float], lower: list[float], *, max_iter: int | None = 
             active = [j for j in active if j != bounds[bad + 1]]
             continue
         return p
-    raise ProjectionError(f"no convergence after {max_iter} iterations; active={active}")
+    raise ProjectionError(
+        f"no convergence after {max_iter} iterations; active={active}; p={p}")
 
 
 class MirrorDescent:
     """Bandit linear optimization over achievable selection marginals.
 
-    Maintains a marginal vector ``p`` over utility ranks. Each feed performs
-    the combined mirror step: minimize ``eta * <loss, p> + D(p, p_prev)``
-    over the polytope, where ``D`` is the Bregman divergence of
-    ``-2 * sum(sqrt(p))``. With a known horizon ``T`` the step size is
-    ``sqrt(2 / (T n))``; otherwise the horizon guess doubles as needed.
+    Maintains a marginal vector ``p`` over utility ranks, a plain list read
+    as ``engine.p``. Each ``feed(index, value)`` takes the combined mirror
+    step on the one-sparse loss ``value`` at rank ``index``: minimize
+    ``eta * <loss, p> + D(p, p_prev)`` over the polytope, where ``D`` is the
+    Bregman divergence of ``-2 * sum(sqrt(p))``. The first iterate is the
+    projection of the uniform vector. With a known horizon ``T`` the step
+    size is ``sqrt(2 / (T n))``; otherwise the horizon guess doubles as
+    needed.
     """
 
     def __init__(self, q: Sequence[float], *, horizon: int | None = None,
                  eta: float | None = None):
         self.q = probability_vector(q)
         self.n = int(self.q.size)
-        bounds = window_suffix_bounds(self.q)
-        self._bounds = bounds
         # ranks with no window short enough to ever pick them carry no mass
         prefix = np.cumsum(self.q)
         self._offset = int(np.searchsorted(prefix, 1e-15, side="right"))
-        self._lower = [1.0] + [float(bounds[j]) for j in
-                               range(self._offset + 1, self.n)]
+        bounds = window_suffix_bounds(self.q)
+        self._lower = [1.0] + bounds[self._offset + 1:].tolist()
         self._guess: int | None = None
         if eta is not None:
             self.eta = float(eta)
@@ -204,70 +207,53 @@ class MirrorDescent:
             self._guess = 1024
             self.eta = math.sqrt(2.0 / (self._guess * self.n))
         self.t = 0
-        self.p = self.project(np.full(self.n, 1.0 / self.n))
+        self.p = self._step([1.0 / math.sqrt(1.0 / self.n)] * (self.n - self._offset))
 
-    def act(self) -> np.ndarray:
-        return self.p.copy()
-
-    def project(self, target: Sequence[float]) -> np.ndarray:
-        """Bregman projection of a positive vector onto the marginal polytope."""
-        target = np.asarray(target, dtype=float)
-        g = [1.0 / math.sqrt(max(float(x), 1e-300))
-             for x in target[self._offset:]]
-        return self._finish(_solve_masses(g, self._lower))
-
-    def feed(self, index: int | None = None, value: float = 0.0,
-             dense: Sequence[float] | None = None) -> None:
-        """Apply a loss estimate: one-sparse ``(index, value)`` or a dense vector."""
+    def feed(self, index: int, value: float) -> None:
+        """Mirror step on the loss that is ``value`` at rank ``index`` and 0 elsewhere."""
         self.t += 1
         if self._guess is not None and self.t > self._guess:
             self._guess *= 2
             self.eta = math.sqrt(2.0 / (self._guess * self.n))
         off = self._offset
-        g = [0.0] * (self.n - off)
-        for i in range(off, self.n):
-            g[i - off] = 1.0 / math.sqrt(self.p[i])
-        if dense is not None:
-            for i in range(off, self.n):
-                g[i - off] += self.eta * float(dense[i])
-        elif index is not None:
-            if index < off:
-                raise ValueError(f"rank {index} can never be picked under this q")
-            g[index - off] += self.eta * float(value)
-        self.p = self._finish(_solve_masses(g, self._lower))
+        if index < off:
+            raise ValueError(f"rank {index} can never be picked under this q")
+        g = [1.0 / math.sqrt(x) for x in self.p[off:]]
+        g[index - off] += self.eta * value
+        self.p = self._step(g)
 
-    def _finish(self, masses: list[float]) -> np.ndarray:
-        p = np.zeros(self.n)
-        p[self._offset:] = masses
-        residual = self._kkt_residual(p)
-        if residual > 1e-8:
-            raise ProjectionError(f"KKT residual {residual:.3g} too large; p={p.tolist()}")
-        return p
-
-    def _kkt_residual(self, p: np.ndarray) -> float:
-        bounds = self._bounds
+    def _step(self, g: list[float]) -> list[float]:
+        """Solve the mirror step from ``g`` and check its KKT residual in one pass."""
+        try:
+            masses = _solve_masses(g, self._lower)
+        except ProjectionError as err:
+            raise ProjectionError(f"mirror step {self.t}: {err}") from None
+        lower = self._lower
         suffix = 0.0
         worst = 0.0
-        for j in range(self.n - 1, 0, -1):
-            suffix += float(p[j])
-            v = float(bounds[j]) - suffix
-            if v > worst:
-                worst = v
-        total = suffix + float(p[0])
-        return max(worst, abs(total - 1.0))
+        for j in range(len(masses) - 1, 0, -1):
+            suffix += masses[j]
+            if lower[j] - suffix > worst:
+                worst = lower[j] - suffix
+        # the total comes first so that a NaN mass fails the check
+        residual = max(abs(suffix + masses[0] - 1.0), worst)
+        if not residual <= 1e-8:
+            raise ProjectionError(f"mirror step {self.t}: KKT residual {residual:.3g} "
+                                  f"exceeds 1e-08; p={masses}")
+        return [0.0] * self._offset + masses
 
 
 class BLORanker:
     """Ranking policy driven by :class:`MirrorDescent`.
 
-    Each trial: take the current marginals, draw one ranking from their
-    comonotone coupling with ``q`` using a single uniform from ``rng``
+    Each trial: read the engine's list of marginals, draw one ranking from
+    their comonotone coupling with ``q`` using a single uniform from ``rng``
     (:func:`~rankbandit.polytope.coupling_sample`; the reference is the
     mixture :func:`~rankbandit.polytope.rfsm_decompose` peels off
     :func:`~rankbandit.polytope.feasible_matrix`), and display it with ranks
     mapped back to item indices. On feedback, the picked item's rank gets
-    the importance-weighted loss ``-payoff / p[rank]``, where ``p`` are the
-    marginals the coupling realizes.
+    the one-sparse, importance-weighted loss ``-payoff / p[rank]``, where
+    ``p`` are the marginals the coupling realizes (``last_marginals``).
 
     With ``changing_utilities=True`` the per-trial utilities must be exactly
     a permutation of ``1..n`` (the rank encoding); learning then happens in
@@ -280,57 +266,53 @@ class BLORanker:
         self.engine = MirrorDescent(q, horizon=horizon, eta=eta)
         self.rng = rng if rng is not None else np.random.default_rng()
         self.changing_utilities = changing_utilities
-        self._fixed_maps: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._pending: tuple[np.ndarray, np.ndarray] | None = None
-        self.last_marginals: np.ndarray | None = None
+        self._q = self.engine.q.tolist()  # coupling_sample reads lists fastest
+        self._fixed_maps: tuple[list[float], list[int], list[int]] | None = None
+        self._pending: tuple[list[float], list[int]] | None = None
+        self.last_marginals: list[float] | None = None
 
-    def _rank_maps(self, utilities: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    def _rank_maps(self, utilities: Sequence[float]) -> tuple[list[int], list[int]]:
         """(item -> rank, rank -> item) under the current utilities."""
         n = self.engine.n
         if self.changing_utilities:
-            utilities = np.asarray(utilities, dtype=float)
-            ranks = (utilities - 1.0).astype(np.int64)
-            if np.any(utilities != ranks + 1.0) or \
-                    sorted(ranks.tolist()) != list(range(n)):
+            if sorted(utilities) != list(range(1, n + 1)):
                 raise ValueError(
                     "changing utilities must be a permutation of 1..n (rank encoding)")
-            by_rank = np.empty(n, dtype=np.int64)
-            by_rank[ranks] = np.arange(n)
+            ranks = [int(u) - 1 for u in utilities]
+            by_rank = [0] * n
+            for item, r in enumerate(ranks):
+                by_rank[r] = item
             return ranks, by_rank
         if self._fixed_maps is None:
-            utilities = np.asarray(utilities, dtype=float)
-            by_rank = items_by_rank(utilities)
-            ranks = np.empty(n, dtype=np.int64)
-            ranks[by_rank] = np.arange(n)
-            self._fixed_maps = (utilities.copy(), ranks, by_rank)
-        else:
-            cached = self._fixed_maps[0]
-            if any(cached[i] != utilities[i] for i in range(n)):
-                raise ValueError(
-                    "utilities changed mid-run; construct with changing_utilities=True")
+            by_rank = items_by_rank(utilities).tolist()
+            ranks = [0] * n
+            for r, item in enumerate(by_rank):
+                ranks[item] = r
+            self._fixed_maps = ([float(u) for u in utilities], ranks, by_rank)
+        elif any(a != b for a, b in zip(self._fixed_maps[0], utilities)):
+            raise ValueError(
+                "utilities changed mid-run; construct with changing_utilities=True")
         return self._fixed_maps[1], self._fixed_maps[2]
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
         ranks, by_rank = self._rank_maps(utilities)
-        # the engine iterate satisfies its constraints only to solver tolerance;
-        # renormalize, then weight losses by the marginals actually realized
-        p = np.clip(self.engine.act(), 0.0, None)
-        p /= p.sum()
-        rank_order, realized = coupling_sample(p, self.engine.q, float(self.rng.random()))
-        residual = float(np.max(np.abs(realized - p)))
+        p = self.engine.p
+        rank_order, realized = coupling_sample(p, self._q, float(self.rng.random()))
+        residual = max(abs(a - b) for a, b in zip(realized, p))
         if residual > 1e-6:
-            raise RuntimeError(f"coupling residual {residual:.3g} exceeds 1e-06")
+            raise RuntimeError(
+                f"osmd trial {t}: coupling residual {residual:.3g} exceeds 1e-06")
         self.last_marginals = realized
         self._pending = (realized, ranks)
-        return tuple(int(by_rank[r]) for r in rank_order)
+        return tuple([by_rank[r] for r in rank_order])
 
     def feed(self, t: int, item: int, payoff: float) -> None:
         if self._pending is None:
             raise RuntimeError("feed before act")
         p, ranks = self._pending
         self._pending = None
-        rank = int(ranks[item])
-        self.engine.feed(rank, -float(payoff) / float(p[rank]))
+        rank = ranks[item]
+        self.engine.feed(rank, -float(payoff) / p[rank])
 
 
 def _default_epsilon(t: int, n: int, c: float = 1.0) -> float:
@@ -351,17 +333,14 @@ class EpsilonGreedyRanker:
     """
 
     def __init__(self, q: Sequence[float], *, rng: np.random.Generator | None = None,
-                 horizon: int | None = None, explore_constant: float = 1.0,
-                 epsilon_fn=None):
+                 horizon: int | None = None, explore_constant: float = 1.0):
         self.q = np.asarray(q, dtype=float)
         self.n = int(self.q.size)
         self.alpha = np.asarray(lazy_alpha(self.q), dtype=float)
         self.rng = rng if rng is not None else np.random.default_rng()
         self.rewards = [0.0] * self.n
         self.counts = [0] * self.n
-        if epsilon_fn is not None:
-            self._epsilon = epsilon_fn
-        elif horizon is not None:
+        if horizon is not None:
             rate = min(1.0, explore_constant * (self.n / horizon) ** (1.0 / 3.0))
             self._epsilon = lambda t: rate
         else:

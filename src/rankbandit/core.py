@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -46,14 +46,6 @@ def probability_vector(v, name: str = "q") -> np.ndarray:
     if abs(float(arr.sum()) - 1.0) > PROBABILITY_TOL:
         raise ValueError(f"{name}: must sum to 1 within {PROBABILITY_TOL:g}")
     return arr
-
-
-def validate_permutation(order: Sequence[int], n: int) -> Permutation:
-    """Check that ``order`` is a bijection on ``0..n-1`` and return it as a tuple."""
-    order = tuple(int(i) for i in order)
-    if len(order) != n or sorted(order) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {order!r}")
-    return order
 
 
 def user_select(order: Sequence[int], utilities: Sequence[float], w: int):
@@ -277,15 +269,6 @@ def optimal_family(instance: Instance) -> OptimalFamily:
     if instance.means is None:
         raise ValueError("instance has no mean payoffs")
     return _family_from_arrays(instance.utilities, instance.means, strict=True)
-
-
-def pseudo_regret(instance: Instance, order: Sequence[int], w: int,
-                  family: OptimalFamily | None = None) -> float:
-    """Expected payoff shortfall of ``order`` against the optimal family at window ``w``."""
-    if family is None:
-        family = optimal_family(instance)
-    picked = user_select(order, instance.utilities, w)
-    return float(instance.means[family.benchmark_item(w)] - instance.means[picked])
 
 
 def regret_upper_bound(instance: Instance, horizon: int, delta: float) -> float:

@@ -89,11 +89,6 @@ class TapePayoffs:
             raise TapeExhaustedError(f"trial {t} beyond tape horizon {self.horizon}")
         return float(self.values[item, t - 1])
 
-    def column(self, t: int) -> np.ndarray:
-        if not 1 <= t <= self.horizon:
-            raise TapeExhaustedError(f"trial {t} beyond tape horizon {self.horizon}")
-        return self.values[:, t - 1]
-
     @classmethod
     def bernoulli(cls, rates: Sequence[float], horizon: int, seed: int,
                   replication: int = 0) -> "TapePayoffs":
@@ -243,10 +238,13 @@ class RegretTrace:
         data = {col: [] for col in cls.CSV_COLUMNS}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if tuple(h.strip() for h in header) != cls.CSV_COLUMNS:
                 raise ValueError(f"unexpected trace header {header!r}")
             for rec in reader:
+                if len(rec) != len(cls.CSV_COLUMNS):
+                    raise ValueError(f"trace row {rec!r} does not have "
+                                     f"{len(cls.CSV_COLUMNS)} fields")
                 for col, value in zip(cls.CSV_COLUMNS, rec):
                     data[col].append(value)
         return cls(
@@ -257,19 +255,6 @@ class RegretTrace:
             inst_regret=np.asarray(data["inst_regret"], dtype=float),
             cum_regret=np.asarray(data["cum_regret"], dtype=float),
         )
-
-
-class FixedPermutationPolicy:
-    """Displays the same ranking every trial (a baseline and test double)."""
-
-    def __init__(self, order: Sequence[int]):
-        self.order = tuple(int(i) for i in order)
-
-    def act(self, t: int, utilities) -> tuple[int, ...]:
-        return self.order
-
-    def feed(self, t: int, item: int, payoff: float) -> None:
-        pass
 
 
 def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,

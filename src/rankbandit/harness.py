@@ -32,7 +32,7 @@ from .environments import (
 )
 from .extensions import (
     DelayModel, GreedyUserEnv, bold_wrap, estimate_order_sorting,
-    estimate_social_learning, merge_sort_comparison_bound, qpmd_wrap,
+    estimate_social_learning, qpmd_wrap,
 )
 from .polytope import _permutation_from_picks
 
@@ -276,8 +276,7 @@ def _build_base_policy(cfg: ExperimentConfig, rep: int, instance_idx: int = 0):
     q = np.asarray(cfg.window["q"], dtype=float)
     if name == "eps-greedy":
         return EpsilonGreedyRanker(
-            q, rng=rng, epsilon_fn=None,
-            explore_constant=float(cfg.policy.get("explore_constant", 1.0)))
+            q, rng=rng, explore_constant=float(cfg.policy.get("explore_constant", 1.0)))
     eta = cfg.policy.get("eta")
     return BLORanker(q, horizon=None if eta is not None else cfg.horizon,
                      eta=None if eta is None else float(eta), rng=rng)

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import Permutation, probability_vector
+from .core import Permutation, probability_vector, selection_matrix
 
 ZERO_SNAP = 1e-12
 
@@ -104,14 +105,7 @@ def is_admissible(P, atol: float = 1e-9) -> bool:
 
 def rank_selection_matrix(order: Permutation) -> np.ndarray:
     """Selection matrix of a ranking of rank labels (utility = label value)."""
-    n = len(order)
-    P = np.zeros((n, n))
-    best = -1
-    for w0, label in enumerate(order):
-        if label > best:
-            best = label
-        P[best, w0] = 1.0
-    return P
+    return selection_matrix(order, range(len(order)))
 
 
 def _permutation_from_picks(picks: list[int]) -> Permutation:
@@ -133,21 +127,6 @@ def _permutation_from_picks(picks: list[int]) -> Permutation:
         out.append(i)
         placed[i] = True
     return tuple(out)
-
-
-def integral_permutation(P, atol: float = 1e-9) -> Permutation:
-    """Recover the unique ranking realizing an integral admissible matrix."""
-    P = np.asarray(P, dtype=float)
-    near_one = np.abs(P - 1.0) <= atol
-    near_zero = np.abs(P) <= atol
-    if not np.all(near_one | near_zero):
-        raise ValueError("matrix is not integral (entries must be 0 or 1)")
-    snapped = near_one.astype(float)
-    report = admissibility_report(snapped, atol)
-    if not report.ok:
-        raise InadmissibleMatrixError(report)
-    picks = [int(np.argmax(snapped[:, c])) for c in range(P.shape[1])]
-    return _permutation_from_picks(picks)
 
 
 @dataclass(frozen=True)
@@ -290,7 +269,8 @@ def marginal_deficit(p, q) -> tuple[int, float]:
     return j + 1, float(gaps[j])
 
 
-def _coupling_cumulatives(pl: list[float], ql: list[float]) -> tuple[list[float], list[float]]:
+def _coupling_cumulatives(pl: Sequence[float],
+                          ql: Sequence[float]) -> tuple[list[float], list[float]]:
     """Cumulative masses ``(F, G)`` of ``p`` over ranks and ``q`` over windows.
 
     ``F`` is clamped under ``G`` (and kept non-decreasing in [0, 1]) so the
@@ -346,9 +326,10 @@ def feasible_matrix(p, q, *, atol: float = 1e-8, feas_tol: float = 1e-9) -> np.n
     for c in range(n):
         lo = G[c - 1] if c else 0.0
         hi = G[c]
-        if hi - lo <= ZERO_SNAP:
-            # impossible window length: emit the rank the coupling sits on so
-            # suffix masses stay monotone across neighbouring columns
+        if hi - lo <= ZERO_SNAP or lo >= 1.0:
+            # impossible window length, or one whose mass lies above F[-1] = 1
+            # by rounding of q: emit the rank the coupling sits on so suffix
+            # masses stay monotone across neighbouring columns
             i0 = 0
             while i0 < n and F[i0] <= hi:
                 i0 += 1
@@ -395,7 +376,8 @@ def feasible_matrix(p, q, *, atol: float = 1e-8, feas_tol: float = 1e-9) -> np.n
     return np.asarray(rows)
 
 
-def coupling_sample(p, q, u: float) -> tuple[Permutation, np.ndarray]:
+def coupling_sample(p: Sequence[float], q: Sequence[float],
+                    u: float) -> tuple[Permutation, list[float]]:
     """One ranking from the coupling of :func:`feasible_matrix`, without the matrix.
 
     Returns ``(ranking, realized)``: the ranking is the term of the mixture
@@ -405,10 +387,10 @@ def coupling_sample(p, q, u: float) -> tuple[Permutation, np.ndarray]:
     peels in absolute scale, so that term picks, in every column ``c``, the
     rank whose coupling segment holds ``G[c-1] + u * q[c]``; a uniform ``u``
     thus samples the peeled mixture exactly. ``p`` must be feasible for ``q``:
-    the checks of :func:`feasible_matrix` do not run here.
+    the checks of :func:`feasible_matrix` do not run here. Both are read by
+    index, so plain lists of floats are the fast input; ``realized`` is a list.
     """
-    F, G = _coupling_cumulatives(np.asarray(p, dtype=float).tolist(),
-                                 np.asarray(q, dtype=float).tolist())
+    F, G = _coupling_cumulatives(p, q)
     n = len(F)
     last = n - 1
     picks = [0] * n
@@ -432,5 +414,5 @@ def coupling_sample(p, q, u: float) -> tuple[Permutation, np.ndarray]:
                 i = last
         picks[c] = i
         lo = hi
-    realized = np.asarray([F[0]] + [F[i] - F[i - 1] for i in range(1, n)])
+    realized = [F[0]] + [F[i] - F[i - 1] for i in range(1, n)]
     return _permutation_from_picks(picks), realized

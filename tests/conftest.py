@@ -1,4 +1,4 @@
-"""Shared brute-force oracles and generators for the test suite.
+"""Shared brute-force oracles, generators and test doubles for the test suite.
 
 Everything here is deliberately independent of the library internals: the
 oracles enumerate permutations, scan prefixes directly or hand a linear
@@ -152,3 +152,16 @@ def random_lazy_q(rng, n):
     q = np.sort(rng.dirichlet(np.ones(n) * 2.0))[::-1]
     q = q + 1e-6
     return q / q.sum()
+
+
+class FixedPermutationPolicy:
+    """Displays the same ranking every trial (a baseline and test double)."""
+
+    def __init__(self, order):
+        self.order = tuple(int(i) for i in order)
+
+    def act(self, t, utilities):
+        return self.order
+
+    def feed(self, t, item, payoff):
+        pass

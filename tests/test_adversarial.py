@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,14 +10,21 @@ from rankbandit.adversarial import (
     BLORanker,
     EpsilonGreedyRanker,
     MirrorDescent,
+    ProjectionError,
     _default_epsilon,
+    _solve_masses,
     lazy_alpha,
     pivot_marginals,
     pivot_permutation,
 )
 from rankbandit.core import Instance, user_select
 from rankbandit.environments import MultinomialWindows, TapePayoffs, run_episode
-from rankbandit.polytope import feasible_matrix, rfsm_decompose, window_suffix_bounds
+from rankbandit.polytope import (
+    coupling_sample,
+    feasible_matrix,
+    rfsm_decompose,
+    window_suffix_bounds,
+)
 
 
 class TestPivots:
@@ -81,6 +89,7 @@ class TestMirrorDescent:
 
     def _assert_feasible(self, md, p):
         bounds = window_suffix_bounds(md.q)
+        p = np.asarray(p)
         assert np.all(p >= -1e-12)
         assert p.sum() == pytest.approx(1.0, abs=1e-8)
         suffix = np.cumsum(p[::-1])[::-1]
@@ -88,39 +97,58 @@ class TestMirrorDescent:
 
     def test_initial_iterate_feasible(self):
         md = MirrorDescent(self.q)
-        self._assert_feasible(md, md.act())
-        feasible_matrix(md.act(), self.q, atol=1e-6, feas_tol=1e-6)
+        self._assert_feasible(md, md.p)
+        feasible_matrix(md.p, self.q, atol=1e-6, feas_tol=1e-6)
 
     def test_projection_idempotent(self):
         md = MirrorDescent(self.q)
-        p = md.act()
-        assert np.max(np.abs(md.project(p) - p)) < 1e-9
+        p = md.p
+        g = [1.0 / math.sqrt(x) for x in p]
+        assert np.max(np.abs(np.subtract(_solve_masses(g, md._lower), p))) < 1e-9
 
     def test_zero_loss_keeps_iterate(self):
         md = MirrorDescent(self.q, horizon=100)
-        before = md.act()
+        before = md.p
         md.feed(2, 0.0)
-        assert np.max(np.abs(md.act() - before)) < 1e-9
+        assert np.max(np.abs(np.subtract(md.p, before))) < 1e-9
 
     def test_positive_loss_drains_rank(self):
         md = MirrorDescent(self.q, eta=0.2)
-        before = md.act()
+        before = md.p
         md.feed(2, 5.0)
-        after = md.act()
+        after = md.p
         assert after[2] < before[2]
         self._assert_feasible(md, after)
 
     def test_negative_loss_feeds_rank(self):
         md = MirrorDescent(self.q, eta=0.2)
-        before = md.act()
+        before = md.p
         md.feed(2, -5.0)
-        assert md.act()[2] > before[2]
+        assert md.p[2] > before[2]
 
     def test_never_pickable_rank(self):
         md = MirrorDescent([0.0, 1.0])
-        assert np.allclose(md.act(), [0.0, 1.0])
+        assert np.allclose(md.p, [0.0, 1.0])
         with pytest.raises(ValueError, match="never"):
             md.feed(0, 1.0)
+
+    def test_failed_step_names_its_step_and_keeps_the_iterate(self):
+        md = MirrorDescent(self.q, eta=0.2)
+        md.feed(1, 0.5)
+        before = md.p
+        with pytest.raises(ProjectionError, match=r"mirror step 2: KKT residual nan .*p=\["):
+            md.feed(2, float("nan"))
+        assert md.p == before
+
+    def test_solver_failure_names_its_step(self, monkeypatch):
+        md = MirrorDescent(self.q, eta=0.2)
+
+        def no_convergence(g, lower):
+            raise ProjectionError("no convergence after 56 iterations; active=[]; p=[]")
+
+        monkeypatch.setattr("rankbandit.adversarial._solve_masses", no_convergence)
+        with pytest.raises(ProjectionError, match="mirror step 1: no convergence"):
+            md.feed(2, 1.0)
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
@@ -145,25 +173,27 @@ class TestMirrorDescent:
         rng = np.random.default_rng(71)
         md = MirrorDescent(self.q, horizon=500)
         for _ in range(500):
-            p = md.act()
+            p = md.p
             self._assert_feasible(md, p)
             idx = int(rng.integers(0, 3))
             payoff = float(rng.random())
             md.feed(idx, -payoff / max(p[idx], 1e-9))
 
     def test_fixed_loss_drives_to_lp_optimum(self):
-        # repeated identical dense losses push the iterate to the vertex an
-        # LP solve identifies on the same polytope
+        # repeated identical dense mirror steps push the iterate to the
+        # vertex an LP solve identifies on the same polytope
         loss = np.array([0.3, -0.2, -1.0])
         md = MirrorDescent(self.q, eta=0.05)
+        p = md.p
         for _ in range(3000):
-            md.feed(dense=loss)
+            g = [1.0 / math.sqrt(x) + md.eta * float(v) for x, v in zip(p, loss)]
+            p = _solve_masses(g, md._lower)
         bounds = window_suffix_bounds(self.q)
         A_ub = np.array([[-float(i >= j) for i in range(3)] for j in range(1, 3)])
         res = linprog(loss, A_ub=A_ub, b_ub=-bounds[1:], A_eq=np.ones((1, 3)),
                       b_eq=np.array([1.0]), bounds=(0, None), method="highs")
         assert res.status == 0
-        assert float(loss @ md.act()) == pytest.approx(res.fun, abs=0.02)
+        assert float(loss @ p) == pytest.approx(res.fun, abs=0.02)
 
 
 class TestBLORanker:
@@ -173,7 +203,7 @@ class TestBLORanker:
         order = ranker.act(1, [0.2, 0.9, 0.4])
         assert sorted(order) == [0, 1, 2]
         assert ranker.last_marginals is not None
-        assert ranker.last_marginals.sum() == pytest.approx(1.0, abs=1e-8)
+        assert sum(ranker.last_marginals) == pytest.approx(1.0, abs=1e-8)
 
     def test_feed_before_act(self):
         ranker = BLORanker([0.5, 0.5])
@@ -225,9 +255,9 @@ class TestBLORanker:
         ranker = BLORanker(q, eta=0.3, rng=np.random.default_rng(11))
         u = [1.0, 2.0, 3.0]
         order = ranker.act(1, u)
-        before = ranker.engine.act().copy()
+        before = ranker.engine.p
         ranker.feed(1, 2, 1.0)  # item 2 holds the top rank
-        assert ranker.engine.act()[2] > before[2]
+        assert ranker.engine.p[2] > before[2]
 
 
 class _PeelingBLORanker(BLORanker):
@@ -235,7 +265,7 @@ class _PeelingBLORanker(BLORanker):
 
     def act(self, t, utilities):
         ranks, by_rank = self._rank_maps(utilities)
-        p = np.clip(self.engine.act(), 0.0, None)
+        p = np.clip(self.engine.p, 0.0, None)
         p /= p.sum()
         q = self.engine.q
         matrix = feasible_matrix(p, q, atol=1e-6, feas_tol=1e-6)
@@ -246,33 +276,72 @@ class _PeelingBLORanker(BLORanker):
         return tuple(int(by_rank[r]) for r in rank_order)
 
 
+class _NumpyGlueBLORanker(BLORanker):
+    """Reference ranker: the iterate copied into numpy, clipped at 0 and
+    renormalized before the draw, with the realized marginals kept as an array."""
+
+    def act(self, t, utilities):
+        ranks, by_rank = self._rank_maps(utilities)
+        p = np.clip(np.array(self.engine.p), 0.0, None)
+        p /= p.sum()
+        rank_order, realized = coupling_sample(p.tolist(), self.engine.q.tolist(),
+                                               float(self.rng.random()))
+        realized = np.asarray(realized)
+        residual = float(np.max(np.abs(realized - p)))
+        if residual > 1e-6:
+            raise RuntimeError(f"coupling residual {residual:.3g} exceeds 1e-06")
+        self.last_marginals = realized
+        self._pending = (realized, ranks)
+        return tuple(int(by_rank[r]) for r in rank_order)
+
+
+_EPISODES = pytest.mark.parametrize("q, seed", [
+    ([0.3, 0.25, 0.2, 0.15, 0.1, 0.0], 3),          # lazy, zero last window
+    ([0.1, 0.0, 0.4, 0.05, 0.25, 0.0, 0.2, 0.0], 5),  # non-lazy, zero windows
+    (np.full(20, 0.05), 7),                           # lazy, n = 20
+])
+
+
+def _episode(cls, q, seed, horizon=1000):
+    """One tape episode of ``cls``: (trace, ranker, engine iterate after each feed)."""
+    n = len(q)
+    rng = np.random.default_rng(seed)
+    instance = Instance(utilities=rng.permutation(n) + 1.0)
+    rates = rng.uniform(0.0, 1.0, size=n)
+    ranker = cls(q, horizon=horizon, rng=np.random.default_rng([seed, 1]))
+    iterates = []
+    feed = ranker.feed
+
+    def recording_feed(t, item, payoff):
+        feed(t, item, payoff)
+        iterates.append(list(ranker.engine.p))
+
+    ranker.feed = recording_feed
+    tape = TapePayoffs.bernoulli(rates, horizon, seed, 0)
+    windows = MultinomialWindows(np.asarray(q, dtype=float), seed, 0)
+    trace = run_episode(ranker, instance, tape, windows, horizon,
+                        benchmark="none", record_orders=False)
+    return trace, ranker, np.asarray(iterates)
+
+
 class TestBLORankerSampler:
-    @pytest.mark.parametrize("q, seed", [
-        ([0.3, 0.25, 0.2, 0.15, 0.1, 0.0], 3),          # lazy, zero last window
-        ([0.1, 0.0, 0.4, 0.05, 0.25, 0.0, 0.2, 0.0], 5),  # non-lazy, zero windows
-        (np.full(20, 0.05), 7),
-    ])
+    @_EPISODES
     def test_episode_matches_peeling(self, q, seed):
-        n = len(q)
-        rng = np.random.default_rng(seed)
-        instance = Instance(utilities=rng.permutation(n) + 1.0)
-        rates = rng.uniform(0.0, 1.0, size=n)
-        horizon = 1000
-
-        def episode(cls):
-            ranker = cls(q, horizon=horizon, rng=np.random.default_rng([seed, 1]))
-            tape = TapePayoffs.bernoulli(rates, horizon, seed, 0)
-            windows = MultinomialWindows(np.asarray(q, dtype=float), seed, 0)
-            trace = run_episode(ranker, instance, tape, windows, horizon,
-                                benchmark="none", record_orders=False)
-            return trace, ranker
-
-        direct, direct_ranker = episode(BLORanker)
-        peeled, peeled_ranker = episode(_PeelingBLORanker)
+        direct, direct_ranker, _ = _episode(BLORanker, q, seed)
+        peeled, peeled_ranker, _ = _episode(_PeelingBLORanker, q, seed)
         assert np.array_equal(direct.selected, peeled.selected)
         assert np.array_equal(direct.windows, peeled.windows)
-        assert np.max(np.abs(direct_ranker.last_marginals
-                             - peeled_ranker.last_marginals)) < 1e-9
+        assert np.max(np.abs(np.subtract(direct_ranker.last_marginals,
+                                          peeled_ranker.last_marginals))) < 1e-9
+
+    @_EPISODES
+    def test_episode_matches_numpy_glue(self, q, seed):
+        lists, _, list_iterates = _episode(BLORanker, q, seed, horizon=2000)
+        glue, _, glue_iterates = _episode(_NumpyGlueBLORanker, q, seed, horizon=2000)
+        assert np.array_equal(lists.selected, glue.selected)
+        assert np.array_equal(lists.windows, glue.windows)
+        assert list_iterates.shape == (2000, len(q))
+        assert np.max(np.abs(list_iterates - glue_iterates)) < 1e-12
 
     def test_act_draws_one_uniform(self):
         q = [0.4, 0.1, 0.3, 0.2]
@@ -286,24 +355,25 @@ class TestBLORankerSampler:
             ranker.feed(t, t % 4, 0.5)
 
     def test_residual_check(self):
-        # a target the window law cannot realize is caught, not played
+        # a target the window law cannot realize is caught, not played, and
+        # the error names the policy and the trial
         ranker = BLORanker([0.5, 0.5], rng=np.random.default_rng(97))
-        ranker.engine.p = np.array([0.9, 0.1])
-        with pytest.raises(RuntimeError, match="coupling residual"):
-            ranker.act(1, [1.0, 2.0])
+        ranker.engine.p = [0.9, 0.1]
+        with pytest.raises(RuntimeError, match="osmd trial 7: coupling residual 0.4 "):
+            ranker.act(7, [1.0, 2.0])
 
 
 class TestEpsilonGreedy:
     def test_always_explore_uses_pivot_mixture(self):
         # uniform windows put all mixture weight on the ascending pivot
         ranker = EpsilonGreedyRanker([1 / 3] * 3, rng=np.random.default_rng(13),
-                                     epsilon_fn=lambda t: 1.0)
+                                     explore_constant=1e9)
         assert ranker.act(1, [0.1, 0.9, 0.5]) == (0, 2, 1)
 
     def test_always_exploit_uses_empirical_optimum(self):
         ranker = EpsilonGreedyRanker([0.5, 0.3, 0.2],
                                      rng=np.random.default_rng(17),
-                                     epsilon_fn=lambda t: 0.0)
+                                     explore_constant=0.0)
         for item, mean in ((0, 1.0), (1, 3.0), (2, 2.0)):
             for _ in range(10):
                 ranker.feed(1, item, mean)
@@ -334,7 +404,7 @@ class TestEpsilonGreedy:
     def test_exploration_feeds_every_item(self):
         q = [0.4, 0.3, 0.2, 0.1]
         ranker = EpsilonGreedyRanker(q, rng=np.random.default_rng(19),
-                                     epsilon_fn=lambda t: 1.0)
+                                     explore_constant=1e9)
         env = np.random.default_rng(23)
         u = [0.3, 0.1, 0.4, 0.2]
         for t in range(1, 2001):

@@ -11,15 +11,23 @@ from conftest import best_mean_by_window, naive_select, optimal_orders, random_i
 from rankbandit.core import (
     DegenerateInstanceError,
     Instance,
+    OptimalFamily,
     items_by_rank,
     optimal_family,
-    pseudo_regret,
     regret_upper_bound,
     selection_matrix,
     user_select,
     utility_ranks,
-    validate_permutation,
 )
+
+
+def pseudo_regret(instance: Instance, order, w: int,
+                  family: OptimalFamily | None = None) -> float:
+    """Expected payoff shortfall of ``order`` against the optimal family at window ``w``."""
+    if family is None:
+        family = optimal_family(instance)
+    picked = user_select(order, instance.utilities, w)
+    return float(instance.means[family.benchmark_item(w)] - instance.means[picked])
 
 
 class TestUserSelect:
@@ -58,13 +66,6 @@ class TestRankMaps:
         ranks = utility_ranks(u)
         by_rank = items_by_rank(u)
         assert all(ranks[by_rank[r]] == r for r in range(4))
-
-    def test_validate_permutation(self):
-        assert validate_permutation([2, 0, 1], 3) == (2, 0, 1)
-        with pytest.raises(ValueError):
-            validate_permutation([0, 0, 1], 3)
-        with pytest.raises(ValueError):
-            validate_permutation([0, 1], 3)
 
 
 class TestSelectionMatrix:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import FixedPermutationPolicy
 from rankbandit.core import Instance, optimal_family
 from rankbandit.environments import (
     AdaptiveWindows,
-    FixedPermutationPolicy,
     GaussianPayoffs,
     LowerBoundBlockWindows,
     MultinomialWindows,
@@ -68,11 +68,10 @@ class TestGaussianPayoffs:
 
 
 class TestTapePayoffs:
-    def test_draw_and_column(self):
+    def test_draw(self):
         tape = TapePayoffs(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert tape.draw(0, 1) == 1.0
         assert tape.draw(1, 2) == 4.0
-        assert tape.column(2).tolist() == [2.0, 4.0]
 
     def test_exhaustion(self):
         tape = TapePayoffs(np.zeros((1, 3)))
@@ -80,8 +79,6 @@ class TestTapePayoffs:
             tape.draw(0, 4)
         with pytest.raises(TapeExhaustedError):
             tape.draw(0, 0)
-        with pytest.raises(TapeExhaustedError):
-            tape.column(4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -286,4 +283,17 @@ class TestRunEpisode:
         path = tmp_path / "trace.csv"
         path.write_text("t,window,picked,payoff,inst_regret,cum_regret\n")
         with pytest.raises(ValueError, match="header"):
+            RegretTrace.from_csv(path)
+
+    def test_trace_csv_empty_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="unexpected trace header"):
+            RegretTrace.from_csv(path)
+
+    def test_trace_csv_short_row(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,window,selected,payoff,inst_regret,cum_regret\n"
+                        "1,1,0,0.5,0.0,0.0\n1,2\n")
+        with pytest.raises(ValueError, match=r"trace row \['1', '2'\] does not have 6 fields"):
             RegretTrace.from_csv(path)

@@ -8,16 +8,31 @@ from rankbandit.polytope import (
     Decomposition,
     InadmissibleMatrixError,
     InfeasibleTargetError,
+    _permutation_from_picks,
     admissibility_report,
     coupling_sample,
     feasible_matrix,
-    integral_permutation,
     is_admissible,
     marginal_deficit,
     rank_selection_matrix,
     rfsm_decompose,
     window_suffix_bounds,
 )
+
+
+def integral_permutation(P, atol=1e-9):
+    """Recover the unique ranking realizing an integral admissible matrix."""
+    P = np.asarray(P, dtype=float)
+    near_one = np.abs(P - 1.0) <= atol
+    near_zero = np.abs(P) <= atol
+    if not np.all(near_one | near_zero):
+        raise ValueError("matrix is not integral (entries must be 0 or 1)")
+    snapped = near_one.astype(float)
+    report = admissibility_report(snapped, atol)
+    if not report.ok:
+        raise InadmissibleMatrixError(report)
+    picks = [int(np.argmax(snapped[:, c])) for c in range(P.shape[1])]
+    return _permutation_from_picks(picks)
 
 
 class TestAdmissibility:
@@ -213,6 +228,16 @@ class TestFeasibleMatrix:
         P = feasible_matrix(q, q)
         assert is_admissible(P)
         assert np.max(np.abs(P @ q - q)) < 1e-12
+
+    def test_window_above_the_top_by_rounding(self):
+        # q sums to 1 + 5e-11 (within tolerance): window 2 lies wholly above
+        # F[-1] = 1, so no rank segment covers it; it goes to the top rank,
+        # as in the direct draw
+        q = [1.0, 5e-11, 0.0]
+        P = feasible_matrix(q, q)
+        assert is_admissible(P)
+        assert P[:, 1].tolist() == [0.0, 0.0, 1.0]
+        assert coupling_sample(q, q, 0.5)[0] == (0, 2, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
