@@ -17,6 +17,7 @@ feedback is a one-sparse loss, ``feed(index, value)``, on the picked rank.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Sequence
 
@@ -138,16 +139,22 @@ def _solve_masses(g: list[float], lower: list[float]) -> list[float]:
             if mass <= 1e-15:
                 constants.append(math.inf)
                 continue
-            c = _block_constant(g[lo_i:hi_i], mass)
+            try:
+                c = _block_constant(g[lo_i:hi_i], mass)
+                total = 0.0
+                for i in range(lo_i, hi_i):
+                    d = g[i] + c
+                    p[i] = 1.0 / (d * d)
+                    total += p[i]
+                # snap the block to its pinned mass so the equality and active
+                # suffix bounds hold to machine precision, not root-solve precision
+                scale = mass / total
+            except ZeroDivisionError:
+                # a loss that swamps g rounds some g_i + c to 0, or every term to 0
+                raise ProjectionError(
+                    f"block {lo_i}..{hi_i - 1} is not solvable in double precision; "
+                    f"g={g}; p={p}") from None
             constants.append(c)
-            total = 0.0
-            for i in range(lo_i, hi_i):
-                d = g[i] + c
-                p[i] = 1.0 / (d * d)
-                total += p[i]
-            # snap the block to its pinned mass so the equality and active
-            # suffix bounds hold to machine precision, not root-solve precision
-            scale = mass / total
             for i in range(lo_i, hi_i):
                 p[i] *= scale
 
@@ -325,11 +332,19 @@ class EpsilonGreedyRanker:
     At trial ``t`` a coin with bias ``eps_t`` decides between displaying a
     pivot ranking drawn from the lazy-alpha mixture (every item picked with
     probability ``1/n``) and the optimal-family representative under the
-    empirical mean payoffs. The anytime rate is
+    empirical mean payoffs (0.0 for an item never fed). The anytime rate is
     ``min(1, c * (n log(t+1) / t)^(1/3))``; with a known horizon the
     constant rate ``min(1, c * (n / T)^(1/3))`` is used instead. Both scale
     with ``c = explore_constant``; at the default ``c = 1`` the multiply is
     exact, so the anytime rate is the unscaled one bit for bit.
+
+    The exploit ranking is cached. The family reads the utilities and only
+    the ``>``/``<``/``==`` pattern between the empirical means, so it is
+    rebuilt when ``act`` sees utilities that differ from the cached ones, or
+    after ``feed`` moves the fed item's mean across, onto or off another
+    item's mean. The pivot draw inverts a CDF computed once, as
+    ``Generator.choice`` does, so it picks the same pivot from the same one
+    uniform. ``explorations`` counts the trials that showed a pivot ranking.
     """
 
     def __init__(self, q: Sequence[float], *, rng: np.random.Generator | None = None,
@@ -337,9 +352,18 @@ class EpsilonGreedyRanker:
         self.q = np.asarray(q, dtype=float)
         self.n = int(self.q.size)
         self.alpha = np.asarray(lazy_alpha(self.q), dtype=float)
+        cdf = np.cumsum(self.alpha / self.alpha.sum())
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
+        self._pivots = [pivot_permutation(i, self.n) for i in range(self.n)]
         self.rng = rng if rng is not None else np.random.default_rng()
         self.rewards = [0.0] * self.n
         self.counts = [0] * self.n
+        self.explorations = 0
+        self._means = [0.0] * self.n
+        self._utilities: list | None = None
+        self._by_rank: list[int] | None = None
+        self._representative: Permutation | None = None
         if horizon is not None:
             rate = min(1.0, explore_constant * (self.n / horizon) ** (1.0 / 3.0))
             self._epsilon = lambda t: rate
@@ -347,15 +371,40 @@ class EpsilonGreedyRanker:
             self._epsilon = lambda t: _default_epsilon(t, self.n, explore_constant)
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
+        u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)
+        if u != self._utilities:
+            self._utilities = u
+            self._by_rank = self._representative = None
         if self.rng.random() < self._epsilon(t):
-            pivot = int(self.rng.choice(self.n, p=self.alpha / self.alpha.sum()))
-            rank_order = pivot_permutation(pivot, self.n)
-            by_rank = items_by_rank(utilities)
-            return tuple(int(by_rank[r]) for r in rank_order)
-        means = [self.rewards[i] / self.counts[i] if self.counts[i] else 0.0
-                 for i in range(self.n)]
-        return _family_from_arrays(list(utilities), means, strict=False).representative
+            self.explorations += 1
+            pivot = bisect.bisect_right(self._cdf, self.rng.random())
+            if self._by_rank is None:
+                self._by_rank = items_by_rank(u).tolist()
+            by_rank = self._by_rank
+            return tuple([by_rank[r] for r in self._pivots[pivot]])
+        if self._representative is None:
+            self._representative = _family_from_arrays(
+                u, self._means, strict=False).representative
+        return self._representative
 
     def feed(self, t: int, item: int, payoff: float) -> None:
         self.rewards[item] += payoff
         self.counts[item] += 1
+        old = self._means[item]
+        new = self._means[item] = self.rewards[item] / self.counts[item]
+        if self._representative is None:
+            return
+        if old < new:
+            lo, hi = old, new
+        elif new < old:
+            lo, hi = new, old
+        elif old == new:
+            return
+        else:  # a NaN mean: rebuild rather than reason about unordered means
+            self._representative = None
+            return
+        # the pattern moves iff another mean lies in [lo, hi]
+        for j, m in enumerate(self._means):
+            if lo <= m <= hi and j != item:
+                self._representative = None
+                return

@@ -70,6 +70,11 @@ class QueuedDelayPolicy:
     wrapper keeps displaying the same ranking until the requested item's
     queue is non-empty. Every observed payoff is enqueued under its item on
     arrival, so off-request picks are banked rather than lost.
+
+    No inversion budget is stated for delayed feedback:
+    :func:`~rankbandit.elimination.inversion_budget` holds only when every
+    selection is fed back before the next trial, and no budget is derived or
+    tested for a ranker behind this wrapper.
     """
 
     def __init__(self, base, delay: DelayModel, rng: np.random.Generator | None = None):
@@ -132,6 +137,11 @@ class PooledDelayPolicy:
     spawning a new instance when all are busy; the payoff is routed back to
     the instance that proposed the ranking. With delays bounded by
     ``tau_max`` the pool never exceeds ``tau_max + 1`` instances.
+
+    No inversion budget is stated for delayed feedback:
+    :func:`~rankbandit.elimination.inversion_budget` holds only when every
+    selection is fed back before the next trial, and no budget is derived or
+    tested for a ranker behind this wrapper.
     """
 
     def __init__(self, base_factory: Callable[[int], object], delay: DelayModel,

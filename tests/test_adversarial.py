@@ -17,7 +17,7 @@ from rankbandit.adversarial import (
     pivot_marginals,
     pivot_permutation,
 )
-from rankbandit.core import Instance, user_select
+from rankbandit.core import Instance, _family_from_arrays, items_by_rank, user_select
 from rankbandit.environments import MultinomialWindows, TapePayoffs, run_episode
 from rankbandit.polytope import (
     coupling_sample,
@@ -139,6 +139,21 @@ class TestMirrorDescent:
         with pytest.raises(ProjectionError, match=r"mirror step 2: KKT residual nan .*p=\["):
             md.feed(2, float("nan"))
         assert md.p == before
+
+    def test_swamping_loss_fails_as_a_named_step(self):
+        # eta * loss rounds g_i + c to 0 for the fed rank in double precision
+        md = MirrorDescent(self.q, eta=0.2)
+        before = md.p
+        with pytest.raises(ProjectionError, match=r"mirror step 1: block 2\.\.2 .*p=\["):
+            md.feed(2, 1e20)
+        assert md.p == before
+
+    def test_large_loss_still_steps(self):
+        md = MirrorDescent(self.q, eta=0.2)
+        before = md.p
+        md.feed(2, 1e16)
+        assert md.p[2] < before[2]
+        self._assert_feasible(md, md.p)
 
     def test_solver_failure_names_its_step(self, monkeypatch):
         md = MirrorDescent(self.q, eta=0.2)
@@ -414,3 +429,69 @@ class TestEpsilonGreedy:
             ranker.feed(t, pick, 0.0)
         # lazy mixture guarantees every item is picked at rate 1/n
         assert min(ranker.counts) > 2000 / 4 * 0.7
+
+
+class _ReferenceEpsilonGreedy(EpsilonGreedyRanker):
+    """Reference ranker: fresh means and a fresh family every exploit trial, the
+    pivot drawn by ``Generator.choice`` and the utility order sorted again."""
+
+    def act(self, t, utilities):
+        if self.rng.random() < self._epsilon(t):
+            self.explorations += 1
+            pivot = int(self.rng.choice(self.n, p=self.alpha / self.alpha.sum()))
+            rank_order = pivot_permutation(pivot, self.n)
+            by_rank = items_by_rank(utilities)
+            return tuple(int(by_rank[r]) for r in rank_order)
+        means = [self.rewards[i] / self.counts[i] if self.counts[i] else 0.0
+                 for i in range(self.n)]
+        return _family_from_arrays(list(utilities), means, strict=False).representative
+
+    def feed(self, t, item, payoff):
+        self.rewards[item] += payoff
+        self.counts[item] += 1
+
+
+def _greedy_lockstep(n, payoffs, utilities, c, seed, horizon=300):
+    """Run the ranker and the reference side by side on one environment.
+
+    Asserts equal displayed orders every trial and the same rng state at the
+    end; returns both rankers.
+    """
+    env = np.random.default_rng([seed, n])
+    q = random_lazy_q(env, n)
+    means = env.uniform(0.0, 1.0, size=n)
+    base = env.permutation(n) * 0.5 + 0.25
+    utilities_at = {"list": lambda: base.tolist(), "ndarray": lambda: base,
+                    "permuted": lambda: env.permutation(base)}[utilities]
+    fast = EpsilonGreedyRanker(q, rng=np.random.default_rng(seed), explore_constant=c)
+    ref = _ReferenceEpsilonGreedy(q, rng=np.random.default_rng(seed), explore_constant=c)
+    for t in range(1, horizon + 1):
+        u = utilities_at()
+        order = fast.act(t, u)
+        assert order == ref.act(t, u), f"trial {t}"
+        pick = user_select(order, u, int(env.choice(n, p=q)) + 1)
+        if payoffs == "bernoulli":
+            payoff = float(env.random() < means[pick])
+        else:
+            payoff = float(env.normal(means[pick], 1.0))
+        fast.feed(t, pick, payoff)
+        ref.feed(t, pick, payoff)
+    assert fast.rng.random() == ref.rng.random()
+    return fast, ref
+
+
+class TestEpsilonGreedyReference:
+    @pytest.mark.parametrize("payoffs", ["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_reference(self, n, payoffs):
+        # Bernoulli payoffs tie many means; permuted utilities reset the cache
+        for utilities in ("list", "ndarray", "permuted"):
+            for c in (0.0, 0.05, 1.0, 1e9):
+                _greedy_lockstep(n, payoffs, utilities, c, seed=n + 17)
+
+    def test_explorations_count_pivot_rankings(self):
+        fast, ref = _greedy_lockstep(5, "gaussian", "ndarray", 1e9, seed=3)
+        assert fast.explorations == ref.explorations == 300
+        fast, ref = _greedy_lockstep(5, "bernoulli", "list", 0.3, seed=4)
+        assert fast.explorations == ref.explorations
+        assert 0 < fast.explorations < 300
