@@ -120,6 +120,8 @@ class Instance:
         u = np.asarray(self.utilities, dtype=float)
         if u.ndim != 1 or u.size == 0:
             raise ValueError("utilities: expected a non-empty 1-d array")
+        if not np.all(np.isfinite(u)):
+            raise ValueError("utilities: entries must be finite")
         if len(set(u.tolist())) != u.size:
             raise ValueError("utilities: must be pairwise distinct (ties are undefined)")
         object.__setattr__(self, "utilities", _frozen_array(u))

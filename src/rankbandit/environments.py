@@ -226,12 +226,11 @@ class RegretTrace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.CSV_COLUMNS)
-            for k in range(len(self)):
-                writer.writerow([
-                    int(self.trials[k]), int(self.windows[k]), int(self.selected[k]),
-                    repr(float(self.payoffs[k])), repr(float(self.inst_regret[k])),
-                    repr(float(self.cum_regret[k])),
-                ])
+            # python ints and floats: csv writes them with str(), which for a
+            # float is its shortest round-tripping repr()
+            writer.writerows(zip(
+                self.trials.tolist(), self.windows.tolist(), self.selected.tolist(),
+                self.payoffs.tolist(), self.inst_regret.tolist(), self.cum_regret.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "RegretTrace":

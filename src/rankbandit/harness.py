@@ -104,6 +104,8 @@ class ExperimentConfig:
         _require(isinstance(raw, dict), "config", "must be a JSON object")
         for key in ("instance", "window", "horizon"):
             _require(key in raw, key, "required field missing")
+        if "n" in raw["instance"]:
+            _number(raw["instance"]["n"], "instance.n", int)
         try:
             instance = Instance.from_dict(raw["instance"])
         except ValueError as exc:
@@ -143,9 +145,12 @@ class ExperimentConfig:
             _require(instance.means is not None, "instance.means",
                      "required for gaussian payoffs")
         elif ptype == "bernoulli":
-            rates = np.asarray(payoffs.get("rates", []), dtype=float)
-            _require(rates.size == n, "payoffs.rates", f"length {rates.size} != instance n {n}")
-            _require(bool(np.all((rates >= 0) & (rates <= 1))),
+            rates = payoffs.get("rates")
+            _require(isinstance(rates, (list, tuple)), "payoffs.rates",
+                     f"must be a list, got {type(rates).__name__}")
+            rates = [_number(r, f"payoffs.rates[{i}]") for i, r in enumerate(rates)]
+            _require(len(rates) == n, "payoffs.rates", f"length {len(rates)} != instance n {n}")
+            _require(all(0 <= r <= 1 for r in rates),
                      "payoffs.rates", "entries must lie in [0, 1]")
         else:
             _require("path" in payoffs, "payoffs.path", "required for tape payoffs")
@@ -196,12 +201,15 @@ class ExperimentConfig:
         if wtype == "blocks":
             _require(horizon % n == 0, "horizon",
                      "must be divisible by n for block windows")
+        output_dir = raw.get("output_dir")
+        _require(output_dir is None or isinstance(output_dir, str), "output_dir",
+                 f"must be a string or null, got {output_dir!r}")
 
         return cls(
             instance=instance, window=window, payoffs=payoffs, policy=policy,
             horizon=horizon, replications=replications, seed=seed, delay=delay,
             estimate=estimate, estimate_budget=estimate_budget,
-            output_dir=raw.get("output_dir"), label=str(raw.get("label", "experiment")),
+            output_dir=output_dir, label=str(raw.get("label", "experiment")),
         )
 
     @classmethod

@@ -78,7 +78,8 @@ def admissibility_report(P, atol: float = 1e-9) -> AdmissibilityReport:
     n = P.shape[0]
     bad: list[ConstraintViolation] = []
 
-    for i, c in zip(*np.where((P < -atol) | (P > 1.0 + atol))):
+    # NaN fails both comparisons, so every non-finite entry is reported here
+    for i, c in zip(*np.where(~((P >= -atol) & (P <= 1.0 + atol)))):
         excess = P[i, c] - 1.0 if P[i, c] > 1.0 else -P[i, c]
         bad.append(ConstraintViolation("C.1", (int(i), int(c) + 1), float(excess)))
 
@@ -150,25 +151,21 @@ class Decomposition:
             out += w * rank_selection_matrix(order)
         return out
 
-    def sample(self, rng: np.random.Generator) -> Permutation:
-        r = float(rng.random()) * float(self.weights.sum())
-        acc = 0.0
-        for w, order in zip(self.weights, self.permutations):
-            acc += w
-            if r < acc:
-                return order
-        return self.permutations[-1]
-
 
 def rfsm_decompose(P, *, atol: float = 1e-9, check_input: bool = True,
                    check_residuals: bool = False) -> Decomposition:
     """Peel an admissible matrix into a convex combination of rankings.
 
-    Each round reads off the lowest nonzero rank of every column (those picks
-    form a valid integral matrix), peels that ranking out with the largest
-    weight keeping the residual non-negative, and rescales. The peeled entry
-    hits zero exactly, so at most ``z - n + 1`` rounds run for ``z`` nonzeros.
-    Entries below ``ZERO_SNAP`` are snapped to zero after each rescale.
+    Entries below ``ZERO_SNAP`` are snapped to zero and the rest clipped to
+    [0, 1]. Each round then reads off the lowest nonzero rank of every column
+    (the first nonzero row, an ``argmax`` of ``!= 0``; those picks form a
+    valid integral matrix), peels that ranking out with the smallest picked
+    entry as its weight, and snaps to zero what falls below ``ZERO_SNAP``.
+    Peeling is in absolute scale: the smallest picked cell hits zero exactly
+    each round and nothing is divided, so rounding noise is never amplified
+    and at most ``z - n + 1`` rounds run for ``z`` nonzeros. It stops once
+    the remaining mass is below ``n * n * ZERO_SNAP``, and the weights are
+    normalized at the end.
     """
     P = np.asarray(P, dtype=float)
     if check_input:
@@ -176,60 +173,30 @@ def rfsm_decompose(P, *, atol: float = 1e-9, check_input: bool = True,
         if not report.ok:
             raise InadmissibleMatrixError(report)
     n = P.shape[0]
-    # column-major plain lists: peeling is scan-bound at bandit sizes, where
-    # python scans beat per-op array dispatch
-    Pl = P.tolist()
-    cols = [[0.0 if abs(Pl[i][c]) < ZERO_SNAP else min(max(Pl[i][c], 0.0), 1.0)
-             for i in range(n)] for c in range(n)]
-
-    # peel in absolute scale: the argmin cell hits exact zero each round and
-    # nothing is ever divided, so rounding noise is never amplified
+    C = np.where(np.abs(P) < ZERO_SNAP, 0.0, np.clip(P, 0.0, 1.0))
+    columns = np.arange(n)
     weights: list[float] = []
     orders: list[Permutation] = []
     dust = n * n * ZERO_SNAP
-    remaining = 0.0
-    nnz = 0
-    for col in cols:
-        for v in col:
-            if v:
-                nnz += 1
-                remaining += v
-    picks = [0] * n
-    for _ in range(max(nnz - n + 1, 1)):
+    remaining = C.sum()
+    for _ in range(max(np.count_nonzero(C) - n + 1, 1)):
         if remaining <= dust:
             remaining = 0.0
             break
-        drained = False
-        for c in range(n):
-            col = cols[c]
-            i = 0
-            while i < n and col[i] == 0.0:
-                i += 1
-            if i == n:
-                drained = True
-                break
-            picks[c] = i
-        if drained:
+        nonzero = C != 0.0
+        if not nonzero.any(axis=0).all():
             # one column is empty while others still carry real mass
-            raise InadmissibleMatrixError(
-                admissibility_report(np.asarray(cols).T, atol))
-        peel = cols[0][picks[0]]
-        for c in range(1, n):
-            v = cols[c][picks[c]]
-            if v < peel:
-                peel = v
-        weights.append(peel)
-        orders.append(_permutation_from_picks(picks))
-        remaining = 0.0
-        for c in range(n):
-            col = cols[c]
-            v = col[picks[c]] - peel
-            col[picks[c]] = 0.0 if v < ZERO_SNAP else v
-            for x in col:
-                remaining += x
+            raise InadmissibleMatrixError(admissibility_report(C, atol))
+        picks = nonzero.argmax(axis=0)
+        vals = C[picks, columns]
+        peel = vals.min()
+        vals -= peel
+        C[picks, columns] = np.where(vals < ZERO_SNAP, 0.0, vals)
+        weights.append(float(peel))
+        orders.append(_permutation_from_picks(picks.tolist()))
+        remaining = C.sum()
         if check_residuals and remaining / n > 1e-8:
-            report = admissibility_report(
-                np.asarray(cols).T / (remaining / n), max(atol, 1e-8))
+            report = admissibility_report(C / (remaining / n), max(atol, 1e-8))
             if not report.ok:
                 raise InadmissibleMatrixError(report)
         if remaining == 0.0:
@@ -300,11 +267,14 @@ def feasible_matrix(p, q, *, atol: float = 1e-8, feas_tol: float = 1e-9) -> np.n
     """An admissible matrix ``P`` with ``P q = p``, or raise if none exists.
 
     Built by the order-preserving coupling of the two distributions: lay the
-    cumulative masses of ``p`` (over ranks) and ``q`` (over windows) side by
-    side on [0, 1] and route each overlap segment. Feasibility is exactly the
-    suffix-domination check of :func:`marginal_deficit`, and the coupling puts
-    mass only on cells with rank >= window - 1 with suffix mass non-decreasing
-    in the window, so the result is admissible by construction.
+    cumulative masses ``F`` of ``p`` (over ranks) and ``G`` of ``q`` (over
+    windows) side by side on [0, 1]; cell ``(i, c)`` is the overlap of rank
+    segment ``(F[i-1], F[i]]`` with window segment ``(G[c-1], G[c]]``,
+    ``max(min(F[i], G[c]) - max(F[i-1], G[c-1]), 0)``, as a share of the
+    window's width. Feasibility is exactly the suffix-domination check of
+    :func:`marginal_deficit`, and the coupling puts mass only on cells with
+    rank >= window - 1 with suffix mass non-decreasing in the window, so the
+    result is admissible by construction.
     """
     p = probability_vector(p, name="p")
     q = probability_vector(q, name="q")
@@ -316,64 +286,34 @@ def feasible_matrix(p, q, *, atol: float = 1e-8, feas_tol: float = 1e-9) -> np.n
         raise InfeasibleTargetError(start, float(Q[start]),
                                     float(Q[start] - deficit))
     n = p.size
-    pl = p.tolist()
-    ql = q.tolist()
+    F, G = (np.asarray(x) for x in _coupling_cumulatives(p.tolist(), q.tolist()))
+    F_lo = np.concatenate(([0.0], F[:-1]))
+    G_lo = np.concatenate(([0.0], G[:-1]))
+    width = G - G_lo
+    # impossible window lengths, and ones whose mass lies above F[-1] = 1 by
+    # rounding of q, get the rank the coupling sits on instead, so suffix
+    # masses stay monotone across neighbouring columns
+    degenerate = (width <= ZERO_SNAP) | (G_lo >= 1.0)
+    overlap = np.minimum(F[:, None], G) - np.maximum(F_lo[:, None], G_lo)
+    P = np.maximum(overlap, 0.0) / np.where(degenerate, 1.0, width)
+    P[:, degenerate] = 0.0
+    cols = np.flatnonzero(degenerate)
+    top = np.minimum(np.searchsorted(F, G[cols], side="right"), n - 1)
+    P[np.maximum(top, cols), cols] = 1.0
 
-    # plain lists from here on, the column scans dominate at bandit sizes
-    F, G = _coupling_cumulatives(pl, ql)
+    # shares carry rounding of order eps / width; judge the shortfall as
+    # window mass, so a narrow (rare) window is not rejected for it
+    colsum = P.sum(axis=0)
+    off = np.flatnonzero(np.abs(colsum - 1.0) * width > 1e-9)
+    if off.size:
+        c = int(off[0])
+        raise RuntimeError(f"coupling column {c} sums to {float(colsum[c])!r}")
+    P *= 1.0 / colsum  # exact where a column already sums to 1
 
-    rows = [[0.0] * n for _ in range(n)]
-    for c in range(n):
-        lo = G[c - 1] if c else 0.0
-        hi = G[c]
-        if hi - lo <= ZERO_SNAP or lo >= 1.0:
-            # impossible window length, or one whose mass lies above F[-1] = 1
-            # by rounding of q: emit the rank the coupling sits on so suffix
-            # masses stay monotone across neighbouring columns
-            i0 = 0
-            while i0 < n and F[i0] <= hi:
-                i0 += 1
-            if i0 >= n:
-                i0 = n - 1
-            rows[i0 if i0 > c else c][c] = 1.0
-            continue
-        width = hi - lo
-        i = 0
-        while i < n and F[i] <= lo:
-            i += 1
-        colsum = 0.0
-        while i < n:
-            prev = F[i - 1] if i else 0.0
-            seg = (F[i] if F[i] < hi else hi) - (prev if prev > lo else lo)
-            if seg > 0.0:
-                share = seg / width
-                rows[i][c] = share
-                colsum += share
-            if F[i] >= hi:
-                break
-            i += 1
-        # shares carry rounding of order eps / width; judge the shortfall as
-        # window mass, so a narrow (rare) window is not rejected for it
-        if abs(colsum - 1.0) * width > 1e-9:
-            raise RuntimeError(f"coupling column {c} sums to {colsum!r}")
-        if colsum != 1.0:
-            inv = 1.0 / colsum
-            for r in range(n):
-                if rows[r][c]:
-                    rows[r][c] *= inv
-
-    residual = 0.0
-    for i in range(n):
-        row = rows[i]
-        acc = 0.0
-        for c in range(n):
-            acc += row[c] * ql[c]
-        err = abs(acc - pl[i])
-        if err > residual:
-            residual = err
+    residual = float(np.max(np.abs(P @ q - p)))
     if residual > atol:
         raise RuntimeError(f"coupling residual {residual:.3g} exceeds {atol:.3g}")
-    return np.asarray(rows)
+    return P
 
 
 def coupling_sample(p: Sequence[float], q: Sequence[float],

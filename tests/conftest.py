@@ -139,6 +139,17 @@ def random_mixture(rng, n, k):
     return M, weights, orders
 
 
+def sample_decomposition(decomposition, rng):
+    """The ranking of ``decomposition`` whose cumulative weight covers ``rng.random()``."""
+    r = float(rng.random()) * float(decomposition.weights.sum())
+    acc = 0.0
+    for w, order in zip(decomposition.weights, decomposition.permutations):
+        acc += w
+        if r < acc:
+            return order
+    return decomposition.permutations[-1]
+
+
 def random_instance(rng, n, *, mean_scale=1.0):
     """Distinct utilities and means in random association, as (utilities, means)."""
     utilities = rng.permutation(n).astype(float) + 1.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import random_lazy_q
+from conftest import random_lazy_q, sample_decomposition
 from rankbandit.adversarial import (
     BLORanker,
     EpsilonGreedyRanker,
@@ -284,7 +284,8 @@ class _PeelingBLORanker(BLORanker):
         p /= p.sum()
         q = self.engine.q
         matrix = feasible_matrix(p, q, atol=1e-6, feas_tol=1e-6)
-        rank_order = rfsm_decompose(matrix, check_input=False).sample(self.rng)
+        rank_order = sample_decomposition(
+            rfsm_decompose(matrix, check_input=False), self.rng)
         realized = matrix @ q
         self.last_marginals = realized
         self._pending = (realized, ranks)

@@ -132,6 +132,14 @@ class TestCheck:
         assert out.startswith("inadmissible: C.2")
         assert "C.3" in out
 
+    @pytest.mark.parametrize("command", ["check", "decompose"])
+    def test_nan_entry_is_inadmissible(self, tmp_path, capsys, command):
+        path = tmp_path / "m.json"
+        path.write_text("[[NaN, 0.0], [0.5, 1.0]]")
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "inadmissible: C.1 violated at (0, 1)" in captured.out + captured.err
+
     def test_atol(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text("[[0.3005, 0.0], [0.7, 1.0]]")

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,30 @@ class TestRunEpisode:
         assert np.array_equal(trace.selected, again.selected)
         assert np.array_equal(trace.payoffs, again.payoffs)
         assert np.array_equal(trace.cum_regret, again.cum_regret)
+
+    def test_trace_csv_matches_elementwise_writer(self, tmp_path):
+        def elementwise_to_csv(trace, path):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(trace.CSV_COLUMNS)
+                for k in range(len(trace)):
+                    writer.writerow([
+                        int(trace.trials[k]), int(trace.windows[k]), int(trace.selected[k]),
+                        repr(float(trace.payoffs[k])), repr(float(trace.inst_regret[k])),
+                        repr(float(trace.cum_regret[k])),
+                    ])
+
+        # a social burn-in pad row (w = 0, y = -1) and awkward floats
+        inst = np.array([0.0, -0.0, 5e-324, 1e300, -0.25, 1 / 3])
+        trace = RegretTrace(
+            trials=np.arange(1, 7, dtype=np.int64),
+            windows=np.array([0, 1, 2, 3, 2, 1], dtype=np.int64),
+            selected=np.array([-1, 0, 2, 1, 0, 2], dtype=np.int64),
+            payoffs=np.array([0.0, -0.0, 1e300, 5e-324, -1.5, 0.1]),
+            inst_regret=inst, cum_regret=np.cumsum(inst))
+        trace.to_csv(tmp_path / "new.csv")
+        elementwise_to_csv(trace, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_trace_csv_header_check(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -124,6 +124,21 @@ class TestConfig:
                      r"^window.schedule\[1\]: ", id="schedule-entry-string"),
         pytest.param(lambda r: r.update(window={"type": "schedule", "schedule": [1.5] * 200}),
                      r"^window.schedule\[0\]: ", id="schedule-entry-fraction"),
+        pytest.param(lambda r: r.update(output_dir=5), "^output_dir: ", id="output_dir-number"),
+        pytest.param(lambda r: r["instance"].update(utilities=[math.nan, 2.0, 3.0]),
+                     "^instance.utilities: ", id="utilities-nan"),
+        pytest.param(lambda r: r["instance"].update(utilities=[math.nan, math.nan, 3.0]),
+                     "^instance.utilities: ", id="utilities-nan-pair"),
+        pytest.param(lambda r: r.update(payoffs={"type": "bernoulli",
+                                                 "rates": [[0.1, 0.2, 0.3]]}),
+                     r"^payoffs.rates\[0\]: ", id="rates-nested"),
+        pytest.param(lambda r: r.update(payoffs={"type": "bernoulli",
+                                                 "rates": ["a", 0.2, 0.3]}),
+                     r"^payoffs.rates\[0\]: ", id="rates-entry-string"),
+        pytest.param(lambda r: r.update(payoffs={"type": "bernoulli", "rates": "abc"}),
+                     "^payoffs.rates: ", id="rates-not-a-list"),
+        pytest.param(lambda r: r["instance"].update(n=3.7), "^instance.n: ", id="n-fraction"),
+        pytest.param(lambda r: r["instance"].update(n="x"), "^instance.n: ", id="n-string"),
     ])
     def test_field_errors_name_the_path(self, mutate, path_fragment):
         raw = base_config()

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import admissible_lp, random_mixture, selection_matrix_oracle
-from rankbandit.core import selection_matrix
+from conftest import (
+    admissible_lp, random_mixture, sample_decomposition, selection_matrix_oracle,
+)
+from rankbandit.core import probability_vector, selection_matrix
 from rankbandit.polytope import (
+    ZERO_SNAP,
     Decomposition,
     InadmissibleMatrixError,
     InfeasibleTargetError,
+    _coupling_cumulatives,
     _permutation_from_picks,
     admissibility_report,
     coupling_sample,
@@ -35,6 +39,137 @@ def integral_permutation(P, atol=1e-9):
     return _permutation_from_picks(picks)
 
 
+def rfsm_decompose_oracle(P, *, atol=1e-9, check_input=True, check_residuals=False):
+    """The peeling of :func:`rfsm_decompose` as plain column-major list scans."""
+    P = np.asarray(P, dtype=float)
+    if check_input:
+        report = admissibility_report(P, atol)
+        if not report.ok:
+            raise InadmissibleMatrixError(report)
+    n = P.shape[0]
+    Pl = P.tolist()
+    cols = [[0.0 if abs(Pl[i][c]) < ZERO_SNAP else min(max(Pl[i][c], 0.0), 1.0)
+             for i in range(n)] for c in range(n)]
+    weights = []
+    orders = []
+    dust = n * n * ZERO_SNAP
+    remaining = 0.0
+    nnz = 0
+    for col in cols:
+        for v in col:
+            if v:
+                nnz += 1
+                remaining += v
+    picks = [0] * n
+    for _ in range(max(nnz - n + 1, 1)):
+        if remaining <= dust:
+            remaining = 0.0
+            break
+        drained = False
+        for c in range(n):
+            col = cols[c]
+            i = 0
+            while i < n and col[i] == 0.0:
+                i += 1
+            if i == n:
+                drained = True
+                break
+            picks[c] = i
+        if drained:
+            raise InadmissibleMatrixError(
+                admissibility_report(np.asarray(cols).T, atol))
+        peel = cols[0][picks[0]]
+        for c in range(1, n):
+            v = cols[c][picks[c]]
+            if v < peel:
+                peel = v
+        weights.append(peel)
+        orders.append(_permutation_from_picks(picks))
+        remaining = 0.0
+        for c in range(n):
+            col = cols[c]
+            v = col[picks[c]] - peel
+            col[picks[c]] = 0.0 if v < ZERO_SNAP else v
+            for x in col:
+                remaining += x
+        if check_residuals and remaining / n > 1e-8:
+            report = admissibility_report(
+                np.asarray(cols).T / (remaining / n), max(atol, 1e-8))
+            if not report.ok:
+                raise InadmissibleMatrixError(report)
+        if remaining == 0.0:
+            break
+    if remaining > n * 1e-9:
+        raise RuntimeError("peeling failed to terminate; residual mass remains")
+    if not weights:
+        raise ValueError("matrix carries no mass to decompose")
+    w = np.asarray(weights)
+    return Decomposition(w / w.sum(), tuple(orders))
+
+
+def feasible_matrix_oracle(p, q, *, atol=1e-8, feas_tol=1e-9):
+    """The coupling of :func:`feasible_matrix`, routed segment by segment in lists."""
+    p = probability_vector(p, name="p")
+    q = probability_vector(q, name="q")
+    if q.size != p.size:
+        raise ValueError("p and q must have equal length")
+    start, deficit = marginal_deficit(p, q)
+    if deficit > feas_tol:
+        Q = window_suffix_bounds(q)
+        raise InfeasibleTargetError(start, float(Q[start]),
+                                    float(Q[start] - deficit))
+    n = p.size
+    pl = p.tolist()
+    ql = q.tolist()
+    F, G = _coupling_cumulatives(pl, ql)
+    rows = [[0.0] * n for _ in range(n)]
+    for c in range(n):
+        lo = G[c - 1] if c else 0.0
+        hi = G[c]
+        if hi - lo <= ZERO_SNAP or lo >= 1.0:
+            i0 = 0
+            while i0 < n and F[i0] <= hi:
+                i0 += 1
+            if i0 >= n:
+                i0 = n - 1
+            rows[i0 if i0 > c else c][c] = 1.0
+            continue
+        width = hi - lo
+        i = 0
+        while i < n and F[i] <= lo:
+            i += 1
+        colsum = 0.0
+        while i < n:
+            prev = F[i - 1] if i else 0.0
+            seg = (F[i] if F[i] < hi else hi) - (prev if prev > lo else lo)
+            if seg > 0.0:
+                share = seg / width
+                rows[i][c] = share
+                colsum += share
+            if F[i] >= hi:
+                break
+            i += 1
+        if abs(colsum - 1.0) * width > 1e-9:
+            raise RuntimeError(f"coupling column {c} sums to {colsum!r}")
+        if colsum != 1.0:
+            inv = 1.0 / colsum
+            for r in range(n):
+                if rows[r][c]:
+                    rows[r][c] *= inv
+    residual = 0.0
+    for i in range(n):
+        row = rows[i]
+        acc = 0.0
+        for c in range(n):
+            acc += row[c] * ql[c]
+        err = abs(acc - pl[i])
+        if err > residual:
+            residual = err
+    if residual > atol:
+        raise RuntimeError(f"coupling residual {residual:.3g} exceeds {atol:.3g}")
+    return np.asarray(rows)
+
+
 class TestAdmissibility:
     def test_identity_admissible(self):
         assert is_admissible(np.eye(2))
@@ -54,6 +189,17 @@ class TestAdmissibility:
         report = admissibility_report(P)
         assert report.first.constraint == "C.1"
         assert {v.constraint for v in report.violations} >= {"C.1"}
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_names_c1(self, value):
+        P = np.array([[0.5, 0.0], [0.5, 1.0]])
+        P[1, 1] = value
+        report = admissibility_report(P)
+        assert report.first.constraint == "C.1"
+        assert report.first.location == (1, 2)
+        assert not is_admissible(P)
+        with pytest.raises(InadmissibleMatrixError, match=r"C\.1 violated at \(1, 2\)"):
+            rfsm_decompose(P)
 
     def test_column_sum_names_c2(self):
         report = admissibility_report([[0.4, 0.0], [0.4, 1.0]])
@@ -151,7 +297,7 @@ class TestDecompositionType:
         d = Decomposition(weights=np.array([0.25, 0.75]),
                           permutations=((0, 1), (1, 0)))
         rng = np.random.default_rng(43)
-        draws = sum(d.sample(rng) == (0, 1) for _ in range(20_000))
+        draws = sum(sample_decomposition(d, rng) == (0, 1) for _ in range(20_000))
         assert abs(draws / 20_000 - 0.25) < 3 * np.sqrt(0.25 * 0.75 / 20_000)
 
 
@@ -321,7 +467,7 @@ class TestCouplingSample:
             p, q = _random_target(rng, n)
             u = float(rng.random())
             P = feasible_matrix(p, q)
-            expected = rfsm_decompose(P).sample(_FixedDraw(u))
+            expected = sample_decomposition(rfsm_decompose(P), _FixedDraw(u))
             ranking, realized = coupling_sample(p, q, u)
             assert ranking == expected, (p.tolist(), q.tolist(), u)
             assert np.max(np.abs(realized - P @ q)) <= 1e-12
@@ -346,4 +492,127 @@ class TestCouplingSample:
         for q in ([0.2, 0.3, 0.5], [0.6, 0.4], [0.1] * 10):
             ranking, _ = coupling_sample(q, q, u)
             assert ranking == tuple(range(len(q)))
-            assert ranking == rfsm_decompose(feasible_matrix(q, q)).sample(_FixedDraw(u))
+            assert ranking == sample_decomposition(rfsm_decompose(feasible_matrix(q, q)),
+                                                  _FixedDraw(u))
+
+
+def _outcome(fn, *args, **kwargs):
+    """``(result, None)`` for a return, ``(None, (type, message))`` for a raise."""
+    try:
+        return fn(*args, **kwargs), None
+    except (ValueError, RuntimeError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_decomposition_matches_oracle(P, **kwargs):
+    """Same weights, rankings, or exception type and message; True if it returned."""
+    got, got_error = _outcome(rfsm_decompose, P, **kwargs)
+    want, want_error = _outcome(rfsm_decompose_oracle, P, **kwargs)
+    assert got_error == want_error
+    if want is not None:
+        assert np.array_equal(got.weights, want.weights)
+        assert got.permutations == want.permutations
+    return want is not None
+
+
+def assert_coupling_matches_oracle(p, q, **kwargs):
+    """Same matrix, or exception type and message; True if it returned."""
+    got, got_error = _outcome(feasible_matrix, p, q, **kwargs)
+    want, want_error = _outcome(feasible_matrix_oracle, p, q, **kwargs)
+    assert got_error == want_error
+    if want is not None:
+        assert np.array_equal(got, want)
+    return want is not None
+
+
+def _zipf_q(n):
+    q = 1.0 / np.arange(1, n + 1)
+    return q / q.sum()
+
+
+# entries at and around the snap threshold: a peel of ZERO_SNAP from
+# 2 * ZERO_SNAP leaves exactly ZERO_SNAP, which must survive the snap
+_DUST = np.array([-5e-13, 5e-13, -ZERO_SNAP, ZERO_SNAP, 2 * ZERO_SNAP, 3 * ZERO_SNAP])
+
+
+def _edge_matrix(rng, n):
+    """A mixture with snap-size dust, 1e-13 noise, or a perturbation that
+    can make it inadmissible."""
+    M, _, _ = random_mixture(rng, n, int(rng.integers(1, 2 * n + 1)))
+    kind = rng.integers(3)
+    if kind == 0:
+        cells = rng.random((n, n)) < 0.3
+        M[cells] += rng.choice(_DUST, size=int(cells.sum()))
+    elif kind == 1:
+        M += 1e-13 * rng.standard_normal((n, n))
+    else:
+        i, c = rng.integers(n, size=2)
+        M[i, c] += rng.uniform(-0.3, 0.3)
+        if rng.random() < 0.5:
+            a, b = rng.integers(n, size=2)
+            M[:, [a, b]] = M[:, [b, a]]
+    return M
+
+
+class TestArrayCodeMatchesListOracle:
+    """The array peeling and coupling reproduce the list scans they replaced
+    bit for bit: the same weights, rankings and matrices, or the same errors."""
+
+    def test_dense_mixtures(self):
+        # the polytope-dense shape: n = 50, Dirichlet mixtures of 30 rankings
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            M, _, _ = random_mixture(rng, 50, 30)
+            assert assert_decomposition_matches_oracle(M)
+            for q in (_zipf_q(50), rng.dirichlet(np.ones(50))):
+                assert assert_coupling_matches_oracle(M @ q, q)
+
+    def test_random_mixtures_and_targets(self):
+        rng = np.random.default_rng(71)
+        for _ in range(400):
+            n = int(rng.integers(1, 31))
+            M, _, _ = random_mixture(rng, n, int(rng.integers(1, 2 * n + 1)))
+            assert assert_decomposition_matches_oracle(
+                M, check_residuals=bool(rng.random() < 0.5))
+            p, q = _random_target(rng, n)  # zero windows in a quarter of cases
+            assert assert_coupling_matches_oracle(p, q)
+
+    def test_edge_matrices(self):
+        rng = np.random.default_rng(73)
+        returned = raised = 0
+        for _ in range(1500):
+            M = _edge_matrix(rng, int(rng.integers(1, 13)))
+            for check_input in (True, False):
+                ok = assert_decomposition_matches_oracle(
+                    M, check_input=check_input,
+                    check_residuals=bool(rng.random() < 0.5))
+                returned += ok
+                raised += not ok
+        assert returned > 1000 and raised > 500
+
+    def test_edge_targets(self):
+        rng = np.random.default_rng(79)
+        returned = raised = 0
+        for _ in range(1500):
+            n = int(rng.integers(2, 13))
+            p, q = _random_target(rng, n)
+            kind = rng.integers(4)
+            k = rng.integers(n)
+            if kind == 0 and q.sum() > q[k]:  # a narrow window, mass elsewhere
+                q[k] = rng.choice([1e-7, 1e-13, 0.0])
+                q /= q.sum()
+            elif kind == 1:  # window law off 1 by up to the tolerance
+                q[rng.integers(n)] += rng.choice([-5e-11, 5e-11])
+            elif kind == 2:  # target off by noise
+                p = np.clip(p + 1e-13 * rng.standard_normal(n), 0.0, None)
+            else:  # a random target, often infeasible
+                p = rng.dirichlet(np.ones(n))
+            ok = assert_coupling_matches_oracle(p, q)
+            returned += ok
+            raised += not ok
+        assert returned > 1000 and raised > 100
+
+    @pytest.mark.parametrize("q", [[0.2, 0.7999999000000001, 1e-07, 0.0],
+                                   [1.0, 5e-11, 0.0]])
+    def test_frozen_coupling_edges(self, q):
+        assert assert_coupling_matches_oracle(q, q)
