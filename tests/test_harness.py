@@ -502,12 +502,21 @@ class TestRunExperiment:
         assert report.se_regret == pytest.approx(
             curves.std(axis=0, ddof=1) / math.sqrt(2))
 
-    def test_parallel_matches_serial(self):
-        cfg = ExperimentConfig.from_dict(base_config())
-        serial = run_experiment(cfg, workers=1)
-        parallel = run_experiment(cfg, workers=2)
-        assert serial.mean_regret == parallel.mean_regret
-        assert serial.per_replication == parallel.per_replication
+    def test_parallel_matches_serial(self, tmp_path):
+        path = tmp_path / "tape.npy"
+        np.save(path, np.random.default_rng(17).random((5, 80)))
+        for raw in (base_config(), {**tape_config(path), "replications": 3}):
+            cfg = ExperimentConfig.from_dict(raw)
+            serial = run_experiment(cfg, workers=1)
+            parallel = run_experiment(cfg, workers=2)
+            assert serial.to_dict() == parallel.to_dict()
+            assert len(serial.traces) == len(parallel.traces) == cfg.replications
+            for a, b in zip(serial.traces, parallel.traces):
+                for name in ("trials", "windows", "selected", "payoffs",
+                             "inst_regret", "cum_regret"):
+                    column = getattr(a, name)
+                    assert column.dtype == getattr(b, name).dtype, name
+                    assert column.tobytes() == getattr(b, name).tobytes(), name
 
     def test_outputs_and_summarize(self, tmp_path):
         raw = base_config(output_dir=str(tmp_path / "out"), horizon=120)
