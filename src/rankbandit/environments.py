@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Instance, OptimalFamily, optimal_family, probability_vector, user_select
+from .core import Instance, _family_from_arrays, probability_vector, user_select
 
 STREAM_PAYOFF = 0
 STREAM_WINDOW = 1
@@ -256,6 +256,29 @@ class RegretTrace:
         )
 
 
+def _family_table(instance: Instance, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The optimal family's item by (distinct utility row, window), and each
+    trial's row. Tied means raise here, so build the table before trial 1.
+    """
+    if instance.utility_sequence is None:
+        distinct, rows = instance.utilities[None], np.zeros(horizon, dtype=np.intp)
+    else:
+        distinct, rows = np.unique(instance.utility_sequence[:horizon], axis=0,
+                                   return_inverse=True)
+    table = np.array([_family_from_arrays(u, instance.means).benchmark_by_window
+                      for u in distinct], dtype=np.intp).reshape(-1, instance.n)
+    return table, rows.reshape(-1)
+
+
+def _means_regret(means, table, rows, windows, selected) -> np.ndarray:
+    """Per-trial ``means[s] - means[y]``, ``s = table[rows, w - 1]`` the optimal
+    family's item for the window; undisplayed rows (``w = 0``) score 0.
+    """
+    regret = means[table[rows, windows - 1]] - means[selected]
+    regret[windows == 0] = 0.0
+    return regret
+
+
 def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
                 benchmark: str = "means", record_orders: bool = True) -> RegretTrace:
     """Run one episode of the display/select/feed loop and record a trace.
@@ -268,20 +291,15 @@ def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
     if benchmark not in ("means", "none"):
         raise ValueError(f"unknown benchmark mode {benchmark!r}")
     n = instance.n
-    family: OptimalFamily | None = None
-    families: dict[tuple, OptimalFamily] = {}
     if benchmark == "means":
         if instance.means is None:
             raise ValueError("benchmark='means' requires instance means")
-        if instance.utility_sequence is None:
-            family = optimal_family(instance)
-    means = instance.means
+        table, rows = _family_table(instance, horizon)
 
     trials = np.arange(1, horizon + 1, dtype=np.int64)
     wcol = np.empty(horizon, dtype=np.int64)
     ycol = np.empty(horizon, dtype=np.int64)
     paycol = np.empty(horizon, dtype=float)
-    regcol = np.zeros(horizon, dtype=float)
     orders = np.empty((horizon, n), dtype=np.int16) if record_orders else None
 
     observe = getattr(windows, "observe", None)
@@ -302,19 +320,11 @@ def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
         wcol[k] = w
         ycol[k] = y
         paycol[k] = payoff
-        if benchmark == "means":
-            if fixed_utilities:
-                fam = family
-            else:
-                key = tuple(utilities.tolist())
-                fam = families.get(key)
-                if fam is None:
-                    fam = optimal_family(Instance(utilities=utilities, means=means))
-                    families[key] = fam
-            regcol[k] = means[fam.benchmark_by_window[w - 1]] - means[y]
         if orders is not None:
             orders[k] = order
 
+    regcol = (_means_regret(instance.means, table, rows, wcol, ycol)
+              if benchmark == "means" else np.zeros(horizon))
     return RegretTrace(
         trials=trials, windows=wcol, selected=ycol, payoffs=paycol,
         inst_regret=regcol, cum_regret=np.cumsum(regcol), orders=orders,

@@ -14,21 +14,20 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .adversarial import BLORanker, EpsilonGreedyRanker, lazy_alpha
 from .core import (
-    Instance, Permutation, optimal_family, probability_vector, regret_upper_bound,
-    utility_ranks,
+    Instance, Permutation, probability_vector, regret_upper_bound, utility_ranks,
 )
 from .elimination import EliminationRanker
 from .environments import (
     STREAM_DELAY, STREAM_POLICY, GaussianPayoffs, LowerBoundBlockWindows,
-    MultinomialWindows, RegretTrace, ScheduleWindows, TapePayoffs, run_episode,
-    substream,
+    MultinomialWindows, RegretTrace, ScheduleWindows, TapePayoffs, _family_table,
+    _means_regret, run_episode, substream,
 )
 from .extensions import (
     DelayModel, GreedyUserEnv, bold_wrap, estimate_order_sorting,
@@ -104,6 +103,9 @@ class ExperimentConfig:
         _require(isinstance(raw, dict), "config", "must be a JSON object")
         for key in ("instance", "window", "horizon"):
             _require(key in raw, key, "required field missing")
+        for key in ("instance", "window", "payoffs", "policy"):
+            _require(isinstance(raw.get(key, {}), dict), key,
+                     f"must be a JSON object, got {raw.get(key)!r}")
         if "n" in raw["instance"]:
             _number(raw["instance"]["n"], "instance.n", int)
         try:
@@ -160,7 +162,7 @@ class ExperimentConfig:
         name = policy.get("name")
         _require(name in POLICY_NAMES, "policy.name",
                  f"must be one of {'/'.join(POLICY_NAMES)}, got {name!r}")
-        if name == "elim":
+        if name == "elim" or "delta" in policy:  # every policy's elimination bound reads it
             delta = _number(policy.get("delta", 0.01), "policy.delta")
             _require(0 < delta <= 1, "policy.delta", "must lie in (0, 1]")
             policy["delta"] = delta
@@ -252,6 +254,18 @@ class _OffsetPayoffs:
 
     def draw(self, item: int, t: int) -> float:
         return self.inner.draw(item, t + self.offset)
+
+
+class _EstimatedUtilities:
+    """Show a policy the burn-in's estimated utilities; users keep the true ones."""
+
+    def __init__(self, inner, utilities: np.ndarray):
+        self.inner = inner
+        self.utilities = utilities
+        self.feed = inner.feed
+
+    def act(self, t: int, utilities) -> Permutation:
+        return self.inner.act(t, self.utilities)
 
 
 def _build_windows(cfg: ExperimentConfig, rep: int):
@@ -356,34 +370,28 @@ def best_fixed_hindsight(tape_values: np.ndarray, q, utilities) -> HindsightBenc
 
 def hindsight_regret(trace: RegretTrace, tape: TapePayoffs, q, utilities) -> RegretTrace:
     """Replace the regret columns with regret against the best fixed marginals."""
-    bench = best_fixed_hindsight(tape.values[:, :len(trace)], q, utilities)
-    return _regret_against(trace, tape, bench)
-
-
-def _regret_against(trace: RegretTrace, tape: TapePayoffs,
-                    bench: HindsightBenchmark) -> RegretTrace:
-    horizon = len(trace)
-    inst = bench.marginals @ tape.values[:, :horizon] - trace.payoffs
-    return RegretTrace(
-        trials=trace.trials, windows=trace.windows, selected=trace.selected,
-        payoffs=trace.payoffs, inst_regret=inst, cum_regret=np.cumsum(inst),
-        orders=trace.orders,
-    )
+    played = tape.values[:, :len(trace)]
+    inst = best_fixed_hindsight(played, q, utilities).marginals @ played - trace.payoffs
+    return replace(trace, inst_regret=inst, cum_regret=np.cumsum(inst))
 
 
 def _burn_in(cfg: ExperimentConfig, rep: int, windows, payoffs):
-    """Run a utility-order estimation phase and return (trace rows, pseudo-utilities)."""
+    """Run a utility-order estimation phase and return its ``(windows, selected,
+    payoffs)`` columns and pseudo-utilities (ranks ``1..n`` in the estimated order).
+    A social trial displays nothing and earns nothing: ``w = 0``, ``y = -1``, payoff 0.
+    """
     instance = cfg.instance
     n = instance.n
     budget = cfg.estimate_budget
     if budget is None:
         budget = min(cfg.horizon, default_sort_budget(n, cfg.horizon))
-    env = GreedyUserEnv(instance.utilities, windows)
 
     if cfg.estimate == "sort":
-        result = estimate_order_sorting(env.show, n, budget)
-        ascending = result.order
-        history = env.history
+        env = GreedyUserEnv(instance.utilities, windows)
+        ascending = estimate_order_sorting(env.show, n, budget).order
+        w0 = np.array([w for _, w, _ in env.history], dtype=np.int64)
+        y0 = np.array([y for _, _, y in env.history], dtype=np.int64)
+        pay0 = np.array([payoffs.draw(y, t) for t, y in enumerate(y0.tolist(), 1)])
     else:
         rng = substream(cfg.seed, rep, STREAM_ESTIMATE)
         report = estimate_social_learning(
@@ -392,90 +400,66 @@ def _burn_in(cfg: ExperimentConfig, rep: int, windows, payoffs):
             raise RuntimeError(
                 f"social-learning burn-in did not separate within {budget} trials")
         ascending = report.order_by_mean()
-        history = None  # social users pick by perceived utility; no display log
+        w0 = np.zeros(report.trials, dtype=np.int64)
+        y0 = np.full(report.trials, -1, dtype=np.int64)
+        pay0 = np.zeros(report.trials)
 
     pseudo = np.empty(n)
     pseudo[list(ascending)] = np.arange(1, n + 1, dtype=float)
-
-    if history is None:
-        # social users leave reviews, not payoffs; only the trial count matters
-        return [], pseudo, report.trials
-    fam = optimal_family(instance) if instance.means is not None else None
-    rows = []
-    for k, (order, w, y) in enumerate(history):
-        payoff = payoffs.draw(y, k + 1)
-        reg = (instance.means[fam.benchmark_by_window[w - 1]] - instance.means[y]
-               if fam is not None else 0.0)
-        rows.append((w, y, payoff, reg))
-    return rows, pseudo, len(rows)
+    return (w0, y0, pay0), pseudo
 
 
 def run_replication(cfg: ExperimentConfig, rep: int) -> tuple[dict, RegretTrace]:
+    """Run one replication and score its whole trace, burn-in included, by one rule:
+    a tape with multinomial windows against the best fixed ranking in hindsight,
+    Gaussian payoffs against the optimal family of the means, anything else as 0.
+    """
     instance = cfg.instance
     windows = _build_windows(cfg, rep)
     payoffs = _build_payoffs(cfg, rep)
-    tape = payoffs if isinstance(payoffs, TapePayoffs) else None
-
-    burn_rows: list = []
-    pseudo_utilities = None
-    burn_used = 0
-    if cfg.estimate is not None:
-        burn_rows, pseudo_utilities, burn_used = _burn_in(cfg, rep, windows, payoffs)
-        windows = _OffsetWindows(windows, burn_used)
-        payoffs = _OffsetPayoffs(payoffs, burn_used)
+    tape = payoffs.values if isinstance(payoffs, TapePayoffs) else None
+    # tied means fail here, before any trial
+    family = (_family_table(instance, cfg.horizon)
+              if cfg.payoffs["type"] == "gaussian" else None)
 
     policy = _build_policy(cfg, rep)
+    burn = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+    if cfg.estimate is not None:
+        burn, pseudo_utilities = _burn_in(cfg, rep, windows, payoffs)
+        windows = _OffsetWindows(windows, len(burn[0]))
+        payoffs = _OffsetPayoffs(payoffs, len(burn[0]))
+        policy = _EstimatedUtilities(policy, pseudo_utilities)
+    burn_used = len(burn[0])
     main_horizon = cfg.horizon - burn_used
     if main_horizon <= 0:
         raise RuntimeError("estimation burn-in consumed the whole horizon")
 
-    benchmark = "means" if (instance.means is not None and tape is None) else "none"
-    policy_instance = instance
-    if pseudo_utilities is not None:
-        policy_instance = Instance(utilities=pseudo_utilities, means=instance.means)
-        # pseudo-utilities have the same order as the true ones, so user picks
-        # and regret accounting agree with the true instance
-    trace = run_episode(policy, policy_instance, payoffs, windows, main_horizon,
-                        benchmark=benchmark, record_orders=False)
-
-    if burn_used:
-        w0 = np.asarray([r[0] for r in burn_rows], dtype=np.int64)
-        y0 = np.asarray([r[1] for r in burn_rows], dtype=np.int64)
-        pay0 = np.asarray([r[2] for r in burn_rows], dtype=float)
-        reg0 = np.asarray([r[3] for r in burn_rows], dtype=float)
-        if len(burn_rows) < burn_used:  # social mode logs no display rows
-            pad = burn_used - len(burn_rows)
-            w0 = np.concatenate([w0, np.zeros(pad, dtype=np.int64)])
-            y0 = np.concatenate([y0, np.full(pad, -1, dtype=np.int64)])
-            pay0 = np.concatenate([pay0, np.zeros(pad)])
-            reg0 = np.concatenate([reg0, np.zeros(pad)])
-        inst = np.concatenate([reg0, trace.inst_regret])
-        trace = RegretTrace(
-            trials=np.arange(1, cfg.horizon + 1, dtype=np.int64),
-            windows=np.concatenate([w0, trace.windows]),
-            selected=np.concatenate([y0, trace.selected]),
-            payoffs=np.concatenate([pay0, trace.payoffs]),
-            inst_regret=inst, cum_regret=np.cumsum(inst), orders=None,
-        )
+    main = run_episode(policy, instance, payoffs, windows, main_horizon,
+                       benchmark="none", record_orders=False)
+    w, y, pay = (np.concatenate([b, m]) for b, m in
+                 zip(burn, (main.windows, main.selected, main.payoffs)))
 
     summary = {
         "replication": rep,
-        "total_payoff": float(trace.payoffs.sum()),
+        "total_payoff": float(pay.sum()),
         "burn_in_trials": burn_used,
     }
     if tape is not None and cfg.window["type"] == "multinomial":
-        bench = best_fixed_hindsight(tape.values[:, :cfg.horizon],
-                                     np.asarray(cfg.window["q"], dtype=float),
+        played = tape[:, :cfg.horizon]
+        bench = best_fixed_hindsight(played, np.asarray(cfg.window["q"], dtype=float),
                                      instance.utilities)
-        trace = _regret_against(trace, tape, bench)
+        inst = bench.marginals @ played - pay
         summary["hindsight_value"] = float(bench.value)
+    elif family is not None:
+        inst = _means_regret(instance.means, *family, w, y)
+    else:
+        inst = np.zeros(cfg.horizon)
+    trace = RegretTrace(
+        trials=np.arange(1, cfg.horizon + 1, dtype=np.int64), windows=w, selected=y,
+        payoffs=pay, inst_regret=inst, cum_regret=np.cumsum(inst),
+    )
     summary["final_regret"] = float(trace.cum_regret[-1])
     return summary, trace
-
-
-def _replication_worker(raw_cfg: dict, rep: int):
-    cfg = ExperimentConfig.from_dict(raw_cfg)
-    return rep, run_replication(cfg, rep)
 
 
 def _checkpoints(horizon: int) -> list[int]:
@@ -519,7 +503,7 @@ def _bound_values(cfg: ExperimentConfig) -> dict:
     if cfg.instance.means is not None:
         try:
             bounds["elimination"] = regret_upper_bound(
-                cfg.instance, cfg.horizon, float(cfg.policy.get("delta", 0.01)))
+                cfg.instance, cfg.horizon, cfg.policy.get("delta", 0.01))
         except ValueError:
             bounds["elimination"] = None
     bounds["mirror_descent"] = 2.0 * math.sqrt(2.0 * cfg.horizon * cfg.instance.n)
@@ -534,10 +518,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     reps = range(cfg.replications)
     results: dict[int, tuple[dict, RegretTrace]] = {}
     if workers > 1 and cfg.replications > 1:
-        raw = cfg.to_dict()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rep, payload in pool.map(_replication_worker, [raw] * cfg.replications, reps):
-                results[rep] = payload
+            results = dict(zip(reps, pool.map(run_replication, [cfg] * cfg.replications,
+                                               reps)))
     else:
         for rep in reps:
             results[rep] = run_replication(cfg, rep)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import FixedPermutationPolicy
-from rankbandit.core import Instance, optimal_family
+from rankbandit.core import DegenerateInstanceError, Instance, optimal_family
 from rankbandit.environments import (
     AdaptiveWindows,
     GaussianPayoffs,
@@ -267,6 +267,18 @@ class TestRunEpisode:
         # at odd trials utilities ascend (pick item 1); at even they descend
         # (pick item 0)
         assert trace.selected.tolist() == [1, 0, 1, 0, 1, 0]
+
+    @pytest.mark.parametrize("sequence", [None, [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]])
+    def test_tied_means_fail_before_trial_one(self, sequence):
+        class NoTrials:
+            def act(self, t, utilities):
+                raise AssertionError(f"trial {t} started")
+
+        inst = Instance(utilities=[1.0, 2.0, 3.0], means=[1.0, 2.0, 2.0],
+                        utility_sequence=sequence)
+        with pytest.raises(DegenerateInstanceError):
+            run_episode(NoTrials(), inst, GaussianPayoffs(inst.means, seed=1),
+                        ScheduleWindows([1, 2], n=3), 2)
 
     def test_trace_csv_round_trip(self, tmp_path):
         trace = run_episode(FixedPermutationPolicy((0, 1, 2)), self.instance,

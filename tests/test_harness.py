@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_best_fixed, hindsight_linprog, selection_matrix_oracle
-from rankbandit.core import regret_upper_bound
+from rankbandit.core import DegenerateInstanceError, regret_upper_bound
 from rankbandit.environments import RegretTrace, TapePayoffs
 from rankbandit.harness import (
     ConfigError,
@@ -139,6 +139,17 @@ class TestConfig:
                      "^payoffs.rates: ", id="rates-not-a-list"),
         pytest.param(lambda r: r["instance"].update(n=3.7), "^instance.n: ", id="n-fraction"),
         pytest.param(lambda r: r["instance"].update(n="x"), "^instance.n: ", id="n-string"),
+        # every section is a JSON object
+        pytest.param(lambda r: r.update(instance=5), "^instance: ", id="instance-number"),
+        pytest.param(lambda r: r.update(window=5), "^window: ", id="window-number"),
+        pytest.param(lambda r: r.update(payoffs="gauss"), "^payoffs: ", id="payoffs-string"),
+        pytest.param(lambda r: r.update(policy=["elim"]), "^policy: ", id="policy-list"),
+        pytest.param(lambda r: r.update(payoffs=None), "^payoffs: ", id="payoffs-null"),
+        # every policy's delta feeds the elimination bound in the report
+        pytest.param(lambda r: r.update(policy={"name": "osmd", "delta": [0.1]}),
+                     "^policy.delta: ", id="osmd-delta-list"),
+        pytest.param(lambda r: r.update(policy={"name": "eps-greedy", "delta": 0}),
+                     "^policy.delta: ", id="eps-greedy-delta-zero"),
     ])
     def test_field_errors_name_the_path(self, mutate, path_fragment):
         raw = base_config()
@@ -481,6 +492,52 @@ class TestRunReplication:
         assert np.all(trace.selected[:burn] == -1)
         assert np.all(trace.inst_regret[:burn] == 0.0)
         assert len(trace) == 4000
+
+    def test_tape_burn_in_is_not_scored_against_means(self):
+        # means that do not generate the payoffs: a Bernoulli tape on schedule
+        # windows has no benchmark, burn-in rows included
+        raw = base_config(payoffs={"type": "bernoulli", "rates": [0.2, 0.8, 0.5]},
+                          window={"type": "schedule", "schedule": [1, 2, 3] * 70},
+                          estimate="sort")
+        summary, trace = run_replication(ExperimentConfig.from_dict(raw), 0)
+        assert summary["burn_in_trials"] > 0
+        assert "hindsight_value" not in summary
+        assert summary["final_regret"] == 0.0
+        assert np.all(trace.inst_regret == 0.0)
+
+    def test_users_pick_by_true_utilities_after_a_wrong_estimate(self, monkeypatch):
+        import rankbandit.harness as harness
+        from rankbandit.extensions import SocialLearningReport
+
+        def swapped(utilities, windows, *, rng, budget):
+            # ranks items 1 and 2 the wrong way round
+            means = np.array([1.0, 9.0, 5.0])
+            return SocialLearningReport(
+                separated=True, counts=np.full(3, 4), means=means, lower=means - 1,
+                upper=means + 1, trials=12, forced=12)
+
+        monkeypatch.setattr(harness, "estimate_social_learning", swapped)
+        raw = base_config(estimate="social", horizon=400)
+        raw["instance"] = {"utilities": [1.0, 5.0, 9.0], "means": [1.0, 3.0, 2.0]}
+        summary, trace = run_replication(ExperimentConfig.from_dict(raw), 0)
+        assert summary["burn_in_trials"] == 12
+        full_view = trace.windows == 3
+        assert full_view.sum() > 50
+        assert np.all(trace.selected[full_view] == 2)
+        # scored against the true utilities' family, which is optimal at every window
+        assert np.all(trace.inst_regret >= 0.0)
+
+    def test_tied_means_fail_before_the_burn_in(self, monkeypatch):
+        import rankbandit.harness as harness
+
+        def no_burn_in(*args):
+            raise AssertionError("burn-in started")
+
+        monkeypatch.setattr(harness, "estimate_order_sorting", no_burn_in)
+        raw = base_config(estimate="sort")
+        raw["instance"]["means"] = [1.0, 2.0, 2.0]
+        with pytest.raises(DegenerateInstanceError):
+            run_replication(ExperimentConfig.from_dict(raw), 0)
 
     def test_burn_in_must_leave_main_phase(self):
         raw = base_config(
