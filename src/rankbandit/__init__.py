@@ -37,11 +37,11 @@ from .environments import (
 from .extensions import (
     DelayModel, PartialOrderError, PooledDelayPolicy, QueuedDelayPolicy,
     SocialLearningReport, SortResult, bold_wrap, estimate_order_sorting,
-    estimate_social_learning, merge_sort_comparison_bound, qpmd_wrap,
+    estimate_social_learning, qpmd_wrap,
 )
 from .harness import (
     ConfigError, ExperimentConfig, ExperimentReport, best_fixed_hindsight,
-    hindsight_regret, run_experiment, run_replication,
+    run_experiment, run_replication,
 )
 from .polytope import (
     Decomposition, InadmissibleMatrixError, InfeasibleTargetError,
@@ -63,9 +63,8 @@ __all__ = [
     "admissibility_report", "best_fixed_hindsight", "bold_wrap",
     "confidence_event_holds", "count_inversions", "estimate_order_sorting",
     "estimate_social_learning", "feasible_matrix", "find_permutation",
-    "hindsight_regret", "inversion_budget",
-    "is_admissible", "lazy_alpha", "marginal_deficit",
-    "merge_sort_comparison_bound", "optimal_family", "pivot_marginals",
+    "inversion_budget", "is_admissible", "lazy_alpha", "marginal_deficit",
+    "optimal_family", "pivot_marginals",
     "pivot_permutation", "qpmd_wrap", "regret_upper_bound",
     "rfsm_decompose", "run_episode", "run_experiment", "run_replication",
     "selection_matrix", "substream", "user_select", "window_suffix_bounds",

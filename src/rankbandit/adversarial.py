@@ -191,9 +191,9 @@ class MirrorDescent:
     step on the one-sparse loss ``value`` at rank ``index``: minimize
     ``eta * <loss, p> + D(p, p_prev)`` over the polytope, where ``D`` is the
     Bregman divergence of ``-2 * sum(sqrt(p))``. The first iterate is the
-    projection of the uniform vector. With a known horizon ``T`` the step
-    size is ``sqrt(2 / (T n))``; otherwise the horizon guess doubles as
-    needed.
+    projection of the uniform vector. The step size is ``eta`` when given,
+    otherwise ``sqrt(2 / (T n))`` for the horizon ``T``; one of the two is
+    required.
     """
 
     def __init__(self, q: Sequence[float], *, horizon: int | None = None,
@@ -205,23 +205,18 @@ class MirrorDescent:
         self._offset = int(np.searchsorted(prefix, 1e-15, side="right"))
         bounds = window_suffix_bounds(self.q)
         self._lower = [1.0] + bounds[self._offset + 1:].tolist()
-        self._guess: int | None = None
         if eta is not None:
             self.eta = float(eta)
         elif horizon is not None:
             self.eta = math.sqrt(2.0 / (horizon * self.n))
         else:
-            self._guess = 1024
-            self.eta = math.sqrt(2.0 / (self._guess * self.n))
+            raise ValueError("mirror descent needs a horizon or an eta")
         self.t = 0
         self.p = self._step([1.0 / math.sqrt(1.0 / self.n)] * (self.n - self._offset))
 
     def feed(self, index: int, value: float) -> None:
         """Mirror step on the loss that is ``value`` at rank ``index`` and 0 elsewhere."""
         self.t += 1
-        if self._guess is not None and self.t > self._guess:
-            self._guess *= 2
-            self.eta = math.sqrt(2.0 / (self._guess * self.n))
         off = self._offset
         if index < off:
             raise ValueError(f"rank {index} can never be picked under this q")
@@ -332,11 +327,10 @@ class EpsilonGreedyRanker:
     At trial ``t`` a coin with bias ``eps_t`` decides between displaying a
     pivot ranking drawn from the lazy-alpha mixture (every item picked with
     probability ``1/n``) and the optimal-family representative under the
-    empirical mean payoffs (0.0 for an item never fed). The anytime rate is
-    ``min(1, c * (n log(t+1) / t)^(1/3))``; with a known horizon the
-    constant rate ``min(1, c * (n / T)^(1/3))`` is used instead. Both scale
-    with ``c = explore_constant``; at the default ``c = 1`` the multiply is
-    exact, so the anytime rate is the unscaled one bit for bit.
+    empirical mean payoffs (0.0 for an item never fed). The rate is
+    ``min(1, c * (n log(t+1) / t)^(1/3))`` with ``c = explore_constant``; at
+    the default ``c = 1`` the multiply is exact, so the rate is the unscaled
+    one bit for bit.
 
     The exploit ranking is cached. The family reads the utilities and only
     the ``>``/``<``/``==`` pattern between the empirical means, so it is
@@ -348,7 +342,7 @@ class EpsilonGreedyRanker:
     """
 
     def __init__(self, q: Sequence[float], *, rng: np.random.Generator | None = None,
-                 horizon: int | None = None, explore_constant: float = 1.0):
+                 explore_constant: float = 1.0):
         self.q = np.asarray(q, dtype=float)
         self.n = int(self.q.size)
         self.alpha = np.asarray(lazy_alpha(self.q), dtype=float)
@@ -357,6 +351,7 @@ class EpsilonGreedyRanker:
         self._cdf = cdf.tolist()
         self._pivots = [pivot_permutation(i, self.n) for i in range(self.n)]
         self.rng = rng if rng is not None else np.random.default_rng()
+        self.explore_constant = explore_constant
         self.rewards = [0.0] * self.n
         self.counts = [0] * self.n
         self.explorations = 0
@@ -364,11 +359,9 @@ class EpsilonGreedyRanker:
         self._utilities: list | None = None
         self._by_rank: list[int] | None = None
         self._representative: Permutation | None = None
-        if horizon is not None:
-            rate = min(1.0, explore_constant * (self.n / horizon) ** (1.0 / 3.0))
-            self._epsilon = lambda t: rate
-        else:
-            self._epsilon = lambda t: _default_epsilon(t, self.n, explore_constant)
+
+    def _epsilon(self, t: int) -> float:
+        return _default_epsilon(t, self.n, self.explore_constant)
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
         u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)

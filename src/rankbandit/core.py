@@ -9,10 +9,9 @@ The platform only observes that pick and its payoff.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -200,35 +199,6 @@ class OptimalFamily:
     @property
     def n(self) -> int:
         return len(self.representative)
-
-    def benchmark_item(self, w: int) -> int:
-        """Item any member ranking serves to a user with window ``w``."""
-        return self.benchmark_by_window[w - 1]
-
-    def contains(self, order: Sequence[int]) -> bool:
-        """Structural membership test for the family."""
-        order = tuple(order)
-        if len(order) != self.n:
-            return False
-        pos = 0
-        for leader, block in zip(self.undominated, self.blocks):
-            if order[pos] != leader:
-                return False
-            pos += 1
-            if sorted(order[pos:pos + len(block)]) != list(block):
-                return False
-            pos += len(block)
-        return True
-
-    def members(self) -> Iterator[Permutation]:
-        """Enumerate every member ranking (use only for small instances)."""
-        pools = [itertools.permutations(block) for block in self.blocks]
-        for arrangement in itertools.product(*pools):
-            out: list[int] = []
-            for leader, block in zip(self.undominated, arrangement):
-                out.append(leader)
-                out.extend(block)
-            yield tuple(out)
 
 
 def _family_from_arrays(utilities, means, *, strict: bool = True) -> OptimalFamily:

@@ -121,14 +121,6 @@ class TapePayoffs:
             raise ValueError("tape file leaves some (t, item) cells unset")
         return cls(values)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "item", "payoff"])
-            for t in range(1, self.horizon + 1):
-                for item in range(self.n):
-                    writer.writerow([t, item, repr(float(self.values[item, t - 1]))])
-
 
 class ScheduleWindows:
     """Window lengths read off a fixed schedule."""

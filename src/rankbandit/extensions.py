@@ -24,6 +24,12 @@ import numpy as np
 
 from .core import Permutation, user_select
 
+# social-learning burn-in: review interval half-width at one review, review
+# noise, and the half-width of the interval before any review
+REVIEW_HALFWIDTH = 3.0
+REVIEW_NOISE_SD = 1.0
+PRIOR_HALFWIDTH = 10.0
+
 
 @dataclass(frozen=True)
 class DelayModel:
@@ -194,10 +200,6 @@ def bold_wrap(base_factory: Callable[[int], object], delay: DelayModel,
 class PartialOrderError(RuntimeError):
     """The display budget ran out before the order was fully resolved."""
 
-    def __init__(self, message: str, resolved: list[tuple[int, int]] | None = None):
-        super().__init__(message)
-        self.resolved = resolved or []
-
 
 class GreedyUserEnv:
     """Interactive display endpoint backed by greedy limited-attention users."""
@@ -223,14 +225,6 @@ class SortResult:
     trials: int
 
 
-def merge_sort_comparison_bound(n: int) -> int:
-    """Worst-case comparison count of bottom-up merge sort on n items."""
-    if n <= 1:
-        return 0
-    k = math.ceil(math.log2(n))
-    return n * k - 2 ** k + 1
-
-
 def estimate_order_sorting(show: Callable[[Sequence[int]], int], n: int,
                            budget: int) -> SortResult:
     """Recover the exact utility order of ``n`` items through displayed rankings.
@@ -246,7 +240,6 @@ def estimate_order_sorting(show: Callable[[Sequence[int]], int], n: int,
     """
     trials = 0
     comparisons = 0
-    resolved: list[tuple[int, int]] = []
 
     def beats(a: int, b: int) -> int:
         """Return whichever of a, b has the higher utility."""
@@ -257,12 +250,10 @@ def estimate_order_sorting(show: Callable[[Sequence[int]], int], n: int,
         while True:
             if trials >= budget:
                 raise PartialOrderError(
-                    f"budget {budget} exhausted after {comparisons} comparisons",
-                    resolved)
+                    f"budget {budget} exhausted after {comparisons} comparisons")
             trials += 1
             y = show((*pair, *rest))
             if y == pair[1]:
-                resolved.append((pair[1], pair[0]))
                 return pair[1]
             pair = (pair[1], pair[0])
 
@@ -295,10 +286,7 @@ class SocialLearningReport:
     separated: bool
     counts: np.ndarray
     means: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
     trials: int
-    forced: int
 
     def order_by_mean(self) -> Permutation:
         if not self.separated:
@@ -307,42 +295,33 @@ class SocialLearningReport:
 
 
 def estimate_social_learning(utilities: Sequence[float], windows, *,
-                             rng: np.random.Generator, budget: int,
-                             halfwidth: float = 3.0, noise_sd: float = 1.0,
-                             prior_halfwidth: float = 10.0,
-                             perceived: str = "sample",
-                             initial: tuple[Sequence[int], Sequence[float]] | None = None,
-                             ) -> SocialLearningReport:
+                             rng: np.random.Generator,
+                             budget: int) -> SocialLearningReport:
     """Separate noisy utility estimates by repeatedly topping the least-reviewed item.
 
-    Users pick by *perceived* utility, drawn from each item's current review
-    interval (mean +- ``halfwidth / sqrt(count)``, a wide prior before the
-    first review); the pick then leaves a review ``utility + noise``. While
-    any two intervals overlap, the least-reviewed overlapping item is forced
-    to the top slot (ties toward the lower index; remaining items follow in
+    Users pick by *perceived* utility, drawn uniformly from each item's
+    current review interval (mean +- ``REVIEW_HALFWIDTH / sqrt(count)``, or
+    +- ``PRIOR_HALFWIDTH`` before the first review); the pick then leaves a
+    review ``utility + noise`` with noise sd ``REVIEW_NOISE_SD``. While any
+    two intervals overlap, the least-reviewed overlapping item is forced to
+    the top slot (ties toward the lower index; remaining items follow in
     index order), which guarantees it is reviewed whenever the window is 1.
-    ``perceived="upper"`` makes users take interval upper endpoints instead
-    of sampling, a crude adversarial mode.
+    Every trial of the burn-in is such a forced display.
     """
-    if perceived not in ("sample", "upper"):
-        raise ValueError(f"unknown perceived mode {perceived!r}")
     utilities = np.asarray(utilities, dtype=float)
     n = utilities.size
     counts = np.zeros(n, dtype=np.int64)
     sums = np.zeros(n, dtype=float)
-    if initial is not None:
-        counts += np.asarray(initial[0], dtype=np.int64)
-        sums += np.asarray(initial[1], dtype=float)
 
     def bounds() -> tuple[np.ndarray, np.ndarray]:
         lo = np.empty(n)
         hi = np.empty(n)
         for i in range(n):
             if counts[i] == 0:
-                lo[i], hi[i] = -prior_halfwidth, prior_halfwidth
+                lo[i], hi[i] = -PRIOR_HALFWIDTH, PRIOR_HALFWIDTH
             else:
                 mid = sums[i] / counts[i]
-                r = halfwidth / math.sqrt(counts[i])
+                r = REVIEW_HALFWIDTH / math.sqrt(counts[i])
                 lo[i], hi[i] = mid - r, mid + r
         return lo, hi
 
@@ -356,7 +335,6 @@ def estimate_social_learning(utilities: Sequence[float], windows, *,
         return sorted(out)
 
     trials = 0
-    forced = 0
     while True:
         lo, hi = bounds()
         unresolved = overlapping(lo, hi)
@@ -368,22 +346,15 @@ def estimate_social_learning(utilities: Sequence[float], windows, *,
             break
         target = min(unresolved, key=lambda i: (counts[i], i))
         order = [target] + [i for i in range(n) if i != target]
-        forced += 1
         trials += 1
         w = windows.draw(trials)
         prefix = order[:w]
-        if perceived == "upper":
-            values = [hi[i] for i in prefix]
-        else:
-            values = [rng.uniform(lo[i], hi[i]) for i in prefix]
+        values = [rng.uniform(lo[i], hi[i]) for i in prefix]
         y = prefix[int(np.argmax(values))]
-        review = float(utilities[y]) + rng.normal(0.0, noise_sd)
+        review = float(utilities[y]) + rng.normal(0.0, REVIEW_NOISE_SD)
         counts[y] += 1
         sums[y] += review
 
-    lo, hi = bounds()
     means = np.divide(sums, counts, out=np.full(n, np.nan), where=counts > 0)
     return SocialLearningReport(
-        separated=separated, counts=counts, means=means, lower=lo, upper=hi,
-        trials=trials, forced=forced,
-    )
+        separated=separated, counts=counts, means=means, trials=trials)

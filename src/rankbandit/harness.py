@@ -14,7 +14,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +97,8 @@ class ExperimentConfig:
     estimate_budget: int | None = None
     output_dir: str | None = None
     label: str = "experiment"
+    # the file tape of tape payoffs, read once here by from_dict; not in to_dict
+    tape: TapePayoffs | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -141,6 +143,7 @@ class ExperimentConfig:
 
         payoffs = dict(raw.get("payoffs", {"type": "gaussian"}))
         ptype = payoffs.get("type")
+        tape = None
         _require(ptype in ("gaussian", "bernoulli", "tape"),
                  "payoffs.type", f"must be one of gaussian/bernoulli/tape, got {ptype!r}")
         if ptype == "gaussian":
@@ -156,7 +159,7 @@ class ExperimentConfig:
                      "payoffs.rates", "entries must lie in [0, 1]")
         else:
             _require("path" in payoffs, "payoffs.path", "required for tape payoffs")
-            _load_tape(payoffs["path"], n, horizon)
+            tape = _load_tape(payoffs["path"], n, horizon)
 
         policy = dict(raw.get("policy", {"name": "elim"}))
         name = policy.get("name")
@@ -207,12 +210,14 @@ class ExperimentConfig:
         _require(output_dir is None or isinstance(output_dir, str), "output_dir",
                  f"must be a string or null, got {output_dir!r}")
 
-        return cls(
+        cfg = cls(
             instance=instance, window=window, payoffs=payoffs, policy=policy,
             horizon=horizon, replications=replications, seed=seed, delay=delay,
             estimate=estimate, estimate_budget=estimate_budget,
             output_dir=output_dir, label=str(raw.get("label", "experiment")),
         )
+        cfg.tape = tape
+        return cfg
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -286,7 +291,7 @@ def _build_payoffs(cfg: ExperimentConfig, rep: int):
     if ptype == "bernoulli":
         return TapePayoffs.bernoulli(np.asarray(cfg.payoffs["rates"], dtype=float),
                                      cfg.horizon, cfg.seed, rep)
-    return _load_tape(cfg.payoffs["path"], cfg.instance.n, cfg.horizon)
+    return cfg.tape
 
 
 def _build_base_policy(cfg: ExperimentConfig, rep: int, instance_idx: int = 0):
@@ -300,8 +305,8 @@ def _build_base_policy(cfg: ExperimentConfig, rep: int, instance_idx: int = 0):
         return EpsilonGreedyRanker(
             q, rng=rng, explore_constant=float(cfg.policy.get("explore_constant", 1.0)))
     eta = cfg.policy.get("eta")
-    return BLORanker(q, horizon=None if eta is not None else cfg.horizon,
-                     eta=None if eta is None else float(eta), rng=rng)
+    return BLORanker(q, horizon=cfg.horizon, eta=None if eta is None else float(eta),
+                     rng=rng)
 
 
 def _build_policy(cfg: ExperimentConfig, rep: int):
@@ -366,13 +371,6 @@ def best_fixed_hindsight(tape_values: np.ndarray, q, utilities) -> HindsightBenc
         marginals=marginals, rank_marginals=rank_marginals, matrix=P,
         value=float(totals @ marginals), ranking=_permutation_from_picks(picks),
     )
-
-
-def hindsight_regret(trace: RegretTrace, tape: TapePayoffs, q, utilities) -> RegretTrace:
-    """Replace the regret columns with regret against the best fixed marginals."""
-    played = tape.values[:, :len(trace)]
-    inst = best_fixed_hindsight(played, q, utilities).marginals @ played - trace.payoffs
-    return replace(trace, inst_regret=inst, cum_regret=np.cumsum(inst))
 
 
 def _burn_in(cfg: ExperimentConfig, rep: int, windows, payoffs):
@@ -498,9 +496,15 @@ class ExperimentReport:
 
 
 def _bound_values(cfg: ExperimentConfig) -> dict:
+    """Regret bounds for the config; ``None`` where a bound is not stated.
+
+    The elimination bound assumes every selection is fed back before the next
+    trial. A delay wrapper replays the base trajectory exactly only at zero
+    delay, so a positive ``tau_max`` drops it.
+    """
     bounds: dict[str, float | None] = {"elimination": None, "mirror_descent": None}
     name = cfg.policy["name"]
-    if cfg.instance.means is not None:
+    if cfg.instance.means is not None and DelayModel.parse(cfg.delay).tau_max == 0:
         try:
             bounds["elimination"] = regret_upper_bound(
                 cfg.instance, cfg.horizon, cfg.policy.get("delta", 0.01))

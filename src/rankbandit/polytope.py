@@ -29,6 +29,10 @@ import numpy as np
 from .core import Permutation, probability_vector, selection_matrix
 
 ZERO_SNAP = 1e-12
+# feasible_matrix: the suffix deficit a target may show, and the largest
+# entry of |P q - p| it accepts from the coupling
+FEASIBILITY_TOL = 1e-9
+COUPLING_RESIDUAL_TOL = 1e-8
 
 
 class InadmissibleMatrixError(ValueError):
@@ -100,8 +104,8 @@ def admissibility_report(P, atol: float = 1e-9) -> AdmissibilityReport:
     return AdmissibilityReport(ok=not bad, violations=tuple(bad))
 
 
-def is_admissible(P, atol: float = 1e-9) -> bool:
-    return admissibility_report(P, atol).ok
+def is_admissible(P) -> bool:
+    return admissibility_report(P).ok
 
 
 def rank_selection_matrix(order: Permutation) -> np.ndarray:
@@ -263,7 +267,7 @@ def _coupling_cumulatives(pl: Sequence[float],
     return F, G
 
 
-def feasible_matrix(p, q, *, atol: float = 1e-8, feas_tol: float = 1e-9) -> np.ndarray:
+def feasible_matrix(p, q) -> np.ndarray:
     """An admissible matrix ``P`` with ``P q = p``, or raise if none exists.
 
     Built by the order-preserving coupling of the two distributions: lay the
@@ -281,7 +285,7 @@ def feasible_matrix(p, q, *, atol: float = 1e-8, feas_tol: float = 1e-9) -> np.n
     if q.size != p.size:
         raise ValueError("p and q must have equal length")
     start, deficit = marginal_deficit(p, q)
-    if deficit > feas_tol:
+    if deficit > FEASIBILITY_TOL:
         Q = window_suffix_bounds(q)
         raise InfeasibleTargetError(start, float(Q[start]),
                                     float(Q[start] - deficit))
@@ -311,8 +315,9 @@ def feasible_matrix(p, q, *, atol: float = 1e-8, feas_tol: float = 1e-9) -> np.n
     P *= 1.0 / colsum  # exact where a column already sums to 1
 
     residual = float(np.max(np.abs(P @ q - p)))
-    if residual > atol:
-        raise RuntimeError(f"coupling residual {residual:.3g} exceeds {atol:.3g}")
+    if residual > COUPLING_RESIDUAL_TOL:
+        raise RuntimeError(f"coupling residual {residual:.3g} exceeds "
+                           f"{COUPLING_RESIDUAL_TOL:.3g}")
     return P
 
 

@@ -1,17 +1,25 @@
 """Shared brute-force oracles, generators and test doubles for the test suite.
 
-Everything here is deliberately independent of the library internals: the
-oracles enumerate permutations, scan prefixes directly or hand a linear
-program to scipy, so library results can be checked against them without
-circularity.
+Most oracles here are independent of the library internals: they enumerate
+permutations, scan prefixes directly or hand a linear program to scipy, so
+library results can be checked against them without circularity. The
+exception is :func:`feasible_matrix_oracle`, the list form of the array
+coupling, which shares its cumulative masses with the library.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
 from scipy.optimize import linprog
+
+from rankbandit.core import probability_vector
+from rankbandit.polytope import (
+    ZERO_SNAP, InfeasibleTargetError, _coupling_cumulatives, marginal_deficit,
+    window_suffix_bounds,
+)
 
 
 def naive_select(order, utilities, w):
@@ -36,6 +44,47 @@ def optimal_orders(utilities, means):
                for w in range(1, n + 1)):
             out.add(order)
     return out
+
+
+def family_contains(family, order):
+    """Structural membership test for an :class:`~rankbandit.core.OptimalFamily`:
+    each undominated item, in order, directly followed by its block in any order."""
+    order = tuple(order)
+    if len(order) != family.n:
+        return False
+    pos = 0
+    for leader, block in zip(family.undominated, family.blocks):
+        if order[pos] != leader:
+            return False
+        pos += 1
+        if sorted(order[pos:pos + len(block)]) != list(block):
+            return False
+        pos += len(block)
+    return True
+
+
+def family_members(family):
+    """Every member ranking of an optimal family (small instances only)."""
+    pools = [itertools.permutations(block) for block in family.blocks]
+    for arrangement in itertools.product(*pools):
+        out = []
+        for leader, block in zip(family.undominated, arrangement):
+            out.append(leader)
+            out.extend(block)
+        yield tuple(out)
+
+
+def write_tape_csv(values, path):
+    """Write an ``(n, T)`` payoff tape in the long format ``t,item,payoff``,
+    floats via ``repr`` so :meth:`TapePayoffs.from_csv` reads them back exactly."""
+    values = np.asarray(values, dtype=float)
+    n, horizon = values.shape
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "item", "payoff"])
+        for t in range(1, horizon + 1):
+            for item in range(n):
+                writer.writerow([t, item, repr(float(values[item, t - 1]))])
 
 
 def brute_force_best_fixed(tape_values, q, utilities):
@@ -116,6 +165,69 @@ def hindsight_linprog(tape_values, q, utilities):
     marginals = np.empty(n)
     marginals[order] = P @ q
     return float(-res.fun), marginals
+
+
+def feasible_matrix_oracle(p, q, *, atol=1e-8, feas_tol=1e-9):
+    """The coupling of :func:`feasible_matrix`, routed segment by segment in lists."""
+    p = probability_vector(p, name="p")
+    q = probability_vector(q, name="q")
+    if q.size != p.size:
+        raise ValueError("p and q must have equal length")
+    start, deficit = marginal_deficit(p, q)
+    if deficit > feas_tol:
+        Q = window_suffix_bounds(q)
+        raise InfeasibleTargetError(start, float(Q[start]),
+                                    float(Q[start] - deficit))
+    n = p.size
+    pl = p.tolist()
+    ql = q.tolist()
+    F, G = _coupling_cumulatives(pl, ql)
+    rows = [[0.0] * n for _ in range(n)]
+    for c in range(n):
+        lo = G[c - 1] if c else 0.0
+        hi = G[c]
+        if hi - lo <= ZERO_SNAP or lo >= 1.0:
+            i0 = 0
+            while i0 < n and F[i0] <= hi:
+                i0 += 1
+            if i0 >= n:
+                i0 = n - 1
+            rows[i0 if i0 > c else c][c] = 1.0
+            continue
+        width = hi - lo
+        i = 0
+        while i < n and F[i] <= lo:
+            i += 1
+        colsum = 0.0
+        while i < n:
+            prev = F[i - 1] if i else 0.0
+            seg = (F[i] if F[i] < hi else hi) - (prev if prev > lo else lo)
+            if seg > 0.0:
+                share = seg / width
+                rows[i][c] = share
+                colsum += share
+            if F[i] >= hi:
+                break
+            i += 1
+        if abs(colsum - 1.0) * width > 1e-9:
+            raise RuntimeError(f"coupling column {c} sums to {colsum!r}")
+        if colsum != 1.0:
+            inv = 1.0 / colsum
+            for r in range(n):
+                if rows[r][c]:
+                    rows[r][c] *= inv
+    residual = 0.0
+    for i in range(n):
+        row = rows[i]
+        acc = 0.0
+        for c in range(n):
+            acc += row[c] * ql[c]
+        err = abs(acc - pl[i])
+        if err > residual:
+            residual = err
+    if residual > atol:
+        raise RuntimeError(f"coupling residual {residual:.3g} exceeds {atol:.3g}")
+    return np.asarray(rows)
 
 
 def selection_matrix_oracle(order):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import random_lazy_q, sample_decomposition
+from conftest import feasible_matrix_oracle, random_lazy_q, sample_decomposition
 from rankbandit.adversarial import (
     BLORanker,
     EpsilonGreedyRanker,
@@ -19,12 +19,7 @@ from rankbandit.adversarial import (
 )
 from rankbandit.core import Instance, _family_from_arrays, items_by_rank, user_select
 from rankbandit.environments import MultinomialWindows, TapePayoffs, run_episode
-from rankbandit.polytope import (
-    coupling_sample,
-    feasible_matrix,
-    rfsm_decompose,
-    window_suffix_bounds,
-)
+from rankbandit.polytope import coupling_sample, rfsm_decompose, window_suffix_bounds
 
 
 class TestPivots:
@@ -96,12 +91,12 @@ class TestMirrorDescent:
         assert np.all(suffix[1:] >= bounds[1:] - 1e-8)
 
     def test_initial_iterate_feasible(self):
-        md = MirrorDescent(self.q)
+        md = MirrorDescent(self.q, horizon=100)
         self._assert_feasible(md, md.p)
-        feasible_matrix(md.p, self.q, atol=1e-6, feas_tol=1e-6)
+        feasible_matrix_oracle(md.p, self.q, atol=1e-6, feas_tol=1e-6)
 
     def test_projection_idempotent(self):
-        md = MirrorDescent(self.q)
+        md = MirrorDescent(self.q, horizon=100)
         p = md.p
         g = [1.0 / math.sqrt(x) for x in p]
         assert np.max(np.abs(np.subtract(_solve_masses(g, md._lower), p))) < 1e-9
@@ -127,7 +122,7 @@ class TestMirrorDescent:
         assert md.p[2] > before[2]
 
     def test_never_pickable_rank(self):
-        md = MirrorDescent([0.0, 1.0])
+        md = MirrorDescent([0.0, 1.0], horizon=100)
         assert np.allclose(md.p, [0.0, 1.0])
         with pytest.raises(ValueError, match="never"):
             md.feed(0, 1.0)
@@ -167,22 +162,21 @@ class TestMirrorDescent:
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
-            MirrorDescent([0.7, 0.4])
+            MirrorDescent([0.7, 0.4], horizon=100)
         with pytest.raises(ValueError):
-            MirrorDescent([[0.5, 0.5]])
+            MirrorDescent([[0.5, 0.5]], horizon=100)
+        # q is checked before the step size, so its error reads the same
+        with pytest.raises(ValueError, match=r"^q: must sum to 1"):
+            MirrorDescent([0.7, 0.4])
+
+    @pytest.mark.parametrize("build", [MirrorDescent, BLORanker])
+    def test_needs_horizon_or_eta(self, build):
+        with pytest.raises(ValueError, match="horizon or an eta"):
+            build(self.q)
 
     def test_known_horizon_step_size(self):
         md = MirrorDescent(self.q, horizon=5000)
         assert md.eta == pytest.approx(np.sqrt(2.0 / (5000 * 3)))
-
-    def test_anytime_doubling(self):
-        md = MirrorDescent(self.q)
-        eta0 = md.eta
-        for _ in range(1024):
-            md.feed(2, 0.0)
-        assert md.eta == pytest.approx(eta0)
-        md.feed(2, 0.0)
-        assert md.eta == pytest.approx(eta0 / np.sqrt(2.0))
 
     def test_long_random_run_stays_feasible(self):
         rng = np.random.default_rng(71)
@@ -221,7 +215,7 @@ class TestBLORanker:
         assert sum(ranker.last_marginals) == pytest.approx(1.0, abs=1e-8)
 
     def test_feed_before_act(self):
-        ranker = BLORanker([0.5, 0.5])
+        ranker = BLORanker([0.5, 0.5], horizon=100)
         with pytest.raises(RuntimeError, match="feed before act"):
             ranker.feed(1, 0, 1.0)
 
@@ -248,14 +242,14 @@ class TestBLORanker:
         assert np.all(np.abs(freq - expected) <= 4 * se + 1e-12)
 
     def test_fixed_utilities_cannot_change(self):
-        ranker = BLORanker([0.5, 0.5], rng=np.random.default_rng(5))
+        ranker = BLORanker([0.5, 0.5], horizon=100, rng=np.random.default_rng(5))
         ranker.act(1, [0.3, 0.8])
         ranker.feed(1, 0, 0.5)
         with pytest.raises(ValueError, match="changing_utilities"):
             ranker.act(2, [0.8, 0.3])
 
     def test_changing_utilities_rank_encoding(self):
-        ranker = BLORanker([0.5, 0.3, 0.2], rng=np.random.default_rng(7),
+        ranker = BLORanker([0.5, 0.3, 0.2], horizon=100, rng=np.random.default_rng(7),
                            changing_utilities=True)
         ranker.act(1, [2.0, 3.0, 1.0])
         ranker.feed(1, 0, 0.1)
@@ -283,7 +277,7 @@ class _PeelingBLORanker(BLORanker):
         p = np.clip(self.engine.p, 0.0, None)
         p /= p.sum()
         q = self.engine.q
-        matrix = feasible_matrix(p, q, atol=1e-6, feas_tol=1e-6)
+        matrix = feasible_matrix_oracle(p, q, atol=1e-6, feas_tol=1e-6)
         rank_order = sample_decomposition(
             rfsm_decompose(matrix, check_input=False), self.rng)
         realized = matrix @ q
@@ -373,7 +367,7 @@ class TestBLORankerSampler:
     def test_residual_check(self):
         # a target the window law cannot realize is caught, not played, and
         # the error names the policy and the trial
-        ranker = BLORanker([0.5, 0.5], rng=np.random.default_rng(97))
+        ranker = BLORanker([0.5, 0.5], horizon=100, rng=np.random.default_rng(97))
         ranker.engine.p = [0.9, 0.1]
         with pytest.raises(RuntimeError, match="osmd trial 7: coupling residual 0.4 "):
             ranker.act(7, [1.0, 2.0])
@@ -410,12 +404,6 @@ class TestEpsilonGreedy:
             assert _default_epsilon(t, 5, 0.01) == 0.01 * _default_epsilon(t, 5)
         ranker = EpsilonGreedyRanker([0.5, 0.5], explore_constant=0.5)
         assert ranker._epsilon(1000) == pytest.approx(0.5 * _default_epsilon(1000, 2))
-
-    def test_horizon_rate(self):
-        ranker = EpsilonGreedyRanker([0.5, 0.5], horizon=1000,
-                                     explore_constant=2.0)
-        assert ranker._epsilon(1) == pytest.approx(
-            min(1.0, 2.0 * (2 / 1000) ** (1 / 3)))
 
     def test_exploration_feeds_every_item(self):
         q = [0.4, 0.3, 0.2, 0.1]

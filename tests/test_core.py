@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import best_mean_by_window, naive_select, optimal_orders, random_instance
+from conftest import (
+    best_mean_by_window, family_contains, family_members, naive_select, optimal_orders,
+    random_instance,
+)
 from rankbandit.core import (
     DegenerateInstanceError,
     Instance,
@@ -27,7 +30,7 @@ def pseudo_regret(instance: Instance, order, w: int,
     if family is None:
         family = optimal_family(instance)
     picked = user_select(order, instance.utilities, w)
-    return float(instance.means[family.benchmark_item(w)] - instance.means[picked])
+    return float(instance.means[family.benchmark_by_window[w - 1]] - instance.means[picked])
 
 
 class TestUserSelect:
@@ -153,9 +156,9 @@ class TestOptimalFamily:
             utilities, means = random_instance(rng, n)
             fam = optimal_family(Instance(utilities=utilities, means=means))
             oracle = optimal_orders(utilities, means)
-            assert set(fam.members()) == oracle
+            assert set(family_members(fam)) == oracle
             for order in itertools.permutations(range(n)):
-                assert fam.contains(order) == (order in oracle)
+                assert family_contains(fam, order) == (order in oracle)
 
     def test_exact_fraction_arithmetic(self):
         from rankbandit.core import _family_from_arrays
@@ -173,7 +176,7 @@ class TestOptimalFamily:
             utilities, means = random_instance(rng, n)
             inst = Instance(utilities=utilities, means=means)
             fam = optimal_family(inst)
-            for member in fam.members():
+            for member in family_members(fam):
                 for w in range(1, n + 1):
                     assert pseudo_regret(inst, member, w, fam) == 0.0
 
@@ -184,7 +187,7 @@ class TestOptimalFamily:
             utilities, means = random_instance(rng, n)
             fam = optimal_family(Instance(utilities=utilities, means=means))
             for w in range(1, n + 1):
-                assert means[fam.benchmark_item(w)] == pytest.approx(
+                assert means[fam.benchmark_by_window[w - 1]] == pytest.approx(
                     best_mean_by_window(utilities, means, w), abs=1e-12)
 
 

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from conftest import family_contains
 from rankbandit.core import Instance, optimal_family
 from rankbandit.elimination import (
     EliminationRanker,
@@ -223,7 +224,7 @@ class TestEliminationRanker:
         run_episode(pol, inst, GaussianPayoffs(inst.means, 1, 0),
                     MultinomialWindows([0.5, 0.3, 0.2], 1, 0), 4000,
                     record_orders=False)
-        assert fam.contains(pol.act(4001, inst.utilities))
+        assert family_contains(fam, pol.act(4001, inst.utilities))
 
 
 class TestInversionBudget:

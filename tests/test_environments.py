@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import FixedPermutationPolicy
+from conftest import FixedPermutationPolicy, write_tape_csv
 from rankbandit.core import DegenerateInstanceError, Instance, optimal_family
 from rankbandit.environments import (
     AdaptiveWindows,
@@ -103,7 +103,7 @@ class TestTapePayoffs:
         rng = np.random.default_rng(17)
         tape = TapePayoffs(rng.random((3, 7)))
         path = tmp_path / "tape.csv"
-        tape.to_csv(path)
+        write_tape_csv(tape.values, path)
         again = TapePayoffs.from_csv(path)
         assert np.array_equal(tape.values, again.values)  # exact via repr
 

@@ -1,11 +1,14 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_best_fixed, hindsight_linprog, selection_matrix_oracle
+from conftest import (
+    brute_force_best_fixed, hindsight_linprog, selection_matrix_oracle, write_tape_csv,
+)
 from rankbandit.core import DegenerateInstanceError, regret_upper_bound
 from rankbandit.environments import RegretTrace, TapePayoffs
 from rankbandit.harness import (
@@ -15,7 +18,6 @@ from rankbandit.harness import (
     _checkpoints,
     best_fixed_hindsight,
     default_sort_budget,
-    hindsight_regret,
     run_experiment,
     run_replication,
 )
@@ -36,6 +38,14 @@ def summarize_traces(trace_dir, checkpoints: list[int]) -> tuple[list[float], li
     se = (arr.std(axis=0, ddof=1) / math.sqrt(len(paths))
           if len(paths) > 1 else np.zeros(arr.shape[1]))
     return [float(x) for x in mean], [float(x) for x in se]
+
+
+def hindsight_regret(trace: RegretTrace, tape: TapePayoffs, q, utilities) -> RegretTrace:
+    """Oracle for the tape scoring of ``run_replication``: ``trace`` with its
+    regret columns against the best fixed marginals over the trials played."""
+    played = tape.values[:, :len(trace)]
+    inst = best_fixed_hindsight(played, q, utilities).marginals @ played - trace.payoffs
+    return replace(trace, inst_regret=inst, cum_regret=np.cumsum(inst))
 
 
 def base_config(**overrides) -> dict:
@@ -249,7 +259,7 @@ class TestTapeAtLoad:
 
     def test_csv_tape_rows_must_match_n(self, tmp_path):
         path = tmp_path / "tape.csv"
-        TapePayoffs(np.random.default_rng(0).random((7, 50))).to_csv(path)
+        write_tape_csv(np.random.default_rng(0).random((7, 50)), path)
         with pytest.raises(ConfigError, match=r"payoffs\.path: .*7 rows"):
             ExperimentConfig.from_dict(tape_config(path))
 
@@ -263,6 +273,26 @@ class TestTapeAtLoad:
             path.write_text(text)
             with pytest.raises(ConfigError, match=rf"payoffs\.path: .*{message}"):
                 ExperimentConfig.from_dict(tape_config(path))
+
+    def test_tape_is_read_once(self, tmp_path, monkeypatch):
+        # from_dict reads the file; the replications reuse what it read
+        import rankbandit.harness as harness
+
+        path = tmp_path / "tape.npy"
+        np.save(path, np.random.default_rng(19).random((5, 50)))
+        calls = []
+        load = harness._load_tape
+
+        def counted(*args):
+            calls.append(args)
+            return load(*args)
+
+        monkeypatch.setattr(harness, "_load_tape", counted)
+        cfg = ExperimentConfig.from_dict({**tape_config(path), "replications": 3})
+        report = run_experiment(cfg)
+        assert len(calls) == 1
+        assert len(report.traces) == 3
+        assert "tape" not in cfg.to_dict()
 
 
 class TestCheckpoints:
@@ -297,6 +327,21 @@ class TestBounds:
         raw["instance"] = {"utilities": [1.0, 2.0, 3.0]}
         bounds = _bound_values(ExperimentConfig.from_dict(raw))
         assert bounds["elimination"] is None
+
+    def test_no_elimination_bound_under_delay(self):
+        # the bound assumes every pick is fed back before the next trial;
+        # zero delay replays the undelayed trajectory, so it keeps the bound
+        raw = base_config(instance={"utilities": [1.0, 2.0, 3.0, 4.0, 5.0],
+                                    "means": [2.0, 1.5, 1.0, 0.5, 0.0]},
+                          window={"type": "blocks"}, horizon=500, replications=1,
+                          delay="fixed:400")
+        report = run_experiment(ExperimentConfig.from_dict(raw))
+        assert report.bounds["elimination"] is None
+        assert report.bounds["active"] == "elimination"
+        for delay in ("none", "fixed:0", "uniform:0..0"):
+            cfg = ExperimentConfig.from_dict({**raw, "delay": delay})
+            assert _bound_values(cfg)["elimination"] == pytest.approx(
+                regret_upper_bound(cfg.instance, 500, 0.05))
 
 
 class TestHindsight:
@@ -513,8 +558,7 @@ class TestRunReplication:
             # ranks items 1 and 2 the wrong way round
             means = np.array([1.0, 9.0, 5.0])
             return SocialLearningReport(
-                separated=True, counts=np.full(3, 4), means=means, lower=means - 1,
-                upper=means + 1, trials=12, forced=12)
+                separated=True, counts=np.full(3, 4), means=means, trials=12)
 
         monkeypatch.setattr(harness, "estimate_social_learning", swapped)
         raw = base_config(estimate="social", horizon=400)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -79,3 +80,132 @@ def sources():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_every_definition_is_referenced(module, sources):
     assert unreferenced_definitions(module, sources) == []
+
+
+# Where a public method, property or keyword of the library counts as used:
+# the library itself, the benchmark and the acceptance suite. Unit tests do
+# not count; a helper only they need lives in the tests.
+REACH = sorted(p for d in ("src", "bench") for p in (REPO / d).rglob("*.py")) \
+    + [REPO / "tests" / "test_acceptance.py"]
+
+# Used in ways a syntax walk cannot see, each with its reason.
+ALLOWED = {
+    # run_episode looks the hook up with getattr; the README shows it
+    "environments.py: AdaptiveWindows.observe",
+    # the rank-encoded model of changing utilities; whether it stays is open
+    "adversarial.py: BLORanker(changing_utilities=)",
+}
+
+
+def reached(sources):
+    """What the code in ``sources`` reaches: ``(names, attributes, calls)``,
+    where ``calls`` maps a callee name to each call's positional-argument
+    count and keywords. Strings and comments are not code, so nothing in
+    them counts."""
+    names: set[str] = set()
+    attributes: set[str] = set()
+    calls: dict[str, list[tuple[int, set[str]]]] = {}
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                callee = getattr(func, "id", None) or getattr(func, "attr", None)
+                if callee is None:
+                    continue
+                # *args passes every position, **kwargs (keyword None) every name
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(callee, []).append(
+                    (math.inf if starred else len(node.args),
+                     {k.arg for k in node.keywords}))
+    return names, attributes, calls
+
+
+def _defaulted(fn: ast.FunctionDef, bound: int) -> list[tuple[str, float]]:
+    """``(name, position)`` of each parameter with a default; the position
+    counts call arguments (``bound`` leading ones are self or cls) and is
+    infinite for a keyword-only parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, k - bound) for k, a in enumerate(positional) if k >= first]
+    out += [(a.arg, math.inf) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def unreached_surface(name: str, source: str, reach) -> list[str]:
+    """Public functions, methods and properties of a module that ``reach``
+    (from :func:`reached`) never names, and defaulted parameters that no call
+    of their callee passes by keyword or by position. A function is named by
+    a name or an attribute, a method or property by an attribute only."""
+    names, attributes, calls = reach
+    out = []
+    for node in ast.parse(source).body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            # (label, definition, callee name, names that reach it, bound args)
+            members = [(node.name, node, node.name, names | attributes, 0)]
+        elif isinstance(node, ast.ClassDef):
+            members = []
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if fn.name == "__init__":
+                    members.append((node.name, fn, node.name, None, 1))
+                elif not fn.name.startswith("_"):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    members.append((f"{node.name}.{fn.name}", fn, fn.name, attributes,
+                                    0 if static else 1))
+        else:
+            continue
+        for label, fn, callee, reaching, bound in members:
+            if reaching is not None and callee not in reaching:
+                out.append(f"{name}: {label}")
+                continue
+            for param, position in _defaulted(fn, bound):
+                if not any(param in keywords or None in keywords or count > position
+                           for count, keywords in calls.get(callee, ())):
+                    out.append(f"{name}: {label}({param}=)")
+    return out
+
+
+def test_finds_an_unreached_keyword():
+    module = "def scaled(x, scale=1.0, *, shift=0.0):\n    return x * scale + shift\n"
+    assert unreached_surface("mod.py", module, reached(["scaled(2)"])) == [
+        "mod.py: scaled(scale=)", "mod.py: scaled(shift=)"]
+    assert unreached_surface("mod.py", module, reached(["scaled(2, 3.0, shift=1)"])) == []
+    assert unreached_surface("mod.py", module, reached(["scaled(*args, **kw)"])) == []
+
+
+def test_strings_do_not_reach():
+    module = ("class Ranker:\n"
+              "    def __init__(self, q, changing=False):\n        pass\n\n"
+              "    def rank(self):\n        pass\n\n"
+              "    @property\n    def size(self):\n        return 0\n")
+    code = ('r = Ranker([1.0])\n'
+            '# r.rank()\n'
+            'raise ValueError("construct with Ranker(q, changing=True), then r.size")\n')
+    assert unreached_surface("mod.py", module, reached([code])) == [
+        "mod.py: Ranker(changing=)", "mod.py: Ranker.rank", "mod.py: Ranker.size"]
+
+
+@pytest.fixture(scope="module")
+def reach():
+    return reached(p.read_text() for p in REACH)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_public_surface_is_reached(module, reach):
+    found = unreached_surface(module.name, module.read_text(), reach)
+    assert [item for item in found if item not in ALLOWED] == []
+
+
+def test_allow_list_is_current(reach):
+    found = {item for m in MODULES for item in unreached_surface(m.name, m.read_text(), reach)}
+    assert ALLOWED <= found

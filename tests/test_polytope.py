@@ -3,15 +3,15 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import (
-    admissible_lp, random_mixture, sample_decomposition, selection_matrix_oracle,
+    admissible_lp, feasible_matrix_oracle, random_mixture, sample_decomposition,
+    selection_matrix_oracle,
 )
-from rankbandit.core import probability_vector, selection_matrix
+from rankbandit.core import selection_matrix
 from rankbandit.polytope import (
     ZERO_SNAP,
     Decomposition,
     InadmissibleMatrixError,
     InfeasibleTargetError,
-    _coupling_cumulatives,
     _permutation_from_picks,
     admissibility_report,
     coupling_sample,
@@ -105,69 +105,6 @@ def rfsm_decompose_oracle(P, *, atol=1e-9, check_input=True, check_residuals=Fal
         raise ValueError("matrix carries no mass to decompose")
     w = np.asarray(weights)
     return Decomposition(w / w.sum(), tuple(orders))
-
-
-def feasible_matrix_oracle(p, q, *, atol=1e-8, feas_tol=1e-9):
-    """The coupling of :func:`feasible_matrix`, routed segment by segment in lists."""
-    p = probability_vector(p, name="p")
-    q = probability_vector(q, name="q")
-    if q.size != p.size:
-        raise ValueError("p and q must have equal length")
-    start, deficit = marginal_deficit(p, q)
-    if deficit > feas_tol:
-        Q = window_suffix_bounds(q)
-        raise InfeasibleTargetError(start, float(Q[start]),
-                                    float(Q[start] - deficit))
-    n = p.size
-    pl = p.tolist()
-    ql = q.tolist()
-    F, G = _coupling_cumulatives(pl, ql)
-    rows = [[0.0] * n for _ in range(n)]
-    for c in range(n):
-        lo = G[c - 1] if c else 0.0
-        hi = G[c]
-        if hi - lo <= ZERO_SNAP or lo >= 1.0:
-            i0 = 0
-            while i0 < n and F[i0] <= hi:
-                i0 += 1
-            if i0 >= n:
-                i0 = n - 1
-            rows[i0 if i0 > c else c][c] = 1.0
-            continue
-        width = hi - lo
-        i = 0
-        while i < n and F[i] <= lo:
-            i += 1
-        colsum = 0.0
-        while i < n:
-            prev = F[i - 1] if i else 0.0
-            seg = (F[i] if F[i] < hi else hi) - (prev if prev > lo else lo)
-            if seg > 0.0:
-                share = seg / width
-                rows[i][c] = share
-                colsum += share
-            if F[i] >= hi:
-                break
-            i += 1
-        if abs(colsum - 1.0) * width > 1e-9:
-            raise RuntimeError(f"coupling column {c} sums to {colsum!r}")
-        if colsum != 1.0:
-            inv = 1.0 / colsum
-            for r in range(n):
-                if rows[r][c]:
-                    rows[r][c] *= inv
-    residual = 0.0
-    for i in range(n):
-        row = rows[i]
-        acc = 0.0
-        for c in range(n):
-            acc += row[c] * ql[c]
-        err = abs(acc - pl[i])
-        if err > residual:
-            residual = err
-    if residual > atol:
-        raise RuntimeError(f"coupling residual {residual:.3g} exceeds {atol:.3g}")
-    return np.asarray(rows)
 
 
 class TestAdmissibility:
@@ -515,10 +452,10 @@ def assert_decomposition_matches_oracle(P, **kwargs):
     return want is not None
 
 
-def assert_coupling_matches_oracle(p, q, **kwargs):
+def assert_coupling_matches_oracle(p, q):
     """Same matrix, or exception type and message; True if it returned."""
-    got, got_error = _outcome(feasible_matrix, p, q, **kwargs)
-    want, want_error = _outcome(feasible_matrix_oracle, p, q, **kwargs)
+    got, got_error = _outcome(feasible_matrix, p, q)
+    want, want_error = _outcome(feasible_matrix_oracle, p, q)
     assert got_error == want_error
     if want is not None:
         assert np.array_equal(got, want)

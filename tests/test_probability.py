@@ -93,7 +93,7 @@ class TestEveryConsumerAgrees:
         config = _accepts(lambda: ExperimentConfig.from_dict(_config(q.tolist())))
         verdicts = {
             "MultinomialWindows": _accepts(lambda: MultinomialWindows(q, seed=0).draw(1)),
-            "MirrorDescent": _accepts(lambda: MirrorDescent(q)),
+            "MirrorDescent": _accepts(lambda: MirrorDescent(q, horizon=10)),
             "feasible_matrix": _accepts(lambda: feasible_matrix(q, q)),
         }
         assert verdicts == dict.fromkeys(verdicts, config), (q.tolist(), config)
@@ -123,8 +123,8 @@ class TestEveryConsumerAgrees:
         q = np.array([0.5, 0.5 + 1e-13, -1e-13])
         for build in (lambda: ExperimentConfig.from_dict(_config(q.tolist())),
                       lambda: MultinomialWindows(q, seed=0),
-                      lambda: MirrorDescent(q),
-                      lambda: BLORanker(q),
+                      lambda: MirrorDescent(q, horizon=10),
+                      lambda: BLORanker(q, horizon=10),
                       lambda: feasible_matrix(q, q),
                       lambda: lazy_alpha(q)):
             with pytest.raises(ValueError, match=">= 0"):
