@@ -196,10 +196,6 @@ class OptimalFamily:
     representative: Permutation
     benchmark_by_window: tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.representative)
-
 
 def _family_from_arrays(utilities, means, *, strict: bool = True) -> OptimalFamily:
     n = len(utilities)

@@ -15,7 +15,10 @@ the item of utility rank ``i`` (0 = lowest), column ``w-1`` for window length
 Admissible matrices are exactly the convex hull of the selection matrices of
 single rankings, and the greedy peeling below constructs an explicit convex
 combination using at most ``z - n + 1`` rankings for a matrix with ``z``
-nonzero entries.
+nonzero entries. The peeling walks each column's nonzero cells once, top-down,
+sums the matrix only when every picked cell is dust (a float sum of
+non-negative cells is never below its largest cell), and builds the rankings
+from the recorded picks after the last round.
 """
 
 from __future__ import annotations
@@ -156,20 +159,53 @@ class Decomposition:
         return out
 
 
+def _rankings_from_picks(picks: np.ndarray) -> tuple[Permutation, ...]:
+    """:func:`_permutation_from_picks` of every row of ``picks`` (rounds by columns).
+
+    A row that never steps down and picks ``pick[c] >= c`` in every column
+    needs no search: a repeated pick at position ``c`` is filled with the
+    lowest unplaced rank, which is at most ``c <= pick[c]`` and so below
+    every later new pick. Its ranking is then the picks at their first
+    occurrences and the unpicked ranks, ascending, everywhere else; all such
+    rows are built in one array pass. Any other row takes the list walk.
+    """
+    n = picks.shape[1]
+    simple = np.all(picks >= np.arange(n), axis=1)
+    simple[simple] = np.all(picks[simple, 1:] >= picks[simple, :-1], axis=1)
+    K = picks[simple]
+    repeat = np.zeros(K.shape, dtype=bool)
+    repeat[:, 1:] = K[:, 1:] == K[:, :-1]
+    unpicked = np.ones(K.shape, dtype=bool)
+    unpicked[np.arange(len(K))[:, None], K] = False
+    K[repeat] = np.nonzero(unpicked)[1]  # both walk the rows in order
+    built = iter(K.tolist())
+    return tuple(tuple(next(built)) if ok else _permutation_from_picks(row)
+                 for row, ok in zip(picks.tolist(), simple.tolist()))
+
+
 def rfsm_decompose(P, *, atol: float = 1e-9, check_input: bool = True,
                    check_residuals: bool = False) -> Decomposition:
     """Peel an admissible matrix into a convex combination of rankings.
 
     Entries below ``ZERO_SNAP`` are snapped to zero and the rest clipped to
     [0, 1]. Each round then reads off the lowest nonzero rank of every column
-    (the first nonzero row, an ``argmax`` of ``!= 0``; those picks form a
-    valid integral matrix), peels that ranking out with the smallest picked
-    entry as its weight, and snaps to zero what falls below ``ZERO_SNAP``.
-    Peeling is in absolute scale: the smallest picked cell hits zero exactly
-    each round and nothing is divided, so rounding noise is never amplified
-    and at most ``z - n + 1`` rounds run for ``z`` nonzeros. It stops once
-    the remaining mass is below ``n * n * ZERO_SNAP``, and the weights are
-    normalized at the end.
+    (those picks form a valid integral matrix), peels that ranking out with
+    the smallest picked entry as its weight, and snaps to zero what falls
+    below ``ZERO_SNAP``. Peeling is in absolute scale: the smallest picked
+    cell hits zero exactly each round and nothing is divided, so rounding
+    noise is never amplified and at most ``z - n + 1`` rounds run for ``z``
+    nonzeros. It stops once the remaining mass is below ``n * n * ZERO_SNAP``,
+    and the weights are normalized at the end.
+
+    A round lowers only the picked cell of each column, so a column's pick
+    only moves down through the nonzero rows it had after the snap: each
+    column is walked once, top-down, and a round costs O(n). The remaining
+    mass is a float sum of non-negative cells, never below its largest cell,
+    so while a picked cell exceeds ``n * n * ZERO_SNAP`` the loop can neither
+    stop on dust nor find the matrix empty; the matrix is rebuilt and summed
+    only when every picked cell is dust (and for ``check_residuals`` or an
+    error report), giving the same floats as a scan every round. The rankings
+    are built from the recorded picks after the loop.
     """
     P = np.asarray(P, dtype=float)
     if check_input:
@@ -179,38 +215,86 @@ def rfsm_decompose(P, *, atol: float = 1e-9, check_input: bool = True,
     n = P.shape[0]
     C = np.where(np.abs(P) < ZERO_SNAP, 0.0, np.clip(P, 0.0, 1.0))
     columns = np.arange(n)
-    weights: list[float] = []
-    orders: list[Permutation] = []
     dust = n * n * ZERO_SNAP
-    remaining = C.sum()
-    for _ in range(max(np.count_nonzero(C) - n + 1, 1)):
-        if remaining <= dust:
+    nan = bool(np.isnan(C).any())  # numpy's min propagates NaN, Python's does not
+    # the nonzero cells column by column, top-down: column c owns the slots
+    # start[c]..end[c]-1, and its pick sits on slot pos[c] with value cur[c]
+    col_of, row_of = np.nonzero(C.T)
+    rows = row_of.tolist()
+    vals = C[row_of, col_of].tolist()
+    end = np.cumsum(np.bincount(col_of, minlength=n)).tolist()
+    start = [0] + end[:-1]
+    pos = start[:]
+    # a column with no cell left has value 0.0 on a zero cell
+    pick = [rows[k] if k < e else 0 for k, e in zip(pos, end)]
+    cur = [vals[k] if k < e else 0.0 for k, e in zip(pos, end)]
+    gone: list[int] = []  # slots snapped to zero, in order
+    moves: list[int] = []  # for each, the first round that no longer picks it
+    synced = 0  # how many of them C shows
+
+    def matrix() -> np.ndarray:
+        """``C`` as a scan every round would hold it."""
+        nonlocal synced
+        new = gone[synced:]
+        C[row_of[new], col_of[new]] = 0.0
+        synced = len(gone)
+        C[pick, columns] = cur
+        return C
+
+    def mass():
+        """``C.sum()``, or None while a picked cell proves it above the dust."""
+        if not (nan or check_residuals) and max(cur, default=0.0) > dust:
+            return None
+        return matrix().sum()
+
+    weights: list[float] = []
+    remaining = mass()
+    for t in range(max(len(rows) - n + 1, 1)):
+        if remaining is not None and remaining <= dust:
             remaining = 0.0
             break
-        nonzero = C != 0.0
-        if not nonzero.any(axis=0).all():
+        if 0.0 in cur:
             # one column is empty while others still carry real mass
-            raise InadmissibleMatrixError(admissibility_report(C, atol))
-        picks = nonzero.argmax(axis=0)
-        vals = C[picks, columns]
-        peel = vals.min()
-        vals -= peel
-        C[picks, columns] = np.where(vals < ZERO_SNAP, 0.0, vals)
-        weights.append(float(peel))
-        orders.append(_permutation_from_picks(picks.tolist()))
-        remaining = C.sum()
+            raise InadmissibleMatrixError(admissibility_report(matrix(), atol))
+        peel = float(np.min(cur)) if nan else min(cur)
+        weights.append(peel)
+        for c in range(n):
+            v = cur[c] - peel
+            if v < ZERO_SNAP:
+                k = pos[c]
+                gone.append(k)
+                moves.append(t + 1)
+                k += 1
+                if k < end[c]:
+                    pos[c] = k
+                    pick[c] = rows[k]
+                    cur[c] = vals[k]
+                else:
+                    cur[c] = 0.0
+            else:
+                cur[c] = v
+        remaining = mass()
+        if remaining is None:
+            continue
         if check_residuals and remaining / n > 1e-8:
             report = admissibility_report(C / (remaining / n), max(atol, 1e-8))
             if not report.ok:
                 raise InadmissibleMatrixError(report)
         if remaining == 0.0:
             break
+    if remaining is None:
+        remaining = matrix().sum()
     if remaining > n * 1e-9:
         raise RuntimeError("peeling failed to terminate; residual mass remains")
     if not weights:
         raise ValueError("matrix carries no mass to decompose")
+    # each round's slot in each column: its first slot plus its earlier moves
+    step = np.zeros((len(weights) + 1, n), dtype=np.intp)
+    step[0] = start
+    step[moves, col_of[gone]] = 1
+    slots = np.cumsum(step, axis=0)[:-1]
     w = np.asarray(weights)
-    return Decomposition(w / w.sum(), tuple(orders))
+    return Decomposition(w / w.sum(), _rankings_from_picks(row_of[slots]))
 
 
 def window_suffix_bounds(q) -> np.ndarray:

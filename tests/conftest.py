@@ -50,7 +50,7 @@ def family_contains(family, order):
     """Structural membership test for an :class:`~rankbandit.core.OptimalFamily`:
     each undominated item, in order, directly followed by its block in any order."""
     order = tuple(order)
-    if len(order) != family.n:
+    if len(order) != len(family.representative):
         return False
     pos = 0
     for leader, block in zip(family.undominated, family.blocks):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rankbandit.core import Instance, optimal_family
+from rankbandit.core import Instance
 from rankbandit.elimination import EliminationRanker
 from rankbandit.environments import (
     GaussianPayoffs,
@@ -17,8 +17,6 @@ from rankbandit.extensions import (
     GreedyUserEnv,
     PartialOrderError,
     PooledDelayPolicy,
-    QueuedDelayPolicy,
-    SocialLearningReport,
     bold_wrap,
     estimate_order_sorting,
     estimate_social_learning,

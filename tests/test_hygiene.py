@@ -38,7 +38,15 @@ def test_finds_an_unused_import():
     assert unused_imports(source) == ["line 2: path"]
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+IMPORTERS = MODULES + sorted(p for d in ("tests", "bench") for p in (REPO / d).glob("*.py"))
+
+
+def _importer_id(path):
+    """The library by file name, the tests and the benchmark by folder and name."""
+    return path.name if path.parent == PACKAGE else f"{path.parent.name}/{path.name}"
+
+
+@pytest.mark.parametrize("module", IMPORTERS, ids=_importer_id)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
 

@@ -13,6 +13,7 @@ from rankbandit.polytope import (
     InadmissibleMatrixError,
     InfeasibleTargetError,
     _permutation_from_picks,
+    _rankings_from_picks,
     admissibility_report,
     coupling_sample,
     feasible_matrix,
@@ -271,6 +272,12 @@ class TestPeeling:
         with pytest.raises(ValueError):
             rfsm_decompose(np.zeros((2, 2)), check_input=False)
 
+    def test_nan_peel_spoils_the_weights(self):
+        # unchecked, a picked NaN makes the round's weight NaN, as numpy's
+        # min makes it, even when another column picks a smaller number
+        with pytest.raises(ValueError, match="weights: entries must be finite"):
+            rfsm_decompose([[1.0, 0.0], [0.0, np.nan]], check_input=False)
+
 
 class TestSuffixBounds:
     def test_values(self):
@@ -492,8 +499,9 @@ def _edge_matrix(rng, n):
 
 
 class TestArrayCodeMatchesListOracle:
-    """The array peeling and coupling reproduce the list scans they replaced
-    bit for bit: the same weights, rankings and matrices, or the same errors."""
+    """The column-walk peeling and the array coupling reproduce the list scans
+    they replaced bit for bit: the same weights, rankings and matrices, or the
+    same errors."""
 
     def test_dense_mixtures(self):
         # the polytope-dense shape: n = 50, Dirichlet mixtures of 30 rankings
@@ -553,3 +561,88 @@ class TestArrayCodeMatchesListOracle:
                                    [1.0, 5e-11, 0.0]])
     def test_frozen_coupling_edges(self, q):
         assert assert_coupling_matches_oracle(q, q)
+
+
+def _dusty_mixture(rng, n):
+    """A mixture of 1-3 rankings with dust in about half the cells below each
+    column's lowest real entry: every dust cell lies in [ZERO_SNAP,
+    n * n * ZERO_SNAP), and together they hold at most half of that bound."""
+    M, _, _ = random_mixture(rng, n, int(rng.integers(1, 4)))
+    lowest = n - 1 - np.argmax(M[::-1] != 0.0, axis=0)
+    cells = (np.arange(n)[:, None] > lowest) & (rng.random((n, n)) < 0.5)
+    m = int(cells.sum())
+    if m:
+        M[cells] = rng.uniform(ZERO_SNAP, 0.5 * n * n * ZERO_SNAP / m, m)
+    return M
+
+
+class TestSumCertificate:
+    """The peeling sums the matrix only once every picked cell is dust; the
+    stops on the dust bound and the errors stay those of the list oracle."""
+
+    def test_stops_on_dust_with_cells_left(self):
+        rng = np.random.default_rng(89)
+        stopped = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 21))
+            M = _dusty_mixture(rng, n)
+            for check_input in (True, False):
+                assert assert_decomposition_matches_oracle(M, check_input=check_input)
+            # scaled up, the leftover dust may fail the residual check
+            assert_decomposition_matches_oracle(M, check_residuals=True)
+            # the dust cells sit below the real mass, so they are reached only
+            # after it is gone: a cell no ranking picks means the peeling
+            # stopped on the dust bound with cells left
+            d = rfsm_decompose(M)
+            covered = sum(rank_selection_matrix(order) for order in d.permutations)
+            stopped += bool(np.any((M != 0.0) & (covered == 0)))
+        assert stopped > 150
+
+    @pytest.mark.parametrize("n, message", [(6, "no mass"), (40, "peeling failed")])
+    def test_all_dust(self, n, message):
+        """21 cells below 1.5e-12 hold less than the bound 3.6e-11 at n = 6,
+        so nothing is peeled; one round over a single cell per column, each
+        1.44e-9 (the bound is 1.6e-9 at n = 40) but one of 2e-12, leaves
+        more than ``n * 1e-9`` behind."""
+        rng = np.random.default_rng(n)
+        if message == "no mass":
+            M = np.tril(rng.uniform(ZERO_SNAP, 1.5 * ZERO_SNAP, (n, n)))
+        else:
+            M = np.diag(np.full(n, 0.9 * n * n * ZERO_SNAP))
+            M[0, 0] = 2 * ZERO_SNAP
+        for check_residuals in (False, True):
+            assert not assert_decomposition_matches_oracle(
+                M, check_input=False, check_residuals=check_residuals)
+            with pytest.raises((ValueError, RuntimeError), match=message):
+                rfsm_decompose(M, check_input=False, check_residuals=check_residuals)
+
+
+def _pick_row(rng, n, kind):
+    """Column picks of one round: kind 0 never steps down and picks
+    ``pick[c] >= c``, as peeling an admissible matrix does; kind 1 steps
+    down somewhere; kind 2 never steps down but has ``pick[c] < c``."""
+    if kind == 0:
+        if rng.random() < 0.5:
+            return np.maximum.accumulate(rng.permutation(n))
+        return np.maximum.accumulate(np.maximum(rng.integers(0, n, n), np.arange(n)))
+    if kind == 1:
+        row = rng.integers(0, n, n)
+        c = int(rng.integers(1, n))
+        row[c], row[c - 1] = np.sort(rng.choice(n, 2, replace=False))
+        return row
+    return np.sort(rng.integers(0, n - 1, n))  # pick[n-1] <= n - 2
+
+
+class TestRankingsFromPicks:
+    def test_matches_list_walk_row_by_row(self):
+        rng = np.random.default_rng(97)
+        seen = np.zeros(3, dtype=int)
+        for _ in range(40):
+            n = int(rng.integers(1, 61))
+            kinds = rng.integers(3 if n > 1 else 1, size=int(rng.integers(1, 201)))
+            picks = np.array([_pick_row(rng, n, k) for k in kinds])
+            got = _rankings_from_picks(picks)
+            assert got == tuple(_permutation_from_picks(row) for row in picks.tolist())
+            assert all(type(i) is int for order in got for i in order)
+            seen += np.bincount(kinds, minlength=3)
+        assert seen.min() >= 500
