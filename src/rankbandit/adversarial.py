@@ -13,6 +13,10 @@ one uniform picks a rank in every window column, without building the
 coupling matrix. The draw follows the mixture that
 ``rfsm_decompose(feasible_matrix(p, q))`` peels, which is its reference. The
 feedback is a one-sparse loss, ``feed(index, value)``, on the picked rank.
+
+The mirror-descent ranker learns over utility ranks, not items: each ``act``
+maps ranks to the items that hold them under the utilities it is shown, so
+those may change between trials.
 """
 
 from __future__ import annotations
@@ -257,44 +261,36 @@ class BLORanker:
     the one-sparse, importance-weighted loss ``-payoff / p[rank]``, where
     ``p`` are the marginals the coupling realizes (``last_marginals``).
 
-    With ``changing_utilities=True`` the per-trial utilities must be exactly
-    a permutation of ``1..n`` (the rank encoding); learning then happens in
-    rank space while item identities rotate underneath.
+    Learning happens in utility-rank space, so the utilities may change from
+    trial to trial: ``act`` maps ranks to the items that hold them now, and
+    ``feed`` charges the rank the item held at that ``act``.
     """
 
     def __init__(self, q: Sequence[float], *, horizon: int | None = None,
-                 eta: float | None = None, rng: np.random.Generator | None = None,
-                 changing_utilities: bool = False):
+                 eta: float | None = None, rng: np.random.Generator | None = None):
         self.engine = MirrorDescent(q, horizon=horizon, eta=eta)
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.changing_utilities = changing_utilities
         self._q = self.engine.q.tolist()  # coupling_sample reads lists fastest
-        self._fixed_maps: tuple[list[float], list[int], list[int]] | None = None
+        self._utilities: list | None = None
+        self._maps: tuple[list[int], list[int]] | None = None
         self._pending: tuple[list[float], list[int]] | None = None
         self.last_marginals: list[float] | None = None
 
     def _rank_maps(self, utilities: Sequence[float]) -> tuple[list[int], list[int]]:
-        """(item -> rank, rank -> item) under the current utilities."""
-        n = self.engine.n
-        if self.changing_utilities:
-            if sorted(utilities) != list(range(1, n + 1)):
-                raise ValueError(
-                    "changing utilities must be a permutation of 1..n (rank encoding)")
-            ranks = [int(u) - 1 for u in utilities]
-            by_rank = [0] * n
-            for item, r in enumerate(ranks):
-                by_rank[r] = item
-            return ranks, by_rank
-        if self._fixed_maps is None:
-            by_rank = items_by_rank(utilities).tolist()
+        """(item -> rank, rank -> item) under the current utilities, rebuilt
+        when they differ from the last ones seen."""
+        u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)
+        if u != self._utilities:
+            n = self.engine.n
+            if len(u) != n:
+                raise ValueError(f"expected {n} utilities, got {len(u)}")
+            by_rank = items_by_rank(u).tolist()
             ranks = [0] * n
             for r, item in enumerate(by_rank):
                 ranks[item] = r
-            self._fixed_maps = ([float(u) for u in utilities], ranks, by_rank)
-        elif any(a != b for a, b in zip(self._fixed_maps[0], utilities)):
-            raise ValueError(
-                "utilities changed mid-run; construct with changing_utilities=True")
-        return self._fixed_maps[1], self._fixed_maps[2]
+            self._utilities = u
+            self._maps = (ranks, by_rank)
+        return self._maps
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
         ranks, by_rank = self._rank_maps(utilities)

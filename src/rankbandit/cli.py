@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from .harness import ExperimentConfig, run_experiment
-from .polytope import admissibility_report, rfsm_decompose
+from .polytope import InadmissibleMatrixError, admissibility_report, rfsm_decompose
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -61,11 +61,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_decompose(args) -> int:
     P = _load_matrix(args.matrix)
-    report = admissibility_report(P, atol=args.atol)
-    if not report.ok:
-        print(f"inadmissible: {report.first}", file=sys.stderr)
+    try:
+        decomp = rfsm_decompose(P, atol=args.atol)
+    except InadmissibleMatrixError as exc:
+        print(f"inadmissible: {exc.report.first}", file=sys.stderr)
         return 1
-    decomp = rfsm_decompose(P, atol=args.atol, check_input=False)
     for weight, perm in zip(decomp.weights, decomp.permutations):
         print(json.dumps({"weight": float(weight), "ranking": list(perm)}))
     return 0

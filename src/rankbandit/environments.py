@@ -224,29 +224,6 @@ class RegretTrace:
                 self.trials.tolist(), self.windows.tolist(), self.selected.tolist(),
                 self.payoffs.tolist(), self.inst_regret.tolist(), self.cum_regret.tolist()))
 
-    @classmethod
-    def from_csv(cls, path) -> "RegretTrace":
-        data = {col: [] for col in cls.CSV_COLUMNS}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if tuple(h.strip() for h in header) != cls.CSV_COLUMNS:
-                raise ValueError(f"unexpected trace header {header!r}")
-            for rec in reader:
-                if len(rec) != len(cls.CSV_COLUMNS):
-                    raise ValueError(f"trace row {rec!r} does not have "
-                                     f"{len(cls.CSV_COLUMNS)} fields")
-                for col, value in zip(cls.CSV_COLUMNS, rec):
-                    data[col].append(value)
-        return cls(
-            trials=np.asarray(data["t"], dtype=np.int64),
-            windows=np.asarray(data["window"], dtype=np.int64),
-            selected=np.asarray(data["selected"], dtype=np.int64),
-            payoffs=np.asarray(data["payoff"], dtype=float),
-            inst_regret=np.asarray(data["inst_regret"], dtype=float),
-            cum_regret=np.asarray(data["cum_regret"], dtype=float),
-        )
-
 
 def _family_table(instance: Instance, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """The optimal family's item by (distinct utility row, window), and each

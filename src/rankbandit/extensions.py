@@ -44,7 +44,7 @@ class DelayModel:
         if self.kind == "none" and self.tau_max != 0:
             raise ValueError("delay 'none' implies tau_max == 0")
 
-    def sample(self, t: int, rng: np.random.Generator | None) -> int:
+    def sample(self, rng: np.random.Generator | None) -> int:
         if self.kind == "none":
             return 0
         if self.kind == "fixed":
@@ -121,7 +121,7 @@ class QueuedDelayPolicy:
         return self._order
 
     def feed(self, t: int, item: int, payoff: float) -> None:
-        tau = self.delay.sample(t, self.rng)
+        tau = self.delay.sample(self.rng)
         heapq.heappush(self._inflight, (t + tau, t, item, payoff))
         if self._request_open:
             self.pending = item
@@ -184,7 +184,7 @@ class PooledDelayPolicy:
         return self.instances[free].act(self._acts_done[free], utilities)
 
     def feed(self, t: int, item: int, payoff: float) -> None:
-        tau = self.delay.sample(t, self.rng)
+        tau = self.delay.sample(self.rng)
         heapq.heappush(self._inflight, (t + tau, t, self._active, item, payoff))
 
     @property

@@ -183,9 +183,13 @@ def _rankings_from_picks(picks: np.ndarray) -> tuple[Permutation, ...]:
                  for row, ok in zip(picks.tolist(), simple.tolist()))
 
 
-def rfsm_decompose(P, *, atol: float = 1e-9, check_input: bool = True,
+def rfsm_decompose(P, *, atol: float = 1e-9,
                    check_residuals: bool = False) -> Decomposition:
     """Peel an admissible matrix into a convex combination of rankings.
+
+    The input must pass C.1-C.4 within ``atol``, or
+    :class:`InadmissibleMatrixError` names its first violation; a NaN entry
+    always fails C.1, so no NaN reaches the peeling.
 
     Entries below ``ZERO_SNAP`` are snapped to zero and the rest clipped to
     [0, 1]. Each round then reads off the lowest nonzero rank of every column
@@ -208,15 +212,13 @@ def rfsm_decompose(P, *, atol: float = 1e-9, check_input: bool = True,
     are built from the recorded picks after the loop.
     """
     P = np.asarray(P, dtype=float)
-    if check_input:
-        report = admissibility_report(P, atol)
-        if not report.ok:
-            raise InadmissibleMatrixError(report)
+    report = admissibility_report(P, atol)
+    if not report.ok:
+        raise InadmissibleMatrixError(report)
     n = P.shape[0]
     C = np.where(np.abs(P) < ZERO_SNAP, 0.0, np.clip(P, 0.0, 1.0))
     columns = np.arange(n)
     dust = n * n * ZERO_SNAP
-    nan = bool(np.isnan(C).any())  # numpy's min propagates NaN, Python's does not
     # the nonzero cells column by column, top-down: column c owns the slots
     # start[c]..end[c]-1, and its pick sits on slot pos[c] with value cur[c]
     col_of, row_of = np.nonzero(C.T)
@@ -243,7 +245,7 @@ def rfsm_decompose(P, *, atol: float = 1e-9, check_input: bool = True,
 
     def mass():
         """``C.sum()``, or None while a picked cell proves it above the dust."""
-        if not (nan or check_residuals) and max(cur, default=0.0) > dust:
+        if not check_residuals and max(cur, default=0.0) > dust:
             return None
         return matrix().sum()
 
@@ -256,7 +258,7 @@ def rfsm_decompose(P, *, atol: float = 1e-9, check_input: bool = True,
         if 0.0 in cur:
             # one column is empty while others still carry real mass
             raise InadmissibleMatrixError(admissibility_report(matrix(), atol))
-        peel = float(np.min(cur)) if nan else min(cur)
+        peel = min(cur)
         weights.append(peel)
         for c in range(n):
             v = cur[c] - peel

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from rankbandit.core import probability_vector
+from rankbandit.environments import RegretTrace
 from rankbandit.polytope import (
     ZERO_SNAP, InfeasibleTargetError, _coupling_cumulatives, marginal_deficit,
     window_suffix_bounds,
@@ -72,6 +73,31 @@ def family_members(family):
             out.append(leader)
             out.extend(block)
         yield tuple(out)
+
+
+def read_trace_csv(path):
+    """Read a trace CSV written by :meth:`RegretTrace.to_csv` back, exactly:
+    the writer gives floats as their round-tripping ``repr``."""
+    columns = RegretTrace.CSV_COLUMNS
+    data = {col: [] for col in columns}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if tuple(h.strip() for h in header) != columns:
+            raise ValueError(f"unexpected trace header {header!r}")
+        for rec in reader:
+            if len(rec) != len(columns):
+                raise ValueError(f"trace row {rec!r} does not have {len(columns)} fields")
+            for col, value in zip(columns, rec):
+                data[col].append(value)
+    return RegretTrace(
+        trials=np.asarray(data["t"], dtype=np.int64),
+        windows=np.asarray(data["window"], dtype=np.int64),
+        selected=np.asarray(data["selected"], dtype=np.int64),
+        payoffs=np.asarray(data["payoff"], dtype=float),
+        inst_regret=np.asarray(data["inst_regret"], dtype=float),
+        cum_regret=np.asarray(data["cum_regret"], dtype=float),
+    )
 
 
 def write_tape_csv(values, path):

@@ -17,7 +17,9 @@ from rankbandit.adversarial import (
     pivot_marginals,
     pivot_permutation,
 )
-from rankbandit.core import Instance, _family_from_arrays, items_by_rank, user_select
+from rankbandit.core import (
+    Instance, _family_from_arrays, items_by_rank, user_select, utility_ranks,
+)
 from rankbandit.environments import MultinomialWindows, TapePayoffs, run_episode
 from rankbandit.polytope import coupling_sample, rfsm_decompose, window_suffix_bounds
 
@@ -241,22 +243,37 @@ class TestBLORanker:
         se = np.sqrt(expected * (1 - expected) / trials)
         assert np.all(np.abs(freq - expected) <= 4 * se + 1e-12)
 
-    def test_fixed_utilities_cannot_change(self):
-        ranker = BLORanker([0.5, 0.5], horizon=100, rng=np.random.default_rng(5))
-        ranker.act(1, [0.3, 0.8])
-        ranker.feed(1, 0, 0.5)
-        with pytest.raises(ValueError, match="changing_utilities"):
-            ranker.act(2, [0.8, 0.3])
-
     def test_changing_utilities_rank_encoding(self):
-        ranker = BLORanker([0.5, 0.3, 0.2], horizon=100, rng=np.random.default_rng(7),
-                           changing_utilities=True)
+        ranker = BLORanker([0.5, 0.3, 0.2], horizon=100, rng=np.random.default_rng(7))
         ranker.act(1, [2.0, 3.0, 1.0])
         ranker.feed(1, 0, 0.1)
         ranker.act(2, [1.0, 2.0, 3.0])  # identities may rotate freely
         ranker.feed(2, 2, 0.1)
-        with pytest.raises(ValueError, match="permutation of 1..n"):
-            ranker.act(3, [0.5, 2.0, 3.0])
+        for wrong in ([0.5, 2.0], [0.5, 2.0, 3.0, 4.0]):
+            with pytest.raises(ValueError, match="expected 3 utilities"):
+                ranker.act(3, wrong)
+
+    def test_utilities_and_their_rank_encoding_learn_alike(self):
+        # any distinct utilities drive the trajectory of their rank encoding
+        # 1..n; after the order changes at trial 201, each loss still lands
+        # on the rank its item held at that trial's act
+        q = [0.4, 0.3, 0.2, 0.1]
+        rng = np.random.default_rng(19)
+        u, changed = np.array([0.7, -2.0, 5.5, 0.1]), np.array([3.0, 8.0, -1.0, 0.2])
+        rankers = [BLORanker(q, horizon=240, rng=np.random.default_rng(13)) for _ in range(2)]
+        reference = MirrorDescent(q, horizon=240)
+        for t in range(1, 241):
+            shown = u if t <= 200 else changed
+            ranks = utility_ranks(shown)
+            order = rankers[0].act(t, shown)
+            assert rankers[1].act(t, ranks + 1) == order
+            item = user_select(order, shown, int(rng.integers(1, 5)))
+            payoff = float(rng.random())
+            for ranker in rankers:
+                ranker.feed(t, item, payoff)
+            rank = int(ranks[item])
+            reference.feed(rank, -payoff / rankers[0].last_marginals[rank])
+            assert rankers[0].engine.p == rankers[1].engine.p == reference.p
 
     def test_loss_scale_uses_realized_marginals(self):
         # a payoff on the top rank shifts mass toward it on the next act
@@ -279,7 +296,7 @@ class _PeelingBLORanker(BLORanker):
         q = self.engine.q
         matrix = feasible_matrix_oracle(p, q, atol=1e-6, feas_tol=1e-6)
         rank_order = sample_decomposition(
-            rfsm_decompose(matrix, check_input=False), self.rng)
+            rfsm_decompose(matrix, atol=1e-6), self.rng)
         realized = matrix @ q
         self.last_marginals = realized
         self._pending = (realized, ranks)

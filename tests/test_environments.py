@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import FixedPermutationPolicy, write_tape_csv
+from conftest import FixedPermutationPolicy, read_trace_csv, write_tape_csv
 from rankbandit.core import DegenerateInstanceError, Instance, optimal_family
 from rankbandit.environments import (
     AdaptiveWindows,
@@ -286,7 +286,7 @@ class TestRunEpisode:
                             MultinomialWindows([0.5, 0.3, 0.2], seed=47), 50)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
-        again = RegretTrace.from_csv(path)
+        again = read_trace_csv(path)
         assert np.array_equal(trace.trials, again.trials)
         assert np.array_equal(trace.windows, again.windows)
         assert np.array_equal(trace.selected, again.selected)
@@ -321,17 +321,17 @@ class TestRunEpisode:
         path = tmp_path / "trace.csv"
         path.write_text("t,window,picked,payoff,inst_regret,cum_regret\n")
         with pytest.raises(ValueError, match="header"):
-            RegretTrace.from_csv(path)
+            read_trace_csv(path)
 
     def test_trace_csv_empty_file(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("")
         with pytest.raises(ValueError, match="unexpected trace header"):
-            RegretTrace.from_csv(path)
+            read_trace_csv(path)
 
     def test_trace_csv_short_row(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("t,window,selected,payoff,inst_regret,cum_regret\n"
                         "1,1,0,0.5,0.0,0.0\n1,2\n")
         with pytest.raises(ValueError, match=r"trace row \['1', '2'\] does not have 6 fields"):
-            RegretTrace.from_csv(path)
+            read_trace_csv(path)

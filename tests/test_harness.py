@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    brute_force_best_fixed, hindsight_linprog, selection_matrix_oracle, write_tape_csv,
+    brute_force_best_fixed, hindsight_linprog, read_trace_csv, selection_matrix_oracle,
+    write_tape_csv,
 )
 from rankbandit.core import DegenerateInstanceError, regret_upper_bound
 from rankbandit.environments import RegretTrace, TapePayoffs
@@ -31,7 +32,7 @@ def summarize_traces(trace_dir, checkpoints: list[int]) -> tuple[list[float], li
         raise FileNotFoundError(f"no trace files under {trace_dir}")
     curves = []
     for path in paths:
-        trace = RegretTrace.from_csv(path)
+        trace = read_trace_csv(path)
         curves.append([float(trace.cum_regret[t - 1]) for t in checkpoints])
     arr = np.asarray(curves)
     mean = arr.mean(axis=0)

@@ -100,25 +100,36 @@ REACH = sorted(p for d in ("src", "bench") for p in (REPO / d).rglob("*.py")) \
 ALLOWED = {
     # run_episode looks the hook up with getattr; the README shows it
     "environments.py: AdaptiveWindows.observe",
-    # the rank-encoded model of changing utilities; whether it stays is open
-    "adversarial.py: BLORanker(changing_utilities=)",
 }
 
 
 def reached(sources):
-    """What the code in ``sources`` reaches: ``(names, attributes, calls)``,
-    where ``calls`` maps a callee name to each call's positional-argument
-    count and keywords. Strings and comments are not code, so nothing in
-    them counts."""
+    """What the code in ``sources`` reaches: ``(names, attributes, qualified,
+    calls)``, where ``qualified`` holds ``Owner.attr`` for every attribute
+    read off a name or an attribute ``Owner`` (so ``module.Owner.attr`` too),
+    with ``cls`` read as its enclosing class, and ``calls`` maps a callee
+    name to each call's positional-argument count and keywords. Strings and
+    comments are not code, so nothing in them counts."""
     names: set[str] = set()
     attributes: set[str] = set()
+    qualified: set[str] = set()
     calls: dict[str, list[tuple[int, set[str]]]] = {}
     for text in sources:
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        for klass in ast.walk(tree):
+            if isinstance(klass, ast.ClassDef):
+                qualified.update(f"{klass.name}.{node.attr}" for node in ast.walk(klass)
+                                 if isinstance(node, ast.Attribute)
+                                 and getattr(node.value, "id", None) == "cls")
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
+                # the class as a bare name or as a module attribute
+                owner = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+                if owner is not None:
+                    qualified.add(f"{owner}.{node.attr}")
             elif isinstance(node, ast.Call):
                 func = node.func
                 callee = getattr(func, "id", None) or getattr(func, "attr", None)
@@ -129,7 +140,7 @@ def reached(sources):
                 calls.setdefault(callee, []).append(
                     (math.inf if starred else len(node.args),
                      {k.arg for k in node.keywords}))
-    return names, attributes, calls
+    return names, attributes, qualified, calls
 
 
 def _defaulted(fn: ast.FunctionDef, bound: int) -> list[tuple[str, float]]:
@@ -149,31 +160,37 @@ def unreached_surface(name: str, source: str, reach) -> list[str]:
     """Public functions, methods and properties of a module that ``reach``
     (from :func:`reached`) never names, and defaulted parameters that no call
     of their callee passes by keyword or by position. A function is named by
-    a name or an attribute, a method or property by an attribute only."""
-    names, attributes, calls = reach
+    a name or an attribute, a method or property by an attribute, and a
+    class or static method only as ``Class.method`` (or ``cls.method`` in
+    its own class)."""
+    names, attributes, qualified, calls = reach
     out = []
     for node in ast.parse(source).body:
         if getattr(node, "name", "_").startswith("_"):
             continue
         if isinstance(node, ast.FunctionDef):
-            # (label, definition, callee name, names that reach it, bound args)
-            members = [(node.name, node, node.name, names | attributes, 0)]
+            # (label, definition, callee name, whether reached, bound args)
+            members = [(node.name, node, node.name, node.name in names | attributes, 0)]
         elif isinstance(node, ast.ClassDef):
             members = []
             for fn in node.body:
                 if not isinstance(fn, ast.FunctionDef):
                     continue
                 if fn.name == "__init__":
-                    members.append((node.name, fn, node.name, None, 1))
+                    members.append((node.name, fn, node.name, True, 1))
                 elif not fn.name.startswith("_"):
-                    static = any(getattr(d, "id", None) == "staticmethod"
-                                 for d in fn.decorator_list)
-                    members.append((f"{node.name}.{fn.name}", fn, fn.name, attributes,
-                                    0 if static else 1))
+                    label = f"{node.name}.{fn.name}"
+                    kind = {getattr(d, "id", None) for d in fn.decorator_list}
+                    if kind & {"classmethod", "staticmethod"}:
+                        reach_it = label in qualified
+                    else:
+                        reach_it = fn.name in attributes
+                    members.append((label, fn, fn.name, reach_it,
+                                    0 if "staticmethod" in kind else 1))
         else:
             continue
-        for label, fn, callee, reaching, bound in members:
-            if reaching is not None and callee not in reaching:
+        for label, fn, callee, is_reached, bound in members:
+            if not is_reached:
                 out.append(f"{name}: {label}")
                 continue
             for param, position in _defaulted(fn, bound):
@@ -201,6 +218,21 @@ def test_strings_do_not_reach():
             'raise ValueError("construct with Ranker(q, changing=True), then r.size")\n')
     assert unreached_surface("mod.py", module, reached([code])) == [
         "mod.py: Ranker(changing=)", "mod.py: Ranker.rank", "mod.py: Ranker.size"]
+
+
+def test_class_methods_are_reached_through_their_class():
+    module = ("class Tape:\n"
+              "    @classmethod\n    def load(cls, path):\n        return cls.parse(path)\n\n"
+              "    @classmethod\n    def parse(cls, text):\n        return cls()\n\n"
+              "    @staticmethod\n    def blank():\n        return Tape()\n\n"
+              "    @classmethod\n    def save(cls):\n        pass\n\n"
+              "    def size(self):\n        return 0\n\n\n"
+              "class Trace:\n"
+              "    @classmethod\n    def load(cls):\n        return cls.blank()\n")
+    # an instance's save, or cls.blank in another class, is not Tape's
+    code = "mod.Tape.load('t.csv').size()\ntrace.save()\nTrace.load()\n"
+    assert unreached_surface("mod.py", module, reached([module, code])) == [
+        "mod.py: Tape.blank", "mod.py: Tape.save"]
 
 
 @pytest.fixture(scope="module")

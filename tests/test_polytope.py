@@ -40,13 +40,12 @@ def integral_permutation(P, atol=1e-9):
     return _permutation_from_picks(picks)
 
 
-def rfsm_decompose_oracle(P, *, atol=1e-9, check_input=True, check_residuals=False):
+def rfsm_decompose_oracle(P, *, atol=1e-9, check_residuals=False):
     """The peeling of :func:`rfsm_decompose` as plain column-major list scans."""
     P = np.asarray(P, dtype=float)
-    if check_input:
-        report = admissibility_report(P, atol)
-        if not report.ok:
-            raise InadmissibleMatrixError(report)
+    report = admissibility_report(P, atol)
+    if not report.ok:
+        raise InadmissibleMatrixError(report)
     n = P.shape[0]
     Pl = P.tolist()
     cols = [[0.0 if abs(Pl[i][c]) < ZERO_SNAP else min(max(Pl[i][c], 0.0), 1.0)
@@ -269,14 +268,16 @@ class TestPeeling:
             rfsm_decompose([[0.0, 1.0], [1.0, 0.0]])
 
     def test_rejects_empty_matrix(self):
+        # columns summing to 0 are within atol = 1.0 of 1
         with pytest.raises(ValueError):
-            rfsm_decompose(np.zeros((2, 2)), check_input=False)
+            rfsm_decompose(np.zeros((2, 2)), atol=1.0)
 
-    def test_nan_peel_spoils_the_weights(self):
-        # unchecked, a picked NaN makes the round's weight NaN, as numpy's
-        # min makes it, even when another column picks a smaller number
-        with pytest.raises(ValueError, match="weights: entries must be finite"):
-            rfsm_decompose([[1.0, 0.0], [0.0, np.nan]], check_input=False)
+    def test_nan_input_names_the_cell(self):
+        # NaN fails every comparison, so no tolerance admits it to the peeling
+        for atol in (1e-9, 1.0, np.inf):
+            with pytest.raises(InadmissibleMatrixError,
+                               match=r"C\.1 violated at \(1, 2\) by nan"):
+                rfsm_decompose([[1.0, 0.0], [0.0, np.nan]], atol=atol)
 
 
 class TestSuffixBounds:
@@ -480,15 +481,17 @@ _DUST = np.array([-5e-13, 5e-13, -ZERO_SNAP, ZERO_SNAP, 2 * ZERO_SNAP, 3 * ZERO_
 
 
 def _edge_matrix(rng, n):
-    """A mixture with snap-size dust, 1e-13 noise, or a perturbation that
-    can make it inadmissible."""
+    """A mixture with snap-size dust, 1e-13 noise, a NaN cell, or a
+    perturbation that can make it inadmissible."""
     M, _, _ = random_mixture(rng, n, int(rng.integers(1, 2 * n + 1)))
-    kind = rng.integers(3)
+    kind = rng.integers(4)
     if kind == 0:
         cells = rng.random((n, n)) < 0.3
         M[cells] += rng.choice(_DUST, size=int(cells.sum()))
     elif kind == 1:
         M += 1e-13 * rng.standard_normal((n, n))
+    elif kind == 2:
+        M[tuple(rng.integers(n, size=2))] = np.nan
     else:
         i, c = rng.integers(n, size=2)
         M[i, c] += rng.uniform(-0.3, 0.3)
@@ -527,10 +530,9 @@ class TestArrayCodeMatchesListOracle:
         returned = raised = 0
         for _ in range(1500):
             M = _edge_matrix(rng, int(rng.integers(1, 13)))
-            for check_input in (True, False):
+            for atol in (1e-9, 1e-6):
                 ok = assert_decomposition_matches_oracle(
-                    M, check_input=check_input,
-                    check_residuals=bool(rng.random() < 0.5))
+                    M, atol=atol, check_residuals=bool(rng.random() < 0.5))
                 returned += ok
                 raised += not ok
         assert returned > 1000 and raised > 500
@@ -586,8 +588,8 @@ class TestSumCertificate:
         for _ in range(300):
             n = int(rng.integers(2, 21))
             M = _dusty_mixture(rng, n)
-            for check_input in (True, False):
-                assert assert_decomposition_matches_oracle(M, check_input=check_input)
+            for atol in (1e-9, 1e-6):
+                assert assert_decomposition_matches_oracle(M, atol=atol)
             # scaled up, the leftover dust may fail the residual check
             assert_decomposition_matches_oracle(M, check_residuals=True)
             # the dust cells sit below the real mass, so they are reached only
@@ -610,11 +612,12 @@ class TestSumCertificate:
         else:
             M = np.diag(np.full(n, 0.9 * n * n * ZERO_SNAP))
             M[0, 0] = 2 * ZERO_SNAP
+        # atol = 1.0 admits columns of dust, whose sums are within 1 of 1
         for check_residuals in (False, True):
             assert not assert_decomposition_matches_oracle(
-                M, check_input=False, check_residuals=check_residuals)
+                M, atol=1.0, check_residuals=check_residuals)
             with pytest.raises((ValueError, RuntimeError), match=message):
-                rfsm_decompose(M, check_input=False, check_residuals=check_residuals)
+                rfsm_decompose(M, atol=1.0, check_residuals=check_residuals)
 
 
 def _pick_row(rng, n, kind):
