@@ -10,13 +10,17 @@ without giving up payoff at larger windows.
 
 Because each pick takes every unplaced item of lower utility with it, the
 unplaced items are always the top of the utility order: a suffix of the items
-sorted by ascending utility. One pass therefore sweeps that order once. The
-utilities must be pairwise distinct, as :func:`rankbandit.core.user_select`
-requires and :class:`rankbandit.core.Instance` checks.
+sorted by ascending utility. The ranker therefore keeps its statistics by
+position in that order, with the positions also sorted least-played first;
+``feed`` updates them in place and ``act`` rebuilds them only when the
+utilities change, so a pass does no sort or division. The utilities must be
+pairwise distinct, as :func:`rankbandit.core.user_select` requires and
+:class:`rankbandit.core.Instance` checks.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Sequence
 
@@ -25,37 +29,33 @@ import numpy as np
 from .core import OptimalFamily, Permutation
 
 
-def find_permutation(rewards: Sequence[float], counts: Sequence[int], t: int,
-                     delta: float, utilities: Sequence[float]) -> Permutation:
+def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
     """One top-down pass of the elimination rule at trial ``t``.
 
-    Ties for the least-played contender break toward the lowest item index,
-    and each blocked set is appended in ascending item index, so the output
-    is a deterministic function of the statistics.
-
-    With ``asc`` the items in ascending utility order, the unplaced items
-    are always a suffix ``asc[s:]``: a pick at position ``k`` is followed by
-    the blocked items ``asc[s:k]``, which leaves ``asc[k + 1:]``. So the
-    largest lower bound among the unplaced items is a suffix maximum,
-    computed once, and each pick is one scan of the current suffix. The
-    utilities must be pairwise distinct.
+    Reads the ranker's statistics, kept by position in the ascending utility
+    order ``asc``: the unplaced items are always a suffix ``asc[s:]``, since a
+    pick at position ``k`` is followed by the blocked items ``asc[s:k]``,
+    which leaves ``asc[k + 1:]``. So the largest lower bound among the
+    unplaced items is a suffix maximum, computed once, and each pick is the
+    first position at or after ``s``, least-played first and then lowest
+    item index, whose upper bound beats it. Each blocked set is appended in
+    ascending item index, so the output is a deterministic function of the
+    statistics.
     """
-    n = len(counts)
-    log_term = math.log(4.0 * n * t * t / delta)
-    asc = np.argsort(utilities, kind="stable").tolist()
-    # By position in asc: upper bound, (count, item) packed as count * n + item
-    # so one integer comparison orders least-played then lowest index, and the
-    # largest lower bound over the suffix starting there.
+    asc = ranker._asc
+    counts = ranker._counts
+    means = ranker._means
+    n = len(asc)
+    log_term = math.log(4.0 * n * t * t / ranker.delta)
+    # by position: upper bound, and the largest lower bound over the suffix
+    # starting there
     upper = [math.inf] * n
-    key = [0] * n
     sufmax = [0.0] * n
     best = -math.inf
     for k in range(n - 1, -1, -1):
-        i = asc[k]
-        c = counts[i]
-        key[k] = c * n + i
+        c = counts[k]
         if c:
-            mean = rewards[i] / c
+            mean = means[k]
             radius = math.sqrt(log_term / c)
             upper[k] = mean + radius
             low = mean - radius
@@ -67,21 +67,30 @@ def find_permutation(rewards: Sequence[float], counts: Sequence[int], t: int,
     s = 0
     while s < n:
         bound = sufmax[s]
-        pick = -1
-        for k in range(s, n):
-            if upper[k] > bound and (pick < 0 or key[k] < key[pick]):
-                pick = k
-        if pick < 0:
+        for key in ranker._order:
+            k = key % n
+            if k >= s and upper[k] > bound:
+                break
+        else:
             raise ValueError(f"no contender among {n - s} unplaced items at t={t}: "
                              "confidence radii vanish against the means")
-        out.append(asc[pick])
-        out.extend(sorted(asc[s:pick]))
-        s = pick + 1
+        out.append(asc[k])
+        out.extend(sorted(asc[s:k]))
+        s = k + 1
     return tuple(out)
 
 
 class EliminationRanker:
-    """Policy wrapper around :func:`find_permutation` with running statistics."""
+    """Running statistics and the elimination pass :func:`find_permutation`.
+
+    ``rewards`` and ``counts`` hold each item's payoff sum and selection
+    count. Beside them the ranker keeps three lists in ascending utility
+    order: the counts, the means ``rewards[i] / counts[i]`` (0.0 while
+    unseen), and the positions sorted least-played first, then by item
+    index. ``feed`` updates the fed item's entries in place; ``act`` rebuilds
+    the lists from ``rewards`` and ``counts`` when the utilities differ by
+    value from the last ones it saw, and on its first call.
+    """
 
     def __init__(self, n: int, delta: float):
         if n < 1:
@@ -91,13 +100,50 @@ class EliminationRanker:
         self.delta = delta
         self.rewards = [0.0] * n
         self.counts = [0] * n
+        self._utilities: list | None = None
+        self._asc: list[int] = []  # item at each position
+        self._pos: list[int] = []  # position of each item
+        self._counts: list[int] = []
+        self._means: list[float] = []
+        # positions packed as (count * n + item) * n + position, ascending, so
+        # one integer comparison orders least-played, then lowest index
+        self._order: list[int] = []
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
-        return find_permutation(self.rewards, self.counts, t, self.delta, utilities)
+        u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)
+        if u != self._utilities:
+            self._rebuild(u)
+        return find_permutation(self, t)
+
+    def _rebuild(self, u: list) -> None:
+        n = len(self.counts)
+        if len(u) != n:
+            raise ValueError(f"expected {n} utilities, got {len(u)}")
+        asc = np.argsort(u, kind="stable").tolist()
+        pos = [0] * n
+        for k, i in enumerate(asc):
+            pos[i] = k
+        counts = [self.counts[i] for i in asc]
+        self._utilities = u
+        self._asc = asc
+        self._pos = pos
+        self._counts = counts
+        self._means = [self.rewards[i] / c if c else 0.0 for i, c in zip(asc, counts)]
+        self._order = sorted((c * n + i) * n + k for k, (i, c) in enumerate(zip(asc, counts)))
 
     def feed(self, t: int, item: int, payoff: float) -> None:
         self.rewards[item] += payoff
-        self.counts[item] += 1
+        c = self.counts[item] + 1
+        self.counts[item] = c
+        if self._utilities is None:
+            return  # the ordered state is built at the first act
+        n = len(self._asc)
+        k = self._pos[item]
+        self._counts[k] = c
+        self._means[k] = self.rewards[item] / c
+        key = (c * n + item) * n + k
+        self._order.remove(key - n * n)
+        bisect.insort(self._order, key)
 
 
 def inversion_budget_value(gap: float, horizon: int, delta: float, n: int) -> float:

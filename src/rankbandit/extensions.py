@@ -15,10 +15,11 @@ policy's trajectory exactly.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .core import Permutation, user_select
 REVIEW_HALFWIDTH = 3.0
 REVIEW_NOISE_SD = 1.0
 PRIOR_HALFWIDTH = 10.0
+# uniform delays drawn from a wrapper's generator at a time
+DELAY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -44,12 +47,16 @@ class DelayModel:
         if self.kind == "none" and self.tau_max != 0:
             raise ValueError("delay 'none' implies tau_max == 0")
 
-    def sample(self, rng: np.random.Generator | None) -> int:
-        if self.kind == "none":
-            return 0
-        if self.kind == "fixed":
-            return self.tau_max
-        return int(rng.integers(0, self.tau_max + 1))
+    def delays(self, rng: np.random.Generator | None) -> Iterator[int]:
+        """The delay of each payoff in turn.
+
+        ``uniform`` delays are drawn from ``rng`` ``DELAY_BLOCK`` at a time,
+        which gives the same numbers as one ``rng.integers(0, tau_max + 1)``
+        per payoff; ``none`` and ``fixed`` take nothing from ``rng``.
+        """
+        if self.kind != "uniform":
+            return itertools.repeat(self.tau_max)
+        return _uniform_delays(rng, self.tau_max + 1)
 
     @classmethod
     def parse(cls, spec: str) -> "DelayModel":
@@ -57,15 +64,23 @@ class DelayModel:
         spec = spec.strip()
         if spec == "none":
             return cls()
-        if spec.startswith("fixed:"):
-            return cls(kind="fixed", tau_max=int(spec.split(":", 1)[1]))
-        if spec.startswith("uniform:"):
-            rng_part = spec.split(":", 1)[1]
-            lo, hi = rng_part.split("..")
-            if int(lo) != 0:
+        kind, _, arg = spec.partition(":")
+        try:
+            bounds = [int(bound) for bound in arg.split("..")]
+        except ValueError:
+            bounds = []
+        if kind == "fixed" and len(bounds) == 1:
+            return cls(kind="fixed", tau_max=bounds[0])
+        if kind == "uniform" and len(bounds) == 2:
+            if bounds[0] != 0:
                 raise ValueError("uniform delay must start at 0")
-            return cls(kind="uniform", tau_max=int(hi))
+            return cls(kind="uniform", tau_max=bounds[1])
         raise ValueError(f"cannot parse delay spec {spec!r}")
+
+
+def _uniform_delays(rng: np.random.Generator, high: int) -> Iterator[int]:
+    while True:
+        yield from rng.integers(0, high, DELAY_BLOCK).tolist()
 
 
 class QueuedDelayPolicy:
@@ -75,7 +90,9 @@ class QueuedDelayPolicy:
     first user pick under that ranking becomes the base's request, and the
     wrapper keeps displaying the same ranking until the requested item's
     queue is non-empty. Every observed payoff is enqueued under its item on
-    arrival, so off-request picks are banked rather than lost.
+    arrival, so off-request picks are banked rather than lost. Delays come
+    from :meth:`DelayModel.delays`: ``uniform`` ones are drawn from ``rng``
+    in blocks of ``DELAY_BLOCK``, the same numbers as one draw per payoff.
 
     No inversion budget is stated for delayed feedback:
     :func:`~rankbandit.elimination.inversion_budget` holds only when every
@@ -86,7 +103,7 @@ class QueuedDelayPolicy:
     def __init__(self, base, delay: DelayModel, rng: np.random.Generator | None = None):
         self.base = base
         self.delay = delay
-        self.rng = rng
+        self._delays = delay.delays(rng)
         self.queues: dict[int, deque] = {}
         self._inflight: list[tuple[int, int, int, float]] = []
         self.pending: int | None = None
@@ -121,7 +138,7 @@ class QueuedDelayPolicy:
         return self._order
 
     def feed(self, t: int, item: int, payoff: float) -> None:
-        tau = self.delay.sample(self.rng)
+        tau = next(self._delays)
         heapq.heappush(self._inflight, (t + tau, t, item, payoff))
         if self._request_open:
             self.pending = item
@@ -142,7 +159,8 @@ class PooledDelayPolicy:
     Each trial goes to the lowest-index instance not waiting on feedback,
     spawning a new instance when all are busy; the payoff is routed back to
     the instance that proposed the ranking. With delays bounded by
-    ``tau_max`` the pool never exceeds ``tau_max + 1`` instances.
+    ``tau_max`` the pool never exceeds ``tau_max + 1`` instances. Delays are
+    drawn as in :class:`QueuedDelayPolicy`, in blocks from ``rng``.
 
     No inversion budget is stated for delayed feedback:
     :func:`~rankbandit.elimination.inversion_budget` holds only when every
@@ -154,7 +172,7 @@ class PooledDelayPolicy:
                  rng: np.random.Generator | None = None):
         self.base_factory = base_factory
         self.delay = delay
-        self.rng = rng
+        self._delays = delay.delays(rng)
         self.instances: list = []
         self._acts_done: list[int] = []
         self._busy: list[bool] = []
@@ -184,7 +202,7 @@ class PooledDelayPolicy:
         return self.instances[free].act(self._acts_done[free], utilities)
 
     def feed(self, t: int, item: int, payoff: float) -> None:
-        tau = self.delay.sample(self.rng)
+        tau = next(self._delays)
         heapq.heappush(self._inflight, (t + tau, t, self._active, item, payoff))
 
     @property

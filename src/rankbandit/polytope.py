@@ -189,7 +189,9 @@ def rfsm_decompose(P, *, atol: float = 1e-9,
 
     The input must pass C.1-C.4 within ``atol``, or
     :class:`InadmissibleMatrixError` names its first violation; a NaN entry
-    always fails C.1, so no NaN reaches the peeling.
+    always fails C.1, so no NaN reaches the peeling. A loose ``atol`` can
+    admit columns whose sums differ; the column that runs out first while
+    others hold mass is then named as a C.2 violation.
 
     Entries below ``ZERO_SNAP`` are snapped to zero and the rest clipped to
     [0, 1]. Each round then reads off the lowest nonzero rank of every column
@@ -256,8 +258,12 @@ def rfsm_decompose(P, *, atol: float = 1e-9,
             remaining = 0.0
             break
         if 0.0 in cur:
-            # one column is empty while others still carry real mass
-            raise InadmissibleMatrixError(admissibility_report(matrix(), atol))
+            # every round peels the same weight off each column, so the sum of
+            # the empty one falls short of the fullest by what that one holds,
+            # whether or not atol admitted the input
+            held = float(matrix().sum(axis=0).max())
+            raise InadmissibleMatrixError(AdmissibilityReport(
+                ok=False, violations=(ConstraintViolation("C.2", (cur.index(0.0) + 1,), held),)))
         peel = min(cur)
         weights.append(peel)
         for c in range(n):

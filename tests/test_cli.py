@@ -116,6 +116,13 @@ class TestDecompose:
         assert main(["decompose", str(path)]) == 1
         assert "inadmissible: C.3" in capsys.readouterr().err
 
+    def test_drained_column_names_a_constraint(self, tmp_path, capsys):
+        # a loose atol admits the input; its second column runs out mid-peel
+        path = tmp_path / "m.json"
+        path.write_text("[[1.0, 0.0], [0.0, 0.0]]")
+        assert main(["decompose", str(path), "--atol", "1.0"]) == 1
+        assert capsys.readouterr().err == "inadmissible: C.2 violated at (2,) by 1\n"
+
 
 class TestCheck:
     def test_admissible(self, tmp_path, capsys):

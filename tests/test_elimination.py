@@ -15,7 +15,7 @@ from rankbandit.elimination import (
     inversion_budget_value,
 )
 from rankbandit.environments import GaussianPayoffs, MultinomialWindows, run_episode
-from rankbandit.extensions import DelayModel, bold_wrap
+from rankbandit.extensions import DelayModel, bold_wrap, qpmd_wrap
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,9 @@ class ItemStats:
 def find_permutation_oracle(rewards, counts, t, delta, utilities):
     """The elimination pass written out pick by pick, as the rule states it.
 
-    Reference for :func:`find_permutation`, which sweeps the utility order
-    once instead of rebuilding the unplaced, contender and blocked sets.
+    Reference for :func:`find_permutation`, which sweeps statistics the
+    ranker keeps in utility order instead of rebuilding the unplaced,
+    contender and blocked sets.
     """
     n = len(counts)
     log_term = math.log(4.0 * n * t * t / delta)
@@ -70,6 +71,14 @@ def find_permutation_oracle(rewards, counts, t, delta, utilities):
         placed.add(pick)
         remaining = [j for j in remaining if j not in placed]
     return tuple(out)
+
+
+def find_permutation_of(rewards, counts, t, delta, utilities):
+    """The pass of a fresh ranker that holds these statistics."""
+    ranker = EliminationRanker(len(counts), delta)
+    ranker.rewards = list(rewards)
+    ranker.counts = list(counts)
+    return ranker.act(t, utilities)
 
 
 class OracleEliminationRanker(EliminationRanker):
@@ -107,21 +116,21 @@ class TestFindPermutation:
         # single contender is the top-mean item, lower-utility items follow
         rewards = [500.0, 900.0, 100.0]
         counts = [1000, 1000, 1000]
-        order = find_permutation(rewards, counts, 10_000, 0.05, (0.1, 0.9, 0.5))
+        order = find_permutation_of(rewards, counts, 10_000, 0.05, (0.1, 0.9, 0.5))
         assert order == (1, 0, 2)
 
     def test_all_unseen_places_lowest_index_first(self):
-        order = find_permutation([0.0] * 3, [0] * 3, 1, 0.1, (0.5, 0.9, 0.1))
+        order = find_permutation_of([0.0] * 3, [0] * 3, 1, 0.1, (0.5, 0.9, 0.1))
         # pick 0 blocks item 2 (lower utility), then pick 1
         assert order == (0, 2, 1)
 
     def test_overlapping_intervals_tie_breaks_on_count(self):
         # c ~ 1.17 at t=100: intervals overlap, counts tie, lowest index wins
-        order = find_permutation([2.0, 8.0], [10, 10], 100, 0.1, (0.9, 0.1))
+        order = find_permutation_of([2.0, 8.0], [10, 10], 100, 0.1, (0.9, 0.1))
         assert order == (0, 1)
 
     def test_least_played_contender_wins(self):
-        order = find_permutation([2.0, 7.2], [10, 9], 100, 0.1, (0.9, 0.1))
+        order = find_permutation_of([2.0, 7.2], [10, 9], 100, 0.1, (0.9, 0.1))
         assert order == (1,) + (0,)
 
     def test_blocked_items_immediately_after_pick(self):
@@ -133,7 +142,7 @@ class TestFindPermutation:
             utilities = rng.permutation(n).astype(float)
             rewards = rng.normal(0, 1, n).tolist()
             counts = rng.integers(0, 30, n).tolist()
-            order = find_permutation(rewards, counts, 50, 0.1, utilities)
+            order = find_permutation_of(rewards, counts, 50, 0.1, utilities)
             assert sorted(order) == list(range(n))
             pos = 0
             while pos < n:
@@ -146,8 +155,8 @@ class TestFindPermutation:
 
     def test_deterministic(self):
         rewards, counts, u = [1.0, 2.0, 0.5], [3, 4, 2], (0.2, 0.9, 0.4)
-        a = find_permutation(rewards, counts, 7, 0.05, u)
-        b = find_permutation(rewards, counts, 7, 0.05, u)
+        a = find_permutation_of(rewards, counts, 7, 0.05, u)
+        b = find_permutation_of(rewards, counts, 7, 0.05, u)
         assert a == b
 
     def test_matches_oracle_on_random_states(self):
@@ -170,7 +179,7 @@ class TestFindPermutation:
             kinds["unseen"] += 0 in counts
             kinds["tied"] += len(set(counts)) < n
             kinds["t=1"] += t == 1
-            got = find_permutation(rewards, counts, t, delta, utilities)
+            got = find_permutation_of(rewards, counts, t, delta, utilities)
             assert got == find_permutation_oracle(rewards, counts, t, delta, utilities), case
             assert all(type(i) is int for i in got)
         assert min(kinds.values()) >= 500, kinds
@@ -200,7 +209,74 @@ class TestFindPermutation:
         with pytest.raises(ValueError):
             find_permutation_oracle(*state)
         with pytest.raises(ValueError, match="no contender"):
-            find_permutation(*state)
+            find_permutation_of(*state)
+
+
+class TestCachedState:
+    """The ranker's utility-order state against the oracle, which reads only
+    ``rewards`` and ``counts``, over runs that move that state."""
+
+    def test_utility_order_changes_mid_run(self):
+        n, horizon = 6, 4000
+        rng = np.random.default_rng(11)
+        rows = np.array([rng.permutation(n) + 1.0 for _ in range(4)])
+        # runs of 1 to 8 trials on one of four orders
+        seq = np.repeat(rows[rng.integers(0, 4, horizon)], rng.integers(1, 9, horizon),
+                        axis=0)[:horizon]
+        inst = Instance(utilities=seq[0], means=rng.uniform(0.0, 1.0, n),
+                        utility_sequence=seq)
+
+        def episode(cls):
+            return run_episode(cls(n, 0.05), inst, GaussianPayoffs(inst.means, 11, 0),
+                               MultinomialWindows([0.3, 0.2, 0.2, 0.1, 0.1, 0.1], 11, 0),
+                               horizon)
+
+        fast, slow = episode(EliminationRanker), episode(OracleEliminationRanker)
+        assert np.array_equal(fast.orders, slow.orders)
+        assert np.array_equal(fast.selected, slow.selected)
+        switches = int(np.sum(np.any(seq[1:] != seq[:-1], axis=1)))
+        assert switches >= 500, switches
+
+    @pytest.mark.parametrize("spec", ["fixed:3", "uniform:0..4"])
+    def test_queued_wrapper(self, spec):
+        n, horizon = 8, 3000
+        rng = np.random.default_rng(13)
+        inst = Instance(utilities=rng.permutation(n) + 1.0, means=rng.uniform(0.0, 1.0, n))
+        q = 1.0 / np.arange(1, n + 1)
+
+        def episode(cls):
+            policy = qpmd_wrap(cls(n, 0.05), DelayModel.parse(spec),
+                               np.random.default_rng([13, 1]))
+            trace = run_episode(policy, inst, GaussianPayoffs(inst.means, 13, 0),
+                                MultinomialWindows(q / q.sum(), 13, 0), horizon)
+            return trace, policy.base_clock
+
+        (fast, steps), (slow, _) = episode(EliminationRanker), episode(OracleEliminationRanker)
+        assert np.array_equal(fast.orders, slow.orders)
+        assert np.array_equal(fast.selected, slow.selected)
+        assert steps >= 500, steps
+
+    def test_counts_tie_and_untie(self):
+        n = 8
+        rng = np.random.default_rng(17)
+        u = rng.permutation(n) + 0.5
+        means = rng.uniform(0.0, 1.0, n)
+        fast, slow = EliminationRanker(n, 0.1), OracleEliminationRanker(n, 0.1)
+        # a feed unties its item if another item shared its count before,
+        # and ties it if another shares the count after
+        kinds = {"ties": 0, "unties": 0}
+        for t in range(1, 3001):
+            assert fast.act(t, u) == slow.act(t, u), t
+            # every other feed levels the least-played item up, the rest go
+            # to a random item
+            item = (min(range(n), key=fast.counts.__getitem__) if t % 2
+                    else int(rng.integers(0, n)))
+            kinds["unties"] += fast.counts.count(fast.counts[item]) > 1
+            payoff = float(rng.normal(means[item], 1.0))
+            fast.feed(t, item, payoff)
+            slow.feed(t, item, payoff)
+            kinds["ties"] += fast.counts.count(fast.counts[item]) > 1
+        assert min(kinds.values()) >= 500, kinds
 
 
 class TestEliminationRanker:
@@ -215,7 +291,8 @@ class TestEliminationRanker:
         r = EliminationRanker(3, 0.1)
         r.feed(1, 0, 1.0)
         u = (0.3, 0.8, 0.1)
-        assert r.act(2, u) == find_permutation(r.rewards, r.counts, 2, 0.1, u)
+        assert r.act(2, u) == find_permutation(r, 2)
+        assert r.act(2, u) == find_permutation_oracle(r.rewards, r.counts, 2, 0.1, u)
 
     def test_settles_on_family_member(self):
         inst = Instance(utilities=[1, 2, 3], means=[1.0, 0.6, 0.2])

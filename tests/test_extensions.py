@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from rankbandit.environments import (
     substream,
 )
 from rankbandit.extensions import (
+    DELAY_BLOCK,
     DelayModel,
     GreedyUserEnv,
     PartialOrderError,
@@ -34,8 +36,9 @@ class TestDelayModel:
     def test_parse_errors(self):
         with pytest.raises(ValueError, match="start at 0"):
             DelayModel.parse("uniform:1..5")
-        with pytest.raises(ValueError, match="cannot parse"):
-            DelayModel.parse("gamma:2")
+        for spec in ("gamma:2", "uniform:3", "uniform:0..x", "fixed:x", "fixed:1..2", "fixed"):
+            with pytest.raises(ValueError, match=f"^cannot parse delay spec '{spec}'$"):
+                DelayModel.parse(spec)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -45,12 +48,48 @@ class TestDelayModel:
         with pytest.raises(ValueError):
             DelayModel(kind="none", tau_max=3)
 
-    def test_sample(self):
+    def test_delays(self):
+        assert list(itertools.islice(DelayModel().delays(None), 3)) == [0, 0, 0]
+        assert list(itertools.islice(DelayModel(kind="fixed", tau_max=4).delays(None),
+                                     3)) == [4, 4, 4]
         rng = np.random.default_rng(3)
-        assert DelayModel().sample(None) == 0
-        assert DelayModel(kind="fixed", tau_max=4).sample(None) == 4
-        draws = {DelayModel(kind="uniform", tau_max=3).sample(rng) for _ in range(200)}
+        draws = set(itertools.islice(DelayModel(kind="uniform", tau_max=3).delays(rng), 200))
         assert draws == {0, 1, 2, 3}
+
+
+_WRAPPERS = {
+    "qpmd": lambda delay, rng: qpmd_wrap(_StubBase(0), delay, rng),
+    "bold": lambda delay, rng: bold_wrap(_StubBase, delay, rng),
+}
+
+
+def _applied_delays(policy, count):
+    """Feed ``count`` payoffs and read each one's delay back from its
+    in-flight entry ``(due, t, ...)``; without an act nothing is delivered."""
+    for t in range(1, count + 1):
+        policy.feed(t, 0, 0.0)
+    return [due - t for due, t, *_ in sorted(policy._inflight, key=lambda entry: entry[1])]
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("tau_max", [1, 4, 9])
+    @pytest.mark.parametrize("wrapper", sorted(_WRAPPERS))
+    def test_equal_scalar_draws(self, wrapper, tau_max):
+        count = 2 * DELAY_BLOCK + 77
+        policy = _WRAPPERS[wrapper](DelayModel(kind="uniform", tau_max=tau_max),
+                                    np.random.default_rng(tau_max))
+        g = np.random.default_rng(tau_max)
+        want = [int(g.integers(0, tau_max + 1)) for _ in range(count)]
+        assert _applied_delays(policy, count) == want
+
+    @pytest.mark.parametrize("delay", [DelayModel(), DelayModel(kind="fixed", tau_max=3)],
+                             ids=["none", "fixed"])
+    @pytest.mark.parametrize("wrapper", sorted(_WRAPPERS))
+    def test_none_and_fixed_take_no_draw(self, wrapper, delay):
+        rng = np.random.default_rng(5)
+        policy = _WRAPPERS[wrapper](delay, rng)
+        assert _applied_delays(policy, 2 * DELAY_BLOCK) == [delay.tau_max] * (2 * DELAY_BLOCK)
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
 
 def _episode(policy, seed, horizon=400):

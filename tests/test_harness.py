@@ -118,6 +118,10 @@ class TestConfig:
         (lambda r: r.update(policy={"name": "eps-greedy", "explore_constant": True}),
          "policy.explore_constant"),
         # numbers are type-checked, not coerced: the error starts with the field
+        pytest.param(lambda r: r.update(delay="uniform:3"),
+                     "^delay: cannot parse delay spec 'uniform:3'$", id="delay-one-bound"),
+        pytest.param(lambda r: r.update(delay="fixed:x"),
+                     "^delay: cannot parse delay spec 'fixed:x'$", id="delay-not-a-number"),
         pytest.param(lambda r: r.update(horizon="ten"), "^horizon: ", id="horizon-string"),
         pytest.param(lambda r: r.update(horizon=True), "^horizon: ", id="horizon-bool"),
         pytest.param(lambda r: r.update(replications=2.7), "^replications: ",

@@ -9,6 +9,8 @@ from conftest import (
 from rankbandit.core import selection_matrix
 from rankbandit.polytope import (
     ZERO_SNAP,
+    AdmissibilityReport,
+    ConstraintViolation,
     Decomposition,
     InadmissibleMatrixError,
     InfeasibleTargetError,
@@ -65,19 +67,16 @@ def rfsm_decompose_oracle(P, *, atol=1e-9, check_residuals=False):
         if remaining <= dust:
             remaining = 0.0
             break
-        drained = False
         for c in range(n):
             col = cols[c]
             i = 0
             while i < n and col[i] == 0.0:
                 i += 1
             if i == n:
-                drained = True
-                break
+                held = max(sum(other) for other in cols)
+                raise InadmissibleMatrixError(AdmissibilityReport(
+                    ok=False, violations=(ConstraintViolation("C.2", (c + 1,), held),)))
             picks[c] = i
-        if drained:
-            raise InadmissibleMatrixError(
-                admissibility_report(np.asarray(cols).T, atol))
         peel = cols[0][picks[0]]
         for c in range(1, n):
             v = cols[c][picks[c]]
@@ -271,6 +270,24 @@ class TestPeeling:
         # columns summing to 0 are within atol = 1.0 of 1
         with pytest.raises(ValueError):
             rfsm_decompose(np.zeros((2, 2)), atol=1.0)
+
+    def test_drained_column_names_its_window(self):
+        # atol = 1.0 admits the empty second column, which runs out in round 1
+        M = [[1.0, 0.0], [0.0, 0.0]]
+        assert not assert_decomposition_matches_oracle(M, atol=1.0)
+        with pytest.raises(InadmissibleMatrixError, match=r"C\.2 violated at \(2,\) by 1$"):
+            rfsm_decompose(M, atol=1.0)
+        # one column of a mixture scaled down runs out before the others
+        rng = np.random.default_rng(83)
+        drained = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            M, _, _ = random_mixture(rng, n, int(rng.integers(1, n * n + 1)))
+            M[:, rng.integers(n)] *= rng.uniform(0.2, 0.95)
+            assert not assert_decomposition_matches_oracle(M, atol=1.0)
+            _, (kind, message) = _outcome(rfsm_decompose, M, atol=1.0)
+            drained += kind is InadmissibleMatrixError and "C.2 violated" in message
+        assert drained > 150, drained
 
     def test_nan_input_names_the_cell(self):
         # NaN fails every comparison, so no tolerance admits it to the peeling
