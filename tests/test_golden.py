@@ -121,6 +121,20 @@ CONFIGS = {
         "policy": {"name": "elim", "delta": 0.05},
         "horizon": 800,
     },
+    # a zero payoff feeds the mirror step an exact zero loss, which neither
+    # Gaussian nor uniform tape payoffs ever do
+    "osmd-bernoulli": {
+        "instance": {"utilities": [3.0, 11.0, 7.0, 1.0, 12.0, 5.0,
+                                   9.0, 2.0, 10.0, 6.0, 4.0, 8.0]},
+        "window": {"type": "multinomial",
+                   "q": [0.22, 0.16, 0.13, 0.11, 0.09, 0.08,
+                         0.06, 0.05, 0.04, 0.03, 0.02, 0.01]},
+        "payoffs": {"type": "bernoulli",
+                    "rates": [0.5, 0.1, 0.8, 0.3, 0.9, 0.2,
+                              0.6, 0.4, 0.7, 0.15, 0.85, 0.45]},
+        "policy": {"name": "osmd"},
+        "horizon": 1000,
+    },
 }
 
 # sha256 of the little-endian bytes of each trace column, the replications
@@ -202,6 +216,13 @@ GOLDEN = {
         "payoffs": "0f972ba9afa831e647f945fac910e052948f7a8b0635f5f0796072f1ea80dd93",
         "inst_regret": "56a43ef88ddfcd0f56f7dd973312c0e73d62f59655c01d7b4e59aaa3be8b3fb6",
         "cum_regret": "56a43ef88ddfcd0f56f7dd973312c0e73d62f59655c01d7b4e59aaa3be8b3fb6",
+    },
+    "osmd-bernoulli": {
+        "windows": "cd1b07726ef17250550dd315b577009b6817b66570d52096410d72d819381bf0",
+        "selected": "ffe7181b89664d90df69eee23a756172181b8fcc6b4c7aaef84beb91f79c9761",
+        "payoffs": "5f82239f3e0ae7850a44e905535121cc1d047cda27a8579f968195042d7c7536",
+        "inst_regret": "1bdd9edbe05b74c6da55757950a5b9656d4ac63d6defff992da39b73fe738f54",
+        "cum_regret": "b59ff865df7edb906c4150577e0f6b54f3cff46c8e2c915e02cb4be8c7ea848a",
     },
 }
 
