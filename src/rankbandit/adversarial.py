@@ -27,8 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Permutation, _family_from_arrays, items_by_rank, probability_vector
-from .polytope import coupling_sample, window_suffix_bounds
+from .core import (
+    Permutation, _family_from_arrays, _unchangeable, items_by_rank, probability_vector,
+)
+from .polytope import CouplingSampler, window_suffix_bounds
 
 _LAZY_TOL = 1e-12
 
@@ -92,13 +94,18 @@ def pivot_marginals(alpha: Sequence, q: Sequence) -> np.ndarray:
 
 
 def _block_constant(g: Sequence[float], mass: float) -> float:
-    """Solve ``sum((g_i + c)^-2) == mass`` for the unique root with all terms positive."""
+    """Solve ``sum((g_i + c)^-2) == mass`` for the unique root with all terms positive.
+
+    Newton starts at ``c = 0`` when the bracket holds it, otherwise at the
+    bracket's midpoint: with ``g_i = 1 / sqrt(p_i)`` the root of the last
+    iterate's block is 0, and a one-sparse loss moves it little.
+    """
     gmin = min(g)
     if len(g) == 1:
         return -gmin + 1.0 / math.sqrt(mass)
     lo = -gmin + 1.0 / math.sqrt(mass)          # sum >= mass here
     hi = -gmin + math.sqrt(len(g) / mass)       # sum <= mass here
-    c = 0.5 * (lo + hi)
+    c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
     h_tol = 1e-12 * mass
     for _ in range(100):
         h = -mass
@@ -119,7 +126,7 @@ def _block_constant(g: Sequence[float], mass: float) -> float:
     return c
 
 
-def _solve_masses(g: list[float], lower: list[float]) -> list[float]:
+def _solve_masses(g: list[float], lower: list[float]) -> tuple[list[float], float]:
     """Minimize ``g @ p - 2 * sum(sqrt(p))`` over the suffix-bounded simplex.
 
     ``lower[j]`` bounds the mass on coordinates ``>= j`` from below, with
@@ -128,6 +135,9 @@ def _solve_masses(g: list[float], lower: list[float]) -> list[float]:
     block solves to ``p_i = (g_i + c)^-2`` for a per-block constant; the
     active set grows on primal violations and merges on dual violations
     (the block constants must be non-increasing).
+
+    Returns ``p`` and its KKT residual: the largest of ``|sum(p) - 1|`` and
+    the shortfalls ``lower[j] - sum(p[j:])``, read off the last primal scan.
     """
     n = len(g)
     max_iter = 8 * n + 32
@@ -143,13 +153,13 @@ def _solve_masses(g: list[float], lower: list[float]) -> list[float]:
             if mass <= 1e-15:
                 constants.append(math.inf)
                 continue
+            block = g[lo_i:hi_i]
             try:
-                c = _block_constant(g[lo_i:hi_i], mass)
+                c = _block_constant(block, mass)
+                terms = [1.0 / ((x + c) * (x + c)) for x in block]
                 total = 0.0
-                for i in range(lo_i, hi_i):
-                    d = g[i] + c
-                    p[i] = 1.0 / (d * d)
-                    total += p[i]
+                for x in terms:
+                    total += x
                 # snap the block to its pinned mass so the equality and active
                 # suffix bounds hold to machine precision, not root-solve precision
                 scale = mass / total
@@ -159,19 +169,20 @@ def _solve_masses(g: list[float], lower: list[float]) -> list[float]:
                     f"block {lo_i}..{hi_i - 1} is not solvable in double precision; "
                     f"g={g}; p={p}") from None
             constants.append(c)
-            for i in range(lo_i, hi_i):
-                p[i] *= scale
+            p[lo_i:hi_i] = [x * scale for x in terms]
 
         # primal: find the most violated inactive suffix bound
         suffix = 0.0
         worst_j, worst_v = -1, 1e-11
+        shortfall = 0.0
         active_set = set(active)
         for j in range(n - 1, 0, -1):
             suffix += p[j]
-            if j not in active_set:
-                v = lower[j] - suffix
-                if v > worst_v:
-                    worst_j, worst_v = j, v
+            v = lower[j] - suffix
+            if v > shortfall:
+                shortfall = v
+            if v > worst_v and j not in active_set:
+                worst_j, worst_v = j, v
         if worst_j >= 0:
             active = sorted(active + [worst_j])
             continue
@@ -182,7 +193,8 @@ def _solve_masses(g: list[float], lower: list[float]) -> list[float]:
         if bad is not None:
             active = [j for j in active if j != bounds[bad + 1]]
             continue
-        return p
+        # the total comes first so that a NaN mass fails the check
+        return p, max(abs(suffix + p[0] - 1.0), shortfall)
     raise ProjectionError(
         f"no convergence after {max_iter} iterations; active={active}; p={p}")
 
@@ -198,6 +210,11 @@ class MirrorDescent:
     projection of the uniform vector. The step size is ``eta`` when given,
     otherwise ``sqrt(2 / (T n))`` for the horizon ``T``; one of the two is
     required.
+
+    A zero loss takes no step: the minimizer of ``D(p, p_prev)`` alone is
+    ``p_prev``, so ``feed`` counts the trial and keeps the same ``p`` list.
+    Any other loss starts each block's Newton solve at the last iterate's
+    root where the bracket holds it (see :func:`_block_constant`).
     """
 
     def __init__(self, q: Sequence[float], *, horizon: int | None = None,
@@ -224,25 +241,18 @@ class MirrorDescent:
         off = self._offset
         if index < off:
             raise ValueError(f"rank {index} can never be picked under this q")
+        if value == 0.0:
+            return
         g = [1.0 / math.sqrt(x) for x in self.p[off:]]
         g[index - off] += self.eta * value
         self.p = self._step(g)
 
     def _step(self, g: list[float]) -> list[float]:
-        """Solve the mirror step from ``g`` and check its KKT residual in one pass."""
+        """Solve the mirror step from ``g`` and check the solver's KKT residual."""
         try:
-            masses = _solve_masses(g, self._lower)
+            masses, residual = _solve_masses(g, self._lower)
         except ProjectionError as err:
             raise ProjectionError(f"mirror step {self.t}: {err}") from None
-        lower = self._lower
-        suffix = 0.0
-        worst = 0.0
-        for j in range(len(masses) - 1, 0, -1):
-            suffix += masses[j]
-            if lower[j] - suffix > worst:
-                worst = lower[j] - suffix
-        # the total comes first so that a NaN mass fails the check
-        residual = max(abs(suffix + masses[0] - 1.0), worst)
         if not residual <= 1e-8:
             raise ProjectionError(f"mirror step {self.t}: KKT residual {residual:.3g} "
                                   f"exceeds 1e-08; p={masses}")
@@ -254,55 +264,70 @@ class BLORanker:
 
     Each trial: read the engine's list of marginals, draw one ranking from
     their comonotone coupling with ``q`` using a single uniform from ``rng``
-    (:func:`~rankbandit.polytope.coupling_sample`; the reference is the
+    (:class:`~rankbandit.polytope.CouplingSampler`; the reference is the
     mixture :func:`~rankbandit.polytope.rfsm_decompose` peels off
     :func:`~rankbandit.polytope.feasible_matrix`), and display it with ranks
     mapped back to item indices. On feedback, the picked item's rank gets
     the one-sparse, importance-weighted loss ``-payoff / p[rank]``, where
     ``p`` are the marginals the coupling realizes (``last_marginals``).
 
+    The coupling's cumulatives, its realized marginals and their residual
+    check depend on the iterate only, so they are built once per iterate:
+    when ``engine.p`` is a new list. A zero payoff keeps the same list, and
+    so does the coupling; such a trial only searches each column's pick for
+    its one uniform.
+
     Learning happens in utility-rank space, so the utilities may change from
     trial to trial: ``act`` maps ranks to the items that hold them now, and
-    ``feed`` charges the rank the item held at that ``act``.
+    ``feed`` charges the rank the item held at that ``act``. The maps are
+    rebuilt when the utilities differ from the last ones; the same read-only
+    array as last time is not compared again.
     """
 
     def __init__(self, q: Sequence[float], *, horizon: int | None = None,
                  eta: float | None = None, rng: np.random.Generator | None = None):
         self.engine = MirrorDescent(q, horizon=horizon, eta=eta)
         self.rng = rng if rng is not None else np.random.default_rng()
-        self._q = self.engine.q.tolist()  # coupling_sample reads lists fastest
+        self._q = self.engine.q.tolist()  # the sampler reads lists fastest
+        self._shown = None
         self._utilities: list | None = None
         self._maps: tuple[list[int], list[int]] | None = None
+        self._coupled: list[float] | None = None  # the iterate _sampler couples
+        self._sampler: CouplingSampler | None = None
         self._pending: tuple[list[float], list[int]] | None = None
         self.last_marginals: list[float] | None = None
 
     def _rank_maps(self, utilities: Sequence[float]) -> tuple[list[int], list[int]]:
         """(item -> rank, rank -> item) under the current utilities, rebuilt
         when they differ from the last ones seen."""
-        u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)
-        if u != self._utilities:
-            n = self.engine.n
-            if len(u) != n:
-                raise ValueError(f"expected {n} utilities, got {len(u)}")
-            by_rank = items_by_rank(u).tolist()
-            ranks = [0] * n
-            for r, item in enumerate(by_rank):
-                ranks[item] = r
-            self._utilities = u
-            self._maps = (ranks, by_rank)
+        if utilities is not self._shown or utilities.flags.writeable:
+            u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)
+            if u != self._utilities:
+                n = self.engine.n
+                if len(u) != n:
+                    raise ValueError(f"expected {n} utilities, got {len(u)}")
+                by_rank = items_by_rank(u).tolist()
+                ranks = [0] * n
+                for r, item in enumerate(by_rank):
+                    ranks[item] = r
+                self._utilities = u
+                self._maps = (ranks, by_rank)
+            self._shown = _unchangeable(utilities)
         return self._maps
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
         ranks, by_rank = self._rank_maps(utilities)
         p = self.engine.p
-        rank_order, realized = coupling_sample(p, self._q, float(self.rng.random()))
-        residual = max(abs(a - b) for a, b in zip(realized, p))
-        if residual > 1e-6:
-            raise RuntimeError(
-                f"osmd trial {t}: coupling residual {residual:.3g} exceeds 1e-06")
-        self.last_marginals = realized
-        self._pending = (realized, ranks)
-        return tuple([by_rank[r] for r in rank_order])
+        if p is not self._coupled:
+            sampler = CouplingSampler(p, self._q)
+            if sampler.residual > 1e-6:
+                raise RuntimeError(f"osmd trial {t}: coupling residual "
+                                   f"{sampler.residual:.3g} exceeds 1e-06")
+            self._sampler = sampler
+            self._coupled = p
+            self.last_marginals = sampler.realized
+        self._pending = (self.last_marginals, ranks)
+        return self._sampler.draw(float(self.rng.random()), by_rank)
 
     def feed(self, t: int, item: int, payoff: float) -> None:
         if self._pending is None:
@@ -352,6 +377,7 @@ class EpsilonGreedyRanker:
         self.counts = [0] * self.n
         self.explorations = 0
         self._means = [0.0] * self.n
+        self._shown = None
         self._utilities: list | None = None
         self._by_rank: list[int] | None = None
         self._representative: Permutation | None = None
@@ -360,20 +386,22 @@ class EpsilonGreedyRanker:
         return _default_epsilon(t, self.n, self.explore_constant)
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
-        u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)
-        if u != self._utilities:
-            self._utilities = u
-            self._by_rank = self._representative = None
+        if utilities is not self._shown or utilities.flags.writeable:
+            u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)
+            if u != self._utilities:
+                self._utilities = u
+                self._by_rank = self._representative = None
+            self._shown = _unchangeable(utilities)
         if self.rng.random() < self._epsilon(t):
             self.explorations += 1
             pivot = bisect.bisect_right(self._cdf, self.rng.random())
             if self._by_rank is None:
-                self._by_rank = items_by_rank(u).tolist()
+                self._by_rank = items_by_rank(self._utilities).tolist()
             by_rank = self._by_rank
             return tuple([by_rank[r] for r in self._pivots[pivot]])
         if self._representative is None:
             self._representative = _family_from_arrays(
-                u, self._means, strict=False).representative
+                self._utilities, self._means, strict=False).representative
         return self._representative
 
     def feed(self, t: int, item: int, payoff: float) -> None:

@@ -103,6 +103,19 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _unchangeable(values) -> np.ndarray | None:
+    """``values`` if it is an array nothing can write to in place (read-only
+    and owning its data, as :func:`_frozen_array` makes it), otherwise None.
+
+    A ranker that keeps it may skip comparing the same array when it comes
+    again while still read-only; a list or a writeable array is compared.
+    """
+    if (isinstance(values, np.ndarray) and not values.flags.writeable
+            and values.flags.owndata):
+        return values
+    return None
+
+
 @dataclass(frozen=True)
 class Instance:
     """A problem instance: item utilities plus (optionally) mean payoffs.

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OptimalFamily, Permutation
+from .core import OptimalFamily, Permutation, _unchangeable
 
 
 def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
@@ -89,7 +89,8 @@ class EliminationRanker:
     unseen), and the positions sorted least-played first, then by item
     index. ``feed`` updates the fed item's entries in place; ``act`` rebuilds
     the lists from ``rewards`` and ``counts`` when the utilities differ by
-    value from the last ones it saw, and on its first call.
+    value from the last ones it saw, and on its first call. The same
+    read-only array as last time is not compared again.
     """
 
     def __init__(self, n: int, delta: float):
@@ -100,6 +101,7 @@ class EliminationRanker:
         self.delta = delta
         self.rewards = [0.0] * n
         self.counts = [0] * n
+        self._shown = None  # the last utilities if no one can write to them
         self._utilities: list | None = None
         self._asc: list[int] = []  # item at each position
         self._pos: list[int] = []  # position of each item
@@ -110,9 +112,11 @@ class EliminationRanker:
         self._order: list[int] = []
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
-        u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)
-        if u != self._utilities:
-            self._rebuild(u)
+        if utilities is not self._shown or utilities.flags.writeable:
+            u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)
+            if u != self._utilities:
+                self._rebuild(u)
+            self._shown = _unchangeable(utilities)
         return find_permutation(self, t)
 
     def _rebuild(self, u: list) -> None:

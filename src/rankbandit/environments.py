@@ -274,14 +274,16 @@ def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
     observe = getattr(windows, "observe", None)
     fixed_utilities = instance.utility_sequence is None
     utilities = instance.utilities
+    # policies see the array; the user model indexes a list fastest
+    scanned = utilities.tolist()
 
     for k in range(horizon):
         t = k + 1
         if not fixed_utilities:
-            utilities = instance.utilities_at(t)
+            utilities = scanned = instance.utilities_at(t)
         order = policy.act(t, utilities)
         w = windows.draw(t)
-        y = user_select(order, utilities, w)
+        y = user_select(order, scanned, w)
         payoff = payoffs.draw(y, t)
         policy.feed(t, y, payoff)
         if observe is not None:

@@ -21,7 +21,8 @@ import numpy as np
 
 from .adversarial import BLORanker, EpsilonGreedyRanker, lazy_alpha
 from .core import (
-    Instance, Permutation, probability_vector, regret_upper_bound, utility_ranks,
+    Instance, Permutation, _frozen_array, probability_vector, regret_upper_bound,
+    utility_ranks,
 )
 from .elimination import EliminationRanker
 from .environments import (
@@ -262,11 +263,15 @@ class _OffsetPayoffs:
 
 
 class _EstimatedUtilities:
-    """Show a policy the burn-in's estimated utilities; users keep the true ones."""
+    """Show a policy the burn-in's estimated utilities; users keep the true ones.
+
+    The estimate is frozen, so a ranker shown the same array every trial
+    need not compare it with the last one.
+    """
 
     def __init__(self, inner, utilities: np.ndarray):
         self.inner = inner
-        self.utilities = utilities
+        self.utilities = _frozen_array(utilities)
         self.feed = inner.feed
 
     def act(self, t: int, utilities) -> Permutation:

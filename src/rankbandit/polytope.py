@@ -23,8 +23,10 @@ from the recorded picks after the last round.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -413,43 +415,63 @@ def feasible_matrix(p, q) -> np.ndarray:
     return P
 
 
-def coupling_sample(p: Sequence[float], q: Sequence[float],
-                    u: float) -> tuple[Permutation, list[float]]:
-    """One ranking from the coupling of :func:`feasible_matrix`, without the matrix.
+class CouplingSampler:
+    """The coupling of :func:`feasible_matrix`, set up once to draw rankings.
 
-    Returns ``(ranking, realized)``: the ranking is the term of the mixture
+    ``realized[i] = F[i] - F[i-1]`` equals that matrix's ``P q`` up to
+    rounding, and ``residual`` is its largest distance from ``p``. ``p`` must
+    be feasible for ``q``: the checks of :func:`feasible_matrix` do not run
+    here. Both are read by index, so plain lists of floats are the fast input.
+
+    :meth:`draw` maps a uniform ``u`` to the term of the mixture
     ``rfsm_decompose(feasible_matrix(p, q))`` whose cumulative weight covers
-    ``u``, and ``realized[i] = F[i] - F[i-1]`` equals that matrix's ``P q`` up
-    to rounding. Peeling takes the lowest nonzero rank of every column and
-    peels in absolute scale, so that term picks, in every column ``c``, the
-    rank whose coupling segment holds ``G[c-1] + u * q[c]``; a uniform ``u``
-    thus samples the peeled mixture exactly. ``p`` must be feasible for ``q``:
-    the checks of :func:`feasible_matrix` do not run here. Both are read by
-    index, so plain lists of floats are the fast input; ``realized`` is a list.
+    ``u``. Peeling takes the lowest nonzero rank of every column and peels in
+    absolute scale, so that term picks, in every column ``c``, the rank whose
+    coupling segment holds ``G[c-1] + u * q[c]``; a uniform ``u`` thus samples
+    the peeled mixture exactly. Everything but that one search per column
+    depends on ``p`` and ``q`` only and is computed here.
     """
-    F, G = _coupling_cumulatives(p, q)
-    n = len(F)
-    last = n - 1
-    picks = [0] * n
-    lo = 0.0
-    for c in range(n):
-        hi = G[c]
-        if hi - lo <= ZERO_SNAP:
-            # impossible window length: the rank the coupling sits on, as in
-            # feasible_matrix
-            i = bisect_right(F, hi)
-            if i > last:
-                i = last
-            picks[c] = i if i > c else c
-            lo = hi
-            continue
-        i = bisect_right(F, lo + u * (hi - lo))
-        if i > last or (i and F[i - 1] >= hi):
-            # lo + u * (hi - lo) rounded up to hi: the column's top rank
-            i = bisect_left(F, hi)
-            if i > last:
-                i = last
-        picks[c] = i
-        lo = hi
-    realized = [F[0]] + [F[i] - F[i - 1] for i in range(1, n)]
-    return _permutation_from_picks(picks), realized
+
+    def __init__(self, p: Sequence[float], q: Sequence[float]):
+        F, G = _coupling_cumulatives(p, q)
+        n = len(F)
+        last = n - 1
+        self.realized = list(map(sub, F, [0.0] + F[:-1]))
+        self.residual = max(map(abs, map(sub, self.realized, p)))
+        # column c picks bisect_right(F, lo + u * width) capped at top, the
+        # lowest rank whose segment reaches the column's end G[c]: a target
+        # that rounds up to G[c] takes that rank
+        lows = [0.0] + G[:-1]
+        widths = list(map(sub, G, lows))
+        tops = [bisect_left(F, hi, 0, last) for hi in G]
+        if min(widths) <= ZERO_SNAP:
+            for c in range(n):
+                if widths[c] <= ZERO_SNAP:
+                    # impossible window length: the rank the coupling sits on,
+                    # as in feasible_matrix; an infinite target hits the cap
+                    i = bisect_right(F, G[c], 0, last)
+                    lows[c], widths[c], tops[c] = math.inf, 0.0, i if i > c else c
+        self._F = F
+        self._lows = lows
+        self._widths = widths
+        self._tops = tops
+
+    def draw(self, u: float, labels: Sequence) -> tuple:
+        """The ranking the uniform ``u`` picks, shown as ``labels[rank]``.
+
+        A column whose pick is already placed takes the lowest unplaced rank
+        instead, as :func:`_permutation_from_picks` does.
+        """
+        F = self._F
+        placed = [False] * len(F)
+        out = []
+        cursor = 0  # everything below is placed
+        for lo, width, top in zip(self._lows, self._widths, self._tops):
+            i = bisect_right(F, lo + u * width, 0, top)
+            if placed[i]:
+                while placed[cursor]:
+                    cursor += 1
+                i = cursor
+            placed[i] = True
+            out.append(labels[i])
+        return tuple(out)

@@ -3,14 +3,16 @@
 Most oracles here are independent of the library internals: they enumerate
 permutations, scan prefixes directly or hand a linear program to scipy, so
 library results can be checked against them without circularity. The
-exception is :func:`feasible_matrix_oracle`, the list form of the array
-coupling, which shares its cumulative masses with the library.
+exceptions are :func:`feasible_matrix_oracle`, the list form of the array
+coupling, and :func:`coupling_sample`, the one-call form of the ranking
+sampler, which share their cumulative masses with the library.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 from scipy.optimize import linprog
@@ -18,8 +20,8 @@ from scipy.optimize import linprog
 from rankbandit.core import probability_vector
 from rankbandit.environments import RegretTrace
 from rankbandit.polytope import (
-    ZERO_SNAP, InfeasibleTargetError, _coupling_cumulatives, marginal_deficit,
-    window_suffix_bounds,
+    ZERO_SNAP, InfeasibleTargetError, _coupling_cumulatives, _permutation_from_picks,
+    marginal_deficit, window_suffix_bounds,
 )
 
 
@@ -254,6 +256,48 @@ def feasible_matrix_oracle(p, q, *, atol=1e-8, feas_tol=1e-9):
     if residual > atol:
         raise RuntimeError(f"coupling residual {residual:.3g} exceeds {atol:.3g}")
     return np.asarray(rows)
+
+
+def coupling_sample(p, q, u):
+    """One ranking from the coupling of :func:`feasible_matrix`, without the matrix;
+    the one-call reference for :class:`~rankbandit.polytope.CouplingSampler`.
+
+    Returns ``(ranking, realized)``: the ranking is the term of the mixture
+    ``rfsm_decompose(feasible_matrix(p, q))`` whose cumulative weight covers
+    ``u``, and ``realized[i] = F[i] - F[i-1]`` equals that matrix's ``P q`` up
+    to rounding. Peeling takes the lowest nonzero rank of every column and
+    peels in absolute scale, so that term picks, in every column ``c``, the
+    rank whose coupling segment holds ``G[c-1] + u * q[c]``; a uniform ``u``
+    thus samples the peeled mixture exactly. ``p`` must be feasible for ``q``:
+    the checks of :func:`feasible_matrix` do not run here. Both are read by
+    index, so plain lists of floats are the fast input; ``realized`` is a list.
+    """
+    F, G = _coupling_cumulatives(p, q)
+    n = len(F)
+    last = n - 1
+    picks = [0] * n
+    lo = 0.0
+    for c in range(n):
+        hi = G[c]
+        if hi - lo <= ZERO_SNAP:
+            # impossible window length: the rank the coupling sits on, as in
+            # feasible_matrix
+            i = bisect_right(F, hi)
+            if i > last:
+                i = last
+            picks[c] = i if i > c else c
+            lo = hi
+            continue
+        i = bisect_right(F, lo + u * (hi - lo))
+        if i > last or (i and F[i - 1] >= hi):
+            # lo + u * (hi - lo) rounded up to hi: the column's top rank
+            i = bisect_left(F, hi)
+            if i > last:
+                i = last
+        picks[c] = i
+        lo = hi
+    realized = [F[0]] + [F[i] - F[i - 1] for i in range(1, n)]
+    return _permutation_from_picks(picks), realized
 
 
 def selection_matrix_oracle(order):

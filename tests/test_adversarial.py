@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import feasible_matrix_oracle, random_lazy_q, sample_decomposition
+from conftest import (
+    coupling_sample, feasible_matrix_oracle, random_lazy_q, sample_decomposition,
+)
 from rankbandit.adversarial import (
     BLORanker,
     EpsilonGreedyRanker,
@@ -20,8 +22,130 @@ from rankbandit.adversarial import (
 from rankbandit.core import (
     Instance, _family_from_arrays, items_by_rank, user_select, utility_ranks,
 )
+from rankbandit.elimination import EliminationRanker
 from rankbandit.environments import MultinomialWindows, TapePayoffs, run_episode
-from rankbandit.polytope import coupling_sample, rfsm_decompose, window_suffix_bounds
+from rankbandit.polytope import rfsm_decompose, window_suffix_bounds
+
+
+def block_constant_oracle(g, mass):
+    """Reference root solve of a block: Newton from the bracket's midpoint."""
+    gmin = min(g)
+    if len(g) == 1:
+        return -gmin + 1.0 / math.sqrt(mass)
+    lo = -gmin + 1.0 / math.sqrt(mass)          # sum >= mass here
+    hi = -gmin + math.sqrt(len(g) / mass)       # sum <= mass here
+    c = 0.5 * (lo + hi)
+    h_tol = 1e-12 * mass
+    for _ in range(100):
+        h = -mass
+        dh = 0.0
+        for x in g:
+            d = x + c
+            inv2 = 1.0 / (d * d)
+            h += inv2
+            dh -= 2.0 * inv2 / d
+        if h > 0:
+            lo = c
+        else:
+            hi = c
+        if hi - lo <= 1e-15 * (1.0 + abs(c)) or abs(h) < h_tol:
+            break
+        step = c - h / dh
+        c = step if lo < step < hi else 0.5 * (lo + hi)
+    return c
+
+
+def solve_masses_oracle(g, lower):
+    """Reference solver of the mirror step, with mid-bracket Newton starts and
+    no KKT residual: minimize ``g @ p - 2 * sum(sqrt(p))`` over the
+    suffix-bounded simplex.
+
+    ``lower[j]`` bounds the mass on coordinates ``>= j`` from below, with
+    ``lower[0] == 1`` acting as the total-mass equality. Active bounds split
+    the coordinates into consecutive blocks whose masses are pinned, and each
+    block solves to ``p_i = (g_i + c)^-2`` for a per-block constant; the
+    active set grows on primal violations and merges on dual violations
+    (the block constants must be non-increasing).
+    """
+    n = len(g)
+    max_iter = 8 * n + 32
+    active: list[int] = []
+    for _ in range(max_iter):
+        bounds = [0] + active + [n]
+        levels = [lower[0]] + [lower[j] for j in active] + [0.0]
+        p = [0.0] * n
+        constants: list[float] = []
+        for k in range(len(bounds) - 1):
+            lo_i, hi_i = bounds[k], bounds[k + 1]
+            mass = levels[k] - levels[k + 1]
+            if mass <= 1e-15:
+                constants.append(math.inf)
+                continue
+            try:
+                c = block_constant_oracle(g[lo_i:hi_i], mass)
+                total = 0.0
+                for i in range(lo_i, hi_i):
+                    d = g[i] + c
+                    p[i] = 1.0 / (d * d)
+                    total += p[i]
+                # snap the block to its pinned mass so the equality and active
+                # suffix bounds hold to machine precision, not root-solve precision
+                scale = mass / total
+            except ZeroDivisionError:
+                # a loss that swamps g rounds some g_i + c to 0, or every term to 0
+                raise ProjectionError(
+                    f"block {lo_i}..{hi_i - 1} is not solvable in double precision; "
+                    f"g={g}; p={p}") from None
+            constants.append(c)
+            for i in range(lo_i, hi_i):
+                p[i] *= scale
+
+        # primal: find the most violated inactive suffix bound
+        suffix = 0.0
+        worst_j, worst_v = -1, 1e-11
+        active_set = set(active)
+        for j in range(n - 1, 0, -1):
+            suffix += p[j]
+            if j not in active_set:
+                v = lower[j] - suffix
+                if v > worst_v:
+                    worst_j, worst_v = j, v
+        if worst_j >= 0:
+            active = sorted(active + [worst_j])
+            continue
+
+        # dual: block constants must be non-increasing bottom-up
+        bad = next((k for k in range(len(constants) - 1)
+                    if constants[k] < constants[k + 1] - 1e-11), None)
+        if bad is not None:
+            active = [j for j in active if j != bounds[bad + 1]]
+            continue
+        return p
+    raise ProjectionError(
+        f"no convergence after {max_iter} iterations; active={active}; p={p}")
+
+
+def kkt_residual_oracle(masses, lower):
+    """The largest of ``|sum(masses) - 1|`` and the suffix-bound shortfalls,
+    in a suffix scan of its own."""
+    suffix = 0.0
+    worst = 0.0
+    for j in range(len(masses) - 1, 0, -1):
+        suffix += masses[j]
+        if lower[j] - suffix > worst:
+            worst = lower[j] - suffix
+    return max(abs(suffix + masses[0] - 1.0), worst)
+
+
+def mirror_step_oracle(md, index, value):
+    """The iterate one step of the solver above takes ``md`` to; a zero loss
+    steps too."""
+    off = md._offset
+    g = [1.0 / math.sqrt(x) for x in md.p[off:]]
+    g[index - off] += md.eta * value
+    masses = solve_masses_oracle(g, md._lower)
+    assert kkt_residual_oracle(masses, md._lower) <= 1e-8
+    return [0.0] * off + masses
 
 
 class TestPivots:
@@ -101,13 +225,21 @@ class TestMirrorDescent:
         md = MirrorDescent(self.q, horizon=100)
         p = md.p
         g = [1.0 / math.sqrt(x) for x in p]
-        assert np.max(np.abs(np.subtract(_solve_masses(g, md._lower), p))) < 1e-9
+        masses, residual = _solve_masses(g, md._lower)
+        assert np.max(np.abs(np.subtract(masses, p))) < 1e-9
+        assert residual <= 1e-12
 
     def test_zero_loss_keeps_iterate(self):
+        # the exact minimizer of D(p, p_prev) is p_prev: no step is taken
         md = MirrorDescent(self.q, horizon=100)
+        md.feed(1, 0.5)
         before = md.p
-        md.feed(2, 0.0)
-        assert np.max(np.abs(np.subtract(md.p, before))) < 1e-9
+        for t, zero in ((2, 0.0), (3, -0.0)):
+            md.feed(2, zero)
+            assert md.p is before and md.t == t
+        assert np.max(np.abs(np.subtract(before, mirror_step_oracle(md, 2, 0.0)))) < 1e-12
+        md.feed(0, 0.5)
+        assert md.p is not before
 
     def test_positive_loss_drains_rank(self):
         md = MirrorDescent(self.q, eta=0.2)
@@ -198,13 +330,64 @@ class TestMirrorDescent:
         p = md.p
         for _ in range(3000):
             g = [1.0 / math.sqrt(x) + md.eta * float(v) for x, v in zip(p, loss)]
-            p = _solve_masses(g, md._lower)
+            p, _ = _solve_masses(g, md._lower)
         bounds = window_suffix_bounds(self.q)
         A_ub = np.array([[-float(i >= j) for i in range(3)] for j in range(1, 3)])
         res = linprog(loss, A_ub=A_ub, b_ub=-bounds[1:], A_eq=np.ones((1, 3)),
                       b_eq=np.array([1.0]), bounds=(0, None), method="highs")
         assert res.status == 0
         assert float(loss @ p) == pytest.approx(res.fun, abs=0.02)
+
+
+def _suffix_bound_qs(n):
+    """Window laws at ``n``: uniform, Zipf-lazy, one whose long windows pin
+    suffix bounds of the uniform iterate, and one with impossible short windows."""
+    zipf = 1.0 / np.arange(1, n + 1)
+    heavy = np.arange(1, n + 1) ** 3.0
+    late = np.ones(n)
+    late[:2] = 0.0
+    return [np.full(n, 1.0 / n)] + [v / v.sum() for v in (zipf, heavy, late)]
+
+
+class TestMirrorStepMatchesOracle:
+    @pytest.mark.parametrize("n", [5, 20, 50])
+    def test_one_step_agrees_with_reference_solver(self, n):
+        # every step starts from the engine's own iterate, so each compares
+        # one step of the two solvers from the same point
+        rng = np.random.default_rng([n, 101])
+        active = kinds = 0
+        for q in _suffix_bound_qs(n):
+            md = MirrorDescent(q, horizon=2000)
+            for step in range(40 if n < 50 else 15):
+                index = int(rng.integers(md._offset, n))
+                kind = step % 3
+                value = (0.0, float(rng.uniform(0.0, 3.0)),
+                         -float(rng.random()) / md.p[index])[kind]
+                expected = mirror_step_oracle(md, index, value)
+                md.feed(index, value)
+                assert np.max(np.abs(np.subtract(md.p, expected))) <= 1e-12
+                suffix = np.cumsum(md.p[::-1])[::-1][md._offset + 1:]
+                active += bool(np.any(suffix - md._lower[1:] < 1e-12))
+                kinds |= 1 << kind
+        assert kinds == 7
+        assert active > 0  # the suffix bounds take part
+
+    def test_residual_is_the_reference_scan(self):
+        # the solver reads its KKT residual off its last primal scan
+        rng = np.random.default_rng(103)
+        for q in _suffix_bound_qs(12):
+            md = MirrorDescent(q, eta=0.3)
+            for _ in range(30):
+                g = [1.0 / math.sqrt(x) for x in md.p[md._offset:]]
+                g[int(rng.integers(len(g)))] += float(rng.normal(0.0, 2.0))
+                masses, residual = _solve_masses(g, md._lower)
+                assert residual == kkt_residual_oracle(masses, md._lower)
+
+    def test_nan_loss_still_raises(self):
+        md = MirrorDescent([0.5, 0.3, 0.2], eta=0.2)
+        with pytest.raises(ProjectionError, match="KKT residual nan"):
+            md.feed(0, float("nan"))
+        assert md.t == 1
 
 
 class TestBLORanker:
@@ -381,6 +564,29 @@ class TestBLORankerSampler:
             assert ranker.rng.bit_generator.state == twin.bit_generator.state
             ranker.feed(t, t % 4, 0.5)
 
+    def test_rankings_match_coupling_sample(self):
+        # the sampler is set up once per iterate; every trial, with the
+        # iterate kept by a zero payoff or moved by a nonzero one, shows the
+        # ranking and the marginals the one-call oracle gives, to the bit
+        q = np.array([0.3, 0.25, 0.2, 0.1, 0.1, 0.05])
+        ranker = BLORanker(q, horizon=600, rng=np.random.default_rng(29))
+        twin = np.random.default_rng(29)
+        env = np.random.default_rng(31)
+        u = np.array([0.4, 2.0, -1.0, 0.9, 3.5, 1.2])
+        by_rank = items_by_rank(u)
+        zeros = 0
+        for t in range(1, 601):
+            p = ranker.engine.p
+            ranking, realized = coupling_sample(p, q.tolist(), float(twin.random()))
+            order = ranker.act(t, u)
+            assert order == tuple(int(by_rank[r]) for r in ranking)
+            assert ranker.last_marginals == realized
+            pick = user_select(order, u, int(env.choice(6, p=q)) + 1)
+            payoff = float(env.random() < 0.5)
+            zeros += payoff == 0.0
+            ranker.feed(t, pick, payoff)
+        assert 0 < zeros < 600
+
     def test_residual_check(self):
         # a target the window law cannot realize is caught, not played, and
         # the error names the policy and the trial
@@ -388,6 +594,53 @@ class TestBLORankerSampler:
         ranker.engine.p = [0.9, 0.1]
         with pytest.raises(RuntimeError, match="osmd trial 7: coupling residual 0.4 "):
             ranker.act(7, [1.0, 2.0])
+
+
+def _elimination(n):
+    return EliminationRanker(n, 0.05)
+
+
+def _blo(n):
+    return BLORanker(np.full(n, 1.0 / n), horizon=200, rng=np.random.default_rng(5))
+
+
+def _greedy(n):
+    return EpsilonGreedyRanker(np.full(n, 1.0 / n), rng=np.random.default_rng(5),
+                               explore_constant=0.5)
+
+
+class TestUtilitiesIdentity:
+    """A ranker may skip comparing utilities only for the same array when no
+    one can have written to it since; anything else is compared."""
+
+    @pytest.mark.parametrize("build", [_elimination, _blo, _greedy])
+    @pytest.mark.parametrize("shown", ["mutated", "read-only view", "thawed", "frozen"])
+    def test_rankings_follow_the_values(self, build, shown):
+        n = 5
+        rng = np.random.default_rng(37)
+        rows = [rng.permutation(n) + 1.0 for _ in range(4)]
+        base = rows[0].copy()
+        if shown == "read-only view":
+            array = base.view()
+            array.setflags(write=False)
+        elif shown == "frozen":
+            array = Instance(utilities=base).utilities
+        else:
+            array = base
+        ranker, twin = build(n), build(n)
+        for t in range(1, 121):
+            row = rows[(t // 7) % 4] if shown != "frozen" else rows[0]
+            if shown == "thawed":
+                # read-only until the rows first change, then writeable
+                base.setflags(write=t >= 7)
+            if base.flags.writeable:
+                base[:] = row  # in place, between two acts
+            order = ranker.act(t, array)
+            assert order == twin.act(t, row.tolist()), t
+            pick = user_select(order, row, int(rng.integers(1, n + 1)))
+            payoff = float(rng.random())
+            ranker.feed(t, pick, payoff)
+            twin.feed(t, pick, payoff)
 
 
 class TestEpsilonGreedy:

@@ -3,21 +3,21 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import (
-    admissible_lp, feasible_matrix_oracle, random_mixture, sample_decomposition,
-    selection_matrix_oracle,
+    admissible_lp, coupling_sample, feasible_matrix_oracle, random_mixture,
+    sample_decomposition, selection_matrix_oracle,
 )
 from rankbandit.core import selection_matrix
 from rankbandit.polytope import (
     ZERO_SNAP,
     AdmissibilityReport,
     ConstraintViolation,
+    CouplingSampler,
     Decomposition,
     InadmissibleMatrixError,
     InfeasibleTargetError,
     _permutation_from_picks,
     _rankings_from_picks,
     admissibility_report,
-    coupling_sample,
     feasible_matrix,
     is_admissible,
     marginal_deficit,
@@ -345,7 +345,7 @@ class TestFeasibleMatrix:
         P = feasible_matrix(q, q)
         assert is_admissible(P)
         assert P[:, 1].tolist() == [0.0, 0.0, 1.0]
-        assert coupling_sample(q, q, 0.5)[0] == (0, 2, 1)
+        assert coupling_draw(q, q, 0.5)[0] == (0, 2, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -393,6 +393,12 @@ class TestFeasibleMatrix:
         assert agree_feasible > 0 and agree_infeasible > 0
 
 
+def coupling_draw(p, q, u):
+    """``(ranking, realized)`` of the library's sampler for the one uniform ``u``."""
+    sampler = CouplingSampler(p, q)
+    return sampler.draw(u, range(len(q))), sampler.realized
+
+
 class _FixedDraw:
     """Stands in for a generator whose next ``random()`` is ``u``."""
 
@@ -430,29 +436,31 @@ class TestCouplingSample:
             u = float(rng.random())
             P = feasible_matrix(p, q)
             expected = sample_decomposition(rfsm_decompose(P), _FixedDraw(u))
-            ranking, realized = coupling_sample(p, q, u)
+            ranking, realized = coupling_draw(p, q, u)
             assert ranking == expected, (p.tolist(), q.tolist(), u)
             assert np.max(np.abs(realized - P @ q)) <= 1e-12
+            # the sampler splits the one-call oracle, to the bit
+            assert (ranking, realized) == coupling_sample(p.tolist(), q.tolist(), u)
             degenerate += bool(np.any(q == 0.0))
         assert degenerate > 500
 
     def test_frozen_two_item_example(self):
         # coupling [[5/6, 0], [1/6, 1]]: window 1 picks rank 0 below u = 5/6
-        assert coupling_sample([0.5, 0.5], [0.6, 0.4], 0.8)[0] == (0, 1)
-        ranking, realized = coupling_sample([0.5, 0.5], [0.6, 0.4], 0.9)
+        assert coupling_draw([0.5, 0.5], [0.6, 0.4], 0.8)[0] == (0, 1)
+        ranking, realized = coupling_draw([0.5, 0.5], [0.6, 0.4], 0.9)
         assert ranking == (1, 0)
         assert np.allclose(realized, [0.5, 0.5], atol=1e-15)
 
     def test_degenerate_window(self):
         for u in (0.0, 0.5, 1.0 - 2.0 ** -53):
-            assert coupling_sample([0.0, 1.0], [1.0, 0.0], u)[0] == (1, 0)
+            assert coupling_draw([0.0, 1.0], [1.0, 0.0], u)[0] == (1, 0)
 
     def test_top_of_unit_interval(self):
         # p == q couples rank c to window c alone; a u just below 1 can round
         # G[c-1] + u q[c] up to G[c] == F[c] and must not step to rank c+1
         u = 1.0 - 2.0 ** -53
         for q in ([0.2, 0.3, 0.5], [0.6, 0.4], [0.1] * 10):
-            ranking, _ = coupling_sample(q, q, u)
+            ranking, _ = coupling_draw(q, q, u)
             assert ranking == tuple(range(len(q)))
             assert ranking == sample_decomposition(rfsm_decompose(feasible_matrix(q, q)),
                                                   _FixedDraw(u))
