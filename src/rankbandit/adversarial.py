@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    Permutation, _family_from_arrays, _unchangeable, items_by_rank, probability_vector,
+    Permutation, _family_from_arrays, _see_utilities, items_by_rank, probability_vector,
 )
 from .polytope import CouplingSampler, window_suffix_bounds
 
@@ -301,19 +301,18 @@ class BLORanker:
         """(item -> rank, rank -> item) under the current utilities, rebuilt
         when they differ from the last ones seen."""
         if utilities is not self._shown or utilities.flags.writeable:
-            u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)
-            if u != self._utilities:
-                n = self.engine.n
-                if len(u) != n:
-                    raise ValueError(f"expected {n} utilities, got {len(u)}")
-                by_rank = items_by_rank(u).tolist()
-                ranks = [0] * n
-                for r, item in enumerate(by_rank):
-                    ranks[item] = r
-                self._utilities = u
-                self._maps = (ranks, by_rank)
-            self._shown = _unchangeable(utilities)
+            _see_utilities(self, utilities)
         return self._maps
+
+    def _rebuild(self, u: list) -> None:
+        n = self.engine.n
+        if len(u) != n:
+            raise ValueError(f"expected {n} utilities, got {len(u)}")
+        by_rank = items_by_rank(u).tolist()
+        ranks = [0] * n
+        for r, item in enumerate(by_rank):
+            ranks[item] = r
+        self._maps = (ranks, by_rank)
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
         ranks, by_rank = self._rank_maps(utilities)
@@ -387,11 +386,7 @@ class EpsilonGreedyRanker:
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
         if utilities is not self._shown or utilities.flags.writeable:
-            u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)
-            if u != self._utilities:
-                self._utilities = u
-                self._by_rank = self._representative = None
-            self._shown = _unchangeable(utilities)
+            _see_utilities(self, utilities)
         if self.rng.random() < self._epsilon(t):
             self.explorations += 1
             pivot = bisect.bisect_right(self._cdf, self.rng.random())
@@ -403,6 +398,11 @@ class EpsilonGreedyRanker:
             self._representative = _family_from_arrays(
                 self._utilities, self._means, strict=False).representative
         return self._representative
+
+    def _rebuild(self, u: list) -> None:
+        if len(u) != self.n:
+            raise ValueError(f"expected {self.n} utilities, got {len(u)}")
+        self._by_rank = self._representative = None
 
     def feed(self, t: int, item: int, payoff: float) -> None:
         self.rewards[item] += payoff

@@ -116,6 +116,23 @@ def _unchangeable(values) -> np.ndarray | None:
     return None
 
 
+def _see_utilities(ranker, utilities) -> None:
+    """Compare ``utilities`` by value with ``ranker._utilities``; on a change,
+    call ``ranker._rebuild(u)`` with them as a list, then keep them.
+
+    A ranker calls this from ``act`` unless ``utilities`` is the array it
+    kept in ``_shown`` and is still read-only. ``_rebuild`` raises before it
+    changes anything when the values are invalid, so a rejected array is not
+    kept and is compared again next time. ``_shown`` becomes
+    :func:`_unchangeable` of ``utilities``.
+    """
+    u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)
+    if u != ranker._utilities:
+        ranker._rebuild(u)
+        ranker._utilities = u
+    ranker._shown = _unchangeable(utilities)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A problem instance: item utilities plus (optionally) mean payoffs.

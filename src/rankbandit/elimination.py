@@ -13,8 +13,16 @@ unplaced items are always the top of the utility order: a suffix of the items
 sorted by ascending utility. The ranker therefore keeps its statistics by
 position in that order, with the positions also sorted least-played first;
 ``feed`` updates them in place and ``act`` rebuilds them only when the
-utilities change, so a pass does no sort or division. The utilities must be
-pairwise distinct, as :func:`rankbandit.core.user_select` requires and
+utilities change.
+
+No lower bound exceeds one ceiling, the largest mean less the radius at the
+largest count, since a smaller count has a larger radius. A pass therefore
+walks the least-played-first order once: while the first unplaced position
+in it is unseen or has an upper bound above the ceiling, that position is the
+pick, at the cost of one radius. At the first position that is not certified
+so, the pass computes every remaining bound and finishes by the rule itself.
+Each blocked set is sorted by item index. The utilities must be pairwise
+distinct, as :func:`rankbandit.core.user_select` requires and
 :class:`rankbandit.core.Instance` checks.
 """
 
@@ -26,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OptimalFamily, Permutation, _unchangeable
+from .core import OptimalFamily, Permutation, _see_utilities
 
 
 def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
@@ -35,24 +43,55 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
     Reads the ranker's statistics, kept by position in the ascending utility
     order ``asc``: the unplaced items are always a suffix ``asc[s:]``, since a
     pick at position ``k`` is followed by the blocked items ``asc[s:k]``,
-    which leaves ``asc[k + 1:]``. So the largest lower bound among the
-    unplaced items is a suffix maximum, computed once, and each pick is the
-    first position at or after ``s``, least-played first and then lowest
-    item index, whose upper bound beats it. Each blocked set is appended in
-    ascending item index, so the output is a deterministic function of the
-    statistics.
+    which leaves ``asc[k + 1:]``. The pick at ``s`` is the first position at
+    or after ``s``, least-played first and then lowest item index, whose
+    upper bound beats the largest lower bound over the suffix.
+
+    With ``L = log(4 n t^2 / delta)``, every lower bound is at most the
+    ceiling ``max(means) - sqrt(L / most)``, ``most`` the largest count: a
+    seen position's count is at most ``most``, and division, ``sqrt`` and
+    subtraction round monotonically. So a first unplaced key that is unseen,
+    or whose upper bound beats the ceiling, is the pick, and while every pick
+    is certified so, the picks come from one forward walk over ``_order``.
+    From the first key that is not certified, the pass computes the bounds
+    of the positions left and finishes by the rule itself. Each blocked set
+    is appended in ascending item index, so the output is a deterministic
+    function of the statistics.
     """
     asc = ranker._asc
+    n = len(asc)
+    if t < 1 or not n:
+        raise ValueError(f"trial index t={t} is below 1" if t < 1 else
+                         "the ranker has no utility order yet: act must run first")
     counts = ranker._counts
     means = ranker._means
-    n = len(asc)
+    order = ranker._order
     log_term = math.log(4.0 * n * t * t / ranker.delta)
-    # by position: upper bound, and the largest lower bound over the suffix
-    # starting there
+    most = order[-1] // (n * n)
+    ceiling = max(means) - math.sqrt(log_term / most) if most else -math.inf
+    out: list[int] = []
+    s = 0
+    for key in order:
+        k = key % n
+        if k < s:
+            continue
+        c = counts[k]
+        # NaN fails the check too, and takes the exact path
+        if c and not means[k] + math.sqrt(log_term / c) > ceiling:
+            break
+        out.append(asc[k])
+        if k > s:
+            out.extend(sorted(asc[s:k]))
+        s = k + 1
+        if s == n:
+            return tuple(out)
+
+    # the exact completion: by position from s, the upper bound and the
+    # largest lower bound over the suffix starting there
     upper = [math.inf] * n
     sufmax = [0.0] * n
     best = -math.inf
-    for k in range(n - 1, -1, -1):
+    for k in range(n - 1, s - 1, -1):
         c = counts[k]
         if c:
             mean = means[k]
@@ -63,11 +102,9 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
                 best = low
         sufmax[k] = best
 
-    out: list[int] = []
-    s = 0
     while s < n:
         bound = sufmax[s]
-        for key in ranker._order:
+        for key in order:
             k = key % n
             if k >= s and upper[k] > bound:
                 break
@@ -75,7 +112,8 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
             raise ValueError(f"no contender among {n - s} unplaced items at t={t}: "
                              "confidence radii vanish against the means")
         out.append(asc[k])
-        out.extend(sorted(asc[s:k]))
+        if k > s:
+            out.extend(sorted(asc[s:k]))
         s = k + 1
     return tuple(out)
 
@@ -113,10 +151,7 @@ class EliminationRanker:
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
         if utilities is not self._shown or utilities.flags.writeable:
-            u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)
-            if u != self._utilities:
-                self._rebuild(u)
-            self._shown = _unchangeable(utilities)
+            _see_utilities(self, utilities)
         return find_permutation(self, t)
 
     def _rebuild(self, u: list) -> None:
@@ -128,7 +163,6 @@ class EliminationRanker:
         for k, i in enumerate(asc):
             pos[i] = k
         counts = [self.counts[i] for i in asc]
-        self._utilities = u
         self._asc = asc
         self._pos = pos
         self._counts = counts

@@ -13,7 +13,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -527,6 +526,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     reps = range(cfg.replications)
     results: dict[int, tuple[dict, RegretTrace]] = {}
     if workers > 1 and cfg.replications > 1:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(zip(reps, pool.map(run_replication, [cfg] * cfg.replications,
                                                reps)))

@@ -11,6 +11,8 @@ from conftest import (
     best_mean_by_window, family_contains, family_members, naive_select, optimal_orders,
     random_instance,
 )
+from rankbandit import elimination
+from rankbandit.adversarial import BLORanker, EpsilonGreedyRanker
 from rankbandit.core import (
     DegenerateInstanceError,
     Instance,
@@ -123,6 +125,57 @@ class TestInstance:
         assert inst.utilities_at(2).tolist() == [2, 1]
         with pytest.raises(ValueError):
             inst.utilities_at(3)
+
+
+class TestSeeUtilities:
+    """A ranker's ``act`` skips the utilities check only for the same
+    read-only array that owns its data; anything else goes through
+    ``_see_utilities``, which rebuilds when the values changed."""
+
+    @pytest.mark.parametrize("shown", ["same frozen", "writeable", "read-only view",
+                                       "thawed", "list"])
+    def test_compares_unless_unchangeable(self, shown, monkeypatch):
+        base = np.array([0.3, 0.8, 0.1])
+        if shown in ("same frozen", "thawed"):
+            array = Instance(utilities=base).utilities
+            base = array
+        elif shown == "read-only view":
+            array = base.view()
+            array.setflags(write=False)
+        elif shown == "list":
+            array = base = base.tolist()
+        else:
+            array = base
+        seen, rebuilt = [], []
+        see = elimination._see_utilities
+        monkeypatch.setattr(elimination, "_see_utilities",
+                            lambda ranker, u: seen.append(1) or see(ranker, u))
+        ranker = elimination.EliminationRanker(3, 0.1)
+        rebuild = ranker._rebuild
+        ranker._rebuild = lambda u: rebuilt.append(u) or rebuild(u)
+        ranker.act(1, array)
+        ranker.act(2, array)
+        frozen = shown in ("same frozen", "thawed")
+        assert (len(seen), len(rebuilt)) == (1 if frozen else 2, 1)
+        if shown == "same frozen":
+            return
+        if shown == "thawed":
+            base.setflags(write=True)
+        base[:] = [0.9, 0.8, 0.1]  # in place, between two acts
+        assert ranker.act(3, array) == (0, 1, 2)
+        assert (len(seen), rebuilt[-1]) == (2 if frozen else 3, [0.9, 0.8, 0.1])
+
+    @pytest.mark.parametrize("build", [
+        lambda: elimination.EliminationRanker(3, 0.1),
+        lambda: BLORanker([0.5, 0.3, 0.2], horizon=10, rng=np.random.default_rng(1)),
+        lambda: EpsilonGreedyRanker([0.5, 0.3, 0.2], rng=np.random.default_rng(1)),
+    ], ids=["elim", "osmd", "eps-greedy"])
+    def test_rejected_utilities_are_compared_again(self, build):
+        ranker = build()
+        wrong = Instance(utilities=[0.1, 0.2, 0.3, 0.4]).utilities
+        for t in (1, 2):
+            with pytest.raises(ValueError, match="expected 3 utilities, got 4"):
+                ranker.act(t, wrong)
 
 
 class TestOptimalFamily:

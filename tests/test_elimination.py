@@ -1,10 +1,12 @@
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from conftest import family_contains
+from rankbandit import elimination
 from rankbandit.core import Instance, optimal_family
 from rankbandit.elimination import (
     EliminationRanker,
@@ -14,7 +16,9 @@ from rankbandit.elimination import (
     inversion_budget,
     inversion_budget_value,
 )
-from rankbandit.environments import GaussianPayoffs, MultinomialWindows, run_episode
+from rankbandit.environments import (
+    GaussianPayoffs, LowerBoundBlockWindows, MultinomialWindows, run_episode,
+)
 from rankbandit.extensions import DelayModel, bold_wrap, qpmd_wrap
 
 
@@ -71,6 +75,58 @@ def find_permutation_oracle(rewards, counts, t, delta, utilities):
         placed.add(pick)
         remaining = [j for j in remaining if j not in placed]
     return tuple(out)
+
+
+def on_ceiling(rewards, counts, t, delta, ulps):
+    """``rewards`` moved so that the first key of the pass (least played, then
+    lowest index) has its upper bound ``ulps`` steps from the ceiling
+    ``max(means) - sqrt(L / max(counts))``, or None where no reward lands it
+    there. Every count must be positive. The most-played other item gets the
+    largest mean, so the ceiling is also the largest lower bound."""
+    n = len(counts)
+    log_term = math.log(4.0 * n * t * t / delta)
+    first = min(range(n), key=lambda i: (counts[i], i))
+    top = max((i for i in range(n) if i != first), key=counts.__getitem__)
+    c = counts[first]
+    radius = math.sqrt(log_term / c)
+    rewards = list(rewards)
+    # a ceiling above the first key's radius keeps its mean positive and
+    # below the target, so one ulp of reward moves the bound by at most one
+    largest = max(max(r / k for r, k in zip(rewards, counts)),
+                  math.sqrt(log_term / counts[top]) + radius)
+    rewards[top] = counts[top] * (1.0 + largest)
+    ceiling = rewards[top] / counts[top] - math.sqrt(log_term / counts[top])
+    target = ceiling
+    for _ in range(abs(ulps)):
+        target = math.nextafter(target, math.copysign(math.inf, ulps))
+    reward = (target - radius) * c
+    for _ in range(64):
+        upper = reward / c + radius
+        if upper == target:
+            rewards[first] = reward
+            return rewards
+        reward = math.nextafter(reward, math.inf if upper < target else -math.inf)
+    return None
+
+
+def certified_count(rewards, counts, t, delta, utilities):
+    """How many items a pass places before its first pick that the ceiling
+    ``max(means) - sqrt(L / max(counts))`` does not certify: a pick is
+    certified when it is unseen or its upper bound beats the ceiling. All
+    ``n`` when every pick is."""
+    n = len(counts)
+    log_term = math.log(4.0 * n * t * t / delta)
+    means = [r / c if c else 0.0 for r, c in zip(rewards, counts)]
+    most = max(counts)
+    ceiling = max(means) - math.sqrt(log_term / most) if most else -math.inf
+    remaining = list(range(n))
+    while remaining:
+        pick = min(remaining, key=lambda i: (counts[i], i))
+        c = counts[pick]
+        if c and not means[pick] + math.sqrt(log_term / c) > ceiling:
+            break
+        remaining = [j for j in remaining if utilities[j] > utilities[pick]]
+    return n - len(remaining)
 
 
 def find_permutation_of(rewards, counts, t, delta, utilities):
@@ -161,13 +217,17 @@ class TestFindPermutation:
 
     def test_matches_oracle_on_random_states(self):
         rng = np.random.default_rng(2024)
-        kinds = {"unseen": 0, "tied": 0, "t=1": 0}
-        for case in range(3000):
-            n = int(rng.integers(1, 61))
+        kinds = {"unseen": 0, "tied": 0, "t=1": 0,
+                 "ceiling-1ulp": 0, "ceiling": 0, "ceiling+1ulp": 0}
+        for case in range(4000):
+            # every fourth case puts the first key's upper bound on the
+            # ceiling that certifies picks, or one ulp either side of it
+            boundary = case % 4 == 3
+            n = int(rng.integers(2 if boundary else 1, 61))
             # small count ranges give many ties and unseen items, large ones
             # give narrow, disjoint intervals
             top = int(rng.choice([2, 5, 50, 5000]))
-            counts = rng.integers(0, top, n).tolist()
+            counts = rng.integers(1 if boundary else 0, top, n).tolist()
             means = rng.uniform(-1.0, 1.0, n)
             rewards = [float(c * m + rng.normal(0.0, math.sqrt(c) + 1e-12))
                        for c, m in zip(counts, means)]
@@ -176,13 +236,20 @@ class TestFindPermutation:
             utilities = rng.permutation(n) + rng.uniform(0.0, 0.5)
             if case % 2:
                 utilities = tuple(utilities.tolist())
+            if boundary:
+                ulps = int(rng.integers(-1, 2))
+                rewards = on_ceiling(rewards, counts, t, delta, ulps)
+                if rewards is None:
+                    continue
+                kinds[("ceiling-1ulp", "ceiling", "ceiling+1ulp")[ulps + 1]] += 1
             kinds["unseen"] += 0 in counts
             kinds["tied"] += len(set(counts)) < n
             kinds["t=1"] += t == 1
             got = find_permutation_of(rewards, counts, t, delta, utilities)
             assert got == find_permutation_oracle(rewards, counts, t, delta, utilities), case
             assert all(type(i) is int for i in got)
-        assert min(kinds.values()) >= 500, kinds
+        assert min(kinds["unseen"], kinds["tied"], kinds["t=1"]) >= 500, kinds
+        assert min(kinds["ceiling-1ulp"], kinds["ceiling"], kinds["ceiling+1ulp"]) >= 250, kinds
 
     def test_episode_matches_oracle(self):
         n, horizon, seed = 50, 3000, 5
@@ -202,6 +269,59 @@ class TestFindPermutation:
             assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
         # the pass really explores: picks are spread over many items
         assert len(set(fast.selected.tolist())) > 10
+
+    def test_eliminating_episode_matches_oracle(self, monkeypatch):
+        # criterion 05's chain under block windows: the intervals separate,
+        # so picks stop being certified by the ceiling and the pass
+        # finishes exactly
+        n, horizon = 5, 20_000
+        inst = Instance(utilities=[1.0, 2.0, 3.0, 4.0, 5.0], means=[2.0, 1.5, 1.0, 0.5, 0.0])
+        certified = []  # items each pass places before its exact completion
+        find = elimination.find_permutation
+
+        def recorded(ranker, t):
+            certified.append(certified_count(ranker.rewards, ranker.counts, t,
+                                             ranker.delta, inst.utilities))
+            return find(ranker, t)
+
+        monkeypatch.setattr(elimination, "find_permutation", recorded)
+
+        def episode(cls):
+            return run_episode(cls(n, 0.01), inst, GaussianPayoffs(inst.means, 3, 0),
+                               LowerBoundBlockWindows(n, horizon), horizon)
+
+        fast, slow = episode(EliminationRanker), episode(OracleEliminationRanker)
+        for name in ("selected", "payoffs", "orders"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+        # most passes finish exactly; some are certified throughout, and
+        # some certify a pick before the exact completion takes over
+        assert len(certified) == horizon
+        assert certified.count(0) >= horizon // 2, certified.count(0)
+        assert certified.count(n) >= 20, certified.count(n)
+        assert sum(0 < c < n for c in certified) >= 5, certified
+
+    def test_certified_pass_computes_one_radius_per_pick(self, monkeypatch):
+        # wide radii against equal means certify every pick, so the pass
+        # walks the order once and computes no other bound
+        n = 50
+        counts = [150] * n
+        counts[24], counts[49] = 100, 101
+        rewards = [c * 0.5 for c in counts]
+        radii = []
+        shim = types.SimpleNamespace(log=math.log, inf=math.inf,
+                                     sqrt=lambda x: radii.append(x) or math.sqrt(x))
+        monkeypatch.setattr(elimination, "math", shim)
+        order = find_permutation_of(rewards, counts, 10**6, 0.01, np.arange(n) + 1.0)
+        assert order == (24, *range(24), 49, *range(25, 49))
+        assert len(radii) == 3  # the ceiling's, then one per pick
+
+    def test_rejects_trial_index_below_one(self):
+        u = (0.3, 0.8, 0.1)
+        for t in (0, -3):
+            with pytest.raises(ValueError, match=f"t={t}"):
+                EliminationRanker(3, 0.1).act(t, u)
+        with pytest.raises(ValueError, match="act must run first"):
+            find_permutation(EliminationRanker(3, 0.1), 1)
 
     def test_no_contender_raises_like_oracle(self):
         # the radius (about 1.2) is lost in rounding against the mean 1e20

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from conftest import (
     brute_force_best_fixed, hindsight_linprog, read_trace_csv, selection_matrix_oracle,
     write_tape_csv,
 )
+import rankbandit
 from rankbandit.core import DegenerateInstanceError, regret_upper_bound
 from rankbandit.environments import RegretTrace, TapePayoffs
 from rankbandit.harness import (
@@ -623,6 +627,14 @@ class TestRunExperiment:
                     column = getattr(a, name)
                     assert column.dtype == getattr(b, name).dtype, name
                     assert column.tobytes() == getattr(b, name).tobytes(), name
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # only a run with workers > 1 imports the pool and multiprocessing
+        src = str(Path(rankbandit.__file__).parents[1])
+        code = "import sys, rankbandit; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_outputs_and_summarize(self, tmp_path):
         raw = base_config(output_dir=str(tmp_path / "out"), horizon=120)
