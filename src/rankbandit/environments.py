@@ -215,14 +215,13 @@ class RegretTrace:
         return float(self.cum_regret[t - 1])
 
     def to_csv(self, path) -> None:
+        # the bytes csv.writer gives: python ints, floats as their shortest
+        # round-tripping repr(), no field quoted, "\r\n" after every row
+        rows = map("{},{},{},{!r},{!r},{!r}\r\n".format,
+                   self.trials.tolist(), self.windows.tolist(), self.selected.tolist(),
+                   self.payoffs.tolist(), self.inst_regret.tolist(), self.cum_regret.tolist())
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_COLUMNS)
-            # python ints and floats: csv writes them with str(), which for a
-            # float is its shortest round-tripping repr()
-            writer.writerows(zip(
-                self.trials.tolist(), self.windows.tolist(), self.selected.tolist(),
-                self.payoffs.tolist(), self.inst_regret.tolist(), self.cum_regret.tolist()))
+            fh.write(",".join(self.CSV_COLUMNS) + "\r\n" + "".join(rows))
 
 
 def _family_table(instance: Instance, horizon: int) -> tuple[np.ndarray, np.ndarray]:

@@ -224,6 +224,7 @@ class GreedyUserEnv:
 
     def __init__(self, utilities: Sequence[float], windows):
         self.utilities = np.asarray(utilities, dtype=float)
+        self._scan = self.utilities.tolist()  # user_select reads one item at a time
         self.windows = windows
         self.trials = 0
         self.history: list[tuple[Permutation, int, int]] = []
@@ -231,7 +232,7 @@ class GreedyUserEnv:
     def show(self, order: Sequence[int]) -> int:
         self.trials += 1
         w = self.windows.draw(self.trials)
-        y = int(user_select(order, self.utilities, w))
+        y = int(user_select(order, self._scan, w))
         self.history.append((tuple(order), w, y))
         return y
 

@@ -15,10 +15,11 @@ the item of utility rank ``i`` (0 = lowest), column ``w-1`` for window length
 Admissible matrices are exactly the convex hull of the selection matrices of
 single rankings, and the greedy peeling below constructs an explicit convex
 combination using at most ``z - n + 1`` rankings for a matrix with ``z``
-nonzero entries. The peeling walks each column's nonzero cells once, top-down,
-sums the matrix only when every picked cell is dust (a float sum of
-non-negative cells is never below its largest cell), and builds the rankings
-from the recorded picks after the last round.
+nonzero entries. The peeling holds every column's picked cell in one array,
+peels a round's weight off all of them in one array step, moves down only the
+columns whose cell that step empties, sums the matrix only when every picked cell
+is dust (a float sum of non-negative cells is never below its largest cell),
+and builds the rankings from the recorded picks after the last round.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def _rankings_from_picks(picks: np.ndarray) -> tuple[Permutation, ...]:
     lowest unplaced rank, which is at most ``c <= pick[c]`` and so below
     every later new pick. Its ranking is then the picks at their first
     occurrences and the unpicked ranks, ascending, everywhere else; all such
-    rows are built in one array pass. Any other row takes the list walk.
+    rows are built in one array pass, which is the whole answer when every
+    row is one. Any other row takes the list walk.
     """
     n = picks.shape[1]
     simple = np.all(picks >= np.arange(n), axis=1)
@@ -180,6 +182,8 @@ def _rankings_from_picks(picks: np.ndarray) -> tuple[Permutation, ...]:
     unpicked = np.ones(K.shape, dtype=bool)
     unpicked[np.arange(len(K))[:, None], K] = False
     K[repeat] = np.nonzero(unpicked)[1]  # both walk the rows in order
+    if len(K) == len(picks):
+        return tuple(map(tuple, K.tolist()))
     built = iter(K.tolist())
     return tuple(tuple(next(built)) if ok else _permutation_from_picks(row)
                  for row, ok in zip(picks.tolist(), simple.tolist()))
@@ -206,14 +210,22 @@ def rfsm_decompose(P, *, atol: float = 1e-9,
     and the weights are normalized at the end.
 
     A round lowers only the picked cell of each column, so a column's pick
-    only moves down through the nonzero rows it had after the snap: each
-    column is walked once, top-down, and a round costs O(n). The remaining
-    mass is a float sum of non-negative cells, never below its largest cell,
-    so while a picked cell exceeds ``n * n * ZERO_SNAP`` the loop can neither
-    stop on dust nor find the matrix empty; the matrix is rebuilt and summed
-    only when every picked cell is dust (and for ``check_residuals`` or an
-    error report), giving the same floats as a scan every round. The rankings
-    are built from the recorded picks after the loop.
+    only moves down through the nonzero rows it had after the snap. The
+    picked cells sit in one array: a round takes its weight at the argmin,
+    subtracts it from every column in one array step (the same floats as
+    column by column) and then, lowest first, moves each column that fell
+    below ``ZERO_SNAP`` to its next nonzero row; the argmin that finds no
+    such column is the next round's pick. A column that runs out is kept
+    out of that chain until the round ends, so the round moves every column
+    it empties and the lowest empty one is named. The remaining mass is a
+    float sum of non-negative cells, never below its largest cell, so while
+    one known picked cell exceeds ``n * n * ZERO_SNAP`` the loop can neither
+    stop on dust nor find the matrix empty; once that cell is dust, the
+    argmax finds another. The matrix is summed before the first round, and
+    after that rebuilt and summed only when every picked cell is dust (and
+    for ``check_residuals`` or an error report), giving the same floats as a
+    scan every round. The rankings are built from the recorded picks after
+    the loop.
     """
     P = np.asarray(P, dtype=float)
     report = admissibility_report(P, atol)
@@ -233,7 +245,9 @@ def rfsm_decompose(P, *, atol: float = 1e-9,
     pos = start[:]
     # a column with no cell left has value 0.0 on a zero cell
     pick = [rows[k] if k < e else 0 for k, e in zip(pos, end)]
-    cur = [vals[k] if k < e else 0.0 for k, e in zip(pos, end)]
+    cur = np.array([vals[k] if k < e else 0.0 for k, e in zip(pos, end)])
+    empty = next((c for c in range(n) if pos[c] == end[c]), n)  # lowest empty column
+    above = 0  # a column whose cell may exceed the dust
     gone: list[int] = []  # slots snapped to zero, in order
     moves: list[int] = []  # for each, the first round that no longer picks it
     synced = 0  # how many of them C shows
@@ -249,40 +263,51 @@ def rfsm_decompose(P, *, atol: float = 1e-9,
 
     def mass():
         """``C.sum()``, or None while a picked cell proves it above the dust."""
-        if not check_residuals and max(cur, default=0.0) > dust:
-            return None
+        nonlocal above
+        if not check_residuals:
+            if cur[above] > dust:
+                return None
+            above = int(cur.argmax())
+            if cur[above] > dust:
+                return None
         return matrix().sum()
 
     weights: list[float] = []
-    remaining = mass()
+    remaining = matrix().sum()
+    c = int(cur.argmin()) if n else 0  # the column whose cell is peeled
     for t in range(max(len(rows) - n + 1, 1)):
         if remaining is not None and remaining <= dust:
             remaining = 0.0
             break
-        if 0.0 in cur:
+        if empty < n:
             # every round peels the same weight off each column, so the sum of
             # the empty one falls short of the fullest by what that one holds,
             # whether or not atol admitted the input
             held = float(matrix().sum(axis=0).max())
             raise InadmissibleMatrixError(AdmissibilityReport(
-                ok=False, violations=(ConstraintViolation("C.2", (cur.index(0.0) + 1,), held),)))
-        peel = min(cur)
+                ok=False, violations=(ConstraintViolation("C.2", (empty + 1,), held),)))
+        peel = cur[c]
         weights.append(peel)
-        for c in range(n):
-            v = cur[c] - peel
-            if v < ZERO_SNAP:
-                k = pos[c]
-                gone.append(k)
-                moves.append(t + 1)
-                k += 1
-                if k < end[c]:
-                    pos[c] = k
-                    pick[c] = rows[k]
-                    cur[c] = vals[k]
-                else:
-                    cur[c] = 0.0
+        np.subtract(cur, peel, out=cur)
+        # the columns that fall below the snap, lowest value first: each one
+        # steps to its next cell, and the last argmin is the next round's pick
+        while True:
+            k = pos[c]
+            gone.append(k)
+            moves.append(t + 1)
+            k += 1
+            if k < end[c]:
+                pos[c] = k
+                pick[c] = rows[k]
+                cur[c] = vals[k]
             else:
-                cur[c] = v
+                cur[c] = math.inf  # out of the argmin until the round ends
+                empty = min(empty, c)
+            c = int(cur.argmin())
+            if cur[c] >= ZERO_SNAP:
+                break
+        if empty < n:
+            cur[cur == math.inf] = 0.0
         remaining = mass()
         if remaining is None:
             continue

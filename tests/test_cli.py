@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rankbandit
 from rankbandit.cli import main
 
 
@@ -161,6 +164,19 @@ class TestBound:
         out = capsys.readouterr().out
         assert "elimination:" in out
         assert "mirror descent:" in out
+
+
+@pytest.mark.parametrize("matrix, code", [("[[0.3, 0.0], [0.7, 1.0]]", 0),
+                                           ("[[0.5, 1.0], [0.7, 0.0]]", 1)])
+def test_package_runs_as_a_module(tmp_path, matrix, code):
+    path = tmp_path / "m.json"
+    path.write_text(matrix)
+    src = str(Path(rankbandit.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "rankbandit", "check", str(path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.startswith("admissible" if code == 0 else "inadmissible: C.2")
 
 
 def test_console_entry_point(config_path):

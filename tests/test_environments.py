@@ -305,17 +305,19 @@ class TestRunEpisode:
                         repr(float(trace.cum_regret[k])),
                     ])
 
-        # a social burn-in pad row (w = 0, y = -1) and awkward floats
+        # a social burn-in pad row (w = 0, y = -1) and awkward floats, then no rows
         inst = np.array([0.0, -0.0, 5e-324, 1e300, -0.25, 1 / 3])
-        trace = RegretTrace(
-            trials=np.arange(1, 7, dtype=np.int64),
-            windows=np.array([0, 1, 2, 3, 2, 1], dtype=np.int64),
-            selected=np.array([-1, 0, 2, 1, 0, 2], dtype=np.int64),
-            payoffs=np.array([0.0, -0.0, 1e300, 5e-324, -1.5, 0.1]),
-            inst_regret=inst, cum_regret=np.cumsum(inst))
-        trace.to_csv(tmp_path / "new.csv")
-        elementwise_to_csv(trace, tmp_path / "old.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        for rows in (6, 0):
+            trace = RegretTrace(
+                trials=np.arange(1, 7, dtype=np.int64)[:rows],
+                windows=np.array([0, 1, 2, 3, 2, 1], dtype=np.int64)[:rows],
+                selected=np.array([-1, 0, 2, 1, 0, 2], dtype=np.int64)[:rows],
+                payoffs=np.array([0.0, -0.0, 1e300, 5e-324, -1.5, 0.1])[:rows],
+                inst_regret=inst[:rows], cum_regret=np.cumsum(inst)[:rows])
+            trace.to_csv(tmp_path / "new.csv")
+            elementwise_to_csv(trace, tmp_path / "old.csv")
+            assert (tmp_path / "new.csv").read_bytes() == \
+                (tmp_path / "old.csv").read_bytes()
 
     def test_trace_csv_header_check(self, tmp_path):
         path = tmp_path / "trace.csv"

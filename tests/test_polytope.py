@@ -474,6 +474,19 @@ def _outcome(fn, *args, **kwargs):
         return None, (type(exc), str(exc))
 
 
+def _raised(fn, P, **kwargs):
+    """The type and message of what ``fn(P)`` raises, and for an admissibility
+    error the first violation's constraint, location and ``amount.hex()``
+    (the message rounds the amount)."""
+    try:
+        fn(P, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        first = exc.report.first if isinstance(exc, InadmissibleMatrixError) else None
+        return type(exc), str(exc), first and (
+            first.constraint, first.location, float(first.amount).hex())
+    raise AssertionError("expected a raise")
+
+
 def assert_decomposition_matches_oracle(P, **kwargs):
     """Same weights, rankings, or exception type and message; True if it returned."""
     got, got_error = _outcome(rfsm_decompose, P, **kwargs)
@@ -526,8 +539,23 @@ def _edge_matrix(rng, n):
     return M
 
 
+def _twin_shortfall(rng, n):
+    """Lower-triangular Dirichlet columns, admitted by ``atol = 1.0``, with
+    two columns shortened by the same ``d`` and one of them off by 0,
+    +-3e-13 or 5e-13 more: both run out, in the same round unless the gap
+    outlasts the snap, while every other column still holds mass."""
+    M = np.zeros((n, n))
+    for c in range(n):
+        M[c:, c] = rng.dirichlet(np.ones(n - c))
+    a, b = rng.choice(n, 2, replace=False)
+    d = rng.uniform(0.01, 0.5)
+    M[:, a] *= 1.0 - d
+    M[:, b] *= 1.0 - d + rng.choice([0.0, 3e-13, -3e-13, 5e-13])
+    return M
+
+
 class TestArrayCodeMatchesListOracle:
-    """The column-walk peeling and the array coupling reproduce the list scans
+    """The array peeling and the array coupling reproduce the list scans
     they replaced bit for bit: the same weights, rankings and matrices, or the
     same errors."""
 
@@ -539,6 +567,22 @@ class TestArrayCodeMatchesListOracle:
             assert assert_decomposition_matches_oracle(M)
             for q in (_zipf_q(50), rng.dirichlet(np.ones(50))):
                 assert assert_coupling_matches_oracle(M @ q, q)
+        # equal weights tie cells exactly, so a round empties several cells
+        for k in (2, 3, 5, 8, 13, 30):
+            for n in (4, 20, 50):
+                M = sum(selection_matrix_oracle(tuple(rng.permutation(n).tolist()))
+                        for _ in range(k)) / k
+                assert assert_decomposition_matches_oracle(M)
+
+    def test_columns_running_out_together(self):
+        rng = np.random.default_rng(107)
+        drained = 0
+        for _ in range(4000):
+            M = _twin_shortfall(rng, int(rng.integers(3, 13)))
+            want = _raised(rfsm_decompose_oracle, M, atol=1.0)
+            assert _raised(rfsm_decompose, M, atol=1.0) == want
+            drained += want[2] is not None and want[2][0] == "C.2"
+        assert drained > 2000, drained
 
     def test_random_mixtures_and_targets(self):
         rng = np.random.default_rng(71)
