@@ -363,10 +363,10 @@ class EpsilonGreedyRanker:
 
     def __init__(self, q: Sequence[float], *, rng: np.random.Generator | None = None,
                  explore_constant: float = 1.0):
-        self.q = np.asarray(q, dtype=float)
-        self.n = int(self.q.size)
-        self.alpha = np.asarray(lazy_alpha(self.q), dtype=float)
-        cdf = np.cumsum(self.alpha / self.alpha.sum())
+        q = np.asarray(q, dtype=float)
+        self.n = int(q.size)
+        alpha = np.asarray(lazy_alpha(q), dtype=float)
+        cdf = np.cumsum(alpha / alpha.sum())
         cdf /= cdf[-1]
         self._cdf = cdf.tolist()
         self._pivots = [pivot_permutation(i, self.n) for i in range(self.n)]

@@ -114,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the utility-estimation burn-in mode")
     run.add_argument("--replications", type=int, default=None,
                      help="override the replication count")
-    run.add_argument("--workers", type=int, default=None,
-                     help="process-pool size (default RANKBANDIT_WORKERS or 1)")
+    run.add_argument("--workers", type=int, default=1,
+                     help="process-pool size (default 1)")
     run.set_defaults(func=_cmd_run)
 
     dec = sub.add_parser("decompose",

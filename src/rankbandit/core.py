@@ -32,10 +32,7 @@ def probability_vector(v, name: str = "q") -> np.ndarray:
     is within :data:`PROBABILITY_TOL` of 1. Every window law and mixture
     weight vector in the package is checked here; errors start with ``name``.
     """
-    try:
-        arr = np.array(v, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name}: expected an array of numbers") from None
+    arr = _float_array(v, name).copy()
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name}: expected a non-empty 1-d array")
     if not np.all(np.isfinite(arr)):
@@ -45,6 +42,15 @@ def probability_vector(v, name: str = "q") -> np.ndarray:
     if abs(float(arr.sum()) - 1.0) > PROBABILITY_TOL:
         raise ValueError(f"{name}: must sum to 1 within {PROBABILITY_TOL:g}")
     return arr
+
+
+def _float_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; a ValueError names ``name`` when they are
+    not numbers (a JSON object, a string, a ragged list)."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected an array of numbers") from None
 
 
 def user_select(order: Sequence[int], utilities: Sequence[float], w: int):
@@ -146,7 +152,7 @@ class Instance:
     utility_sequence: np.ndarray | None = None
 
     def __post_init__(self):
-        u = np.asarray(self.utilities, dtype=float)
+        u = _float_array(self.utilities, "utilities")
         if u.ndim != 1 or u.size == 0:
             raise ValueError("utilities: expected a non-empty 1-d array")
         if not np.all(np.isfinite(u)):
@@ -155,14 +161,14 @@ class Instance:
             raise ValueError("utilities: must be pairwise distinct (ties are undefined)")
         object.__setattr__(self, "utilities", _frozen_array(u))
         if self.means is not None:
-            m = np.asarray(self.means, dtype=float)
+            m = _float_array(self.means, "means")
             if m.shape != u.shape:
                 raise ValueError("means: length must match utilities")
             if not np.all(np.isfinite(m)):
                 raise ValueError("means: entries must be finite")
             object.__setattr__(self, "means", _frozen_array(m))
         if self.utility_sequence is not None:
-            seq = np.asarray(self.utility_sequence, dtype=float)
+            seq = _float_array(self.utility_sequence, "utility_sequence")
             if seq.ndim != 2 or seq.shape[1] != u.size:
                 raise ValueError("utility_sequence: expected shape (T, n)")
             for row in seq:
@@ -193,14 +199,13 @@ class Instance:
             raise ValueError("instance.utilities: required")
         if "utility_sequence" in d:
             raise ValueError("instance.utility_sequence: not supported in configs")
-        utilities = d["utilities"]
-        if "n" in d and int(d["n"]) != len(utilities):
-            raise ValueError("instance.n: does not match utilities length")
-        means = d.get("means")
         try:
-            return cls(utilities=utilities, means=means)
+            instance = cls(utilities=d["utilities"], means=d.get("means"))
         except ValueError as exc:
             raise ValueError(f"instance.{exc}") from None
+        if "n" in d and int(d["n"]) != instance.n:
+            raise ValueError("instance.n: does not match utilities length")
+        return instance
 
     def to_dict(self) -> dict:
         out = {"n": self.n, "utilities": self.utilities.tolist()}

@@ -54,11 +54,10 @@ class GaussianPayoffs:
 
     def __init__(self, means: Sequence[float], seed: int, replication: int = 0):
         self.means = np.asarray(means, dtype=float)
-        self.n = int(self.means.size)
-        self._gens = [substream(seed, replication, STREAM_PAYOFF, i)
-                      for i in range(self.n)]
-        self._buffers: list[np.ndarray] = [np.empty(0)] * self.n
-        self._used = [0] * self.n
+        n = self.means.size
+        self._gens = [substream(seed, replication, STREAM_PAYOFF, i) for i in range(n)]
+        self._buffers: list[np.ndarray] = [np.empty(0)] * n
+        self._used = [0] * n
 
     def draw(self, item: int, t: int) -> float:
         buf = self._buffers[item]
@@ -130,7 +129,6 @@ class ScheduleWindows:
         if any(not 1 <= w <= n for w in schedule):
             raise ValueError(f"schedule entries must lie in 1..{n}")
         self.schedule = schedule
-        self.n = n
 
     def draw(self, t: int) -> int:
         if not 1 <= t <= len(self.schedule):

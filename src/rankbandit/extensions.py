@@ -102,7 +102,6 @@ class QueuedDelayPolicy:
 
     def __init__(self, base, delay: DelayModel, rng: np.random.Generator | None = None):
         self.base = base
-        self.delay = delay
         self._delays = delay.delays(rng)
         self.queues: dict[int, deque] = {}
         self._inflight: list[tuple[int, int, int, float]] = []
@@ -220,20 +219,23 @@ class PartialOrderError(RuntimeError):
 
 
 class GreedyUserEnv:
-    """Interactive display endpoint backed by greedy limited-attention users."""
+    """Interactive display endpoint backed by greedy limited-attention users.
+
+    ``history`` holds one ``(window, pick)`` pair per display.
+    """
 
     def __init__(self, utilities: Sequence[float], windows):
-        self.utilities = np.asarray(utilities, dtype=float)
-        self._scan = self.utilities.tolist()  # user_select reads one item at a time
+        # user_select reads one item at a time
+        self._scan = np.asarray(utilities, dtype=float).tolist()
         self.windows = windows
         self.trials = 0
-        self.history: list[tuple[Permutation, int, int]] = []
+        self.history: list[tuple[int, int]] = []
 
     def show(self, order: Sequence[int]) -> int:
         self.trials += 1
         w = self.windows.draw(self.trials)
         y = int(user_select(order, self._scan, w))
-        self.history.append((tuple(order), w, y))
+        self.history.append((w, y))
         return y
 
 

@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import numbers
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,10 +32,8 @@ from .extensions import (
     DelayModel, GreedyUserEnv, bold_wrap, estimate_order_sorting,
     estimate_social_learning, qpmd_wrap,
 )
-from .polytope import _permutation_from_picks
 
 STREAM_ESTIMATE = 5
-WORKERS_ENV = "RANKBANDIT_WORKERS"
 
 POLICY_NAMES = ("elim", "eps-greedy", "osmd")
 
@@ -159,6 +156,8 @@ class ExperimentConfig:
                      "payoffs.rates", "entries must lie in [0, 1]")
         else:
             _require("path" in payoffs, "payoffs.path", "required for tape payoffs")
+            _require(isinstance(payoffs["path"], str), "payoffs.path",
+                     f"must be a string, got {payoffs['path']!r}")
             tape = _load_tape(payoffs["path"], n, horizon)
 
         policy = dict(raw.get("policy", {"name": "elim"}))
@@ -331,13 +330,10 @@ def default_sort_budget(n: int, horizon: int) -> int:
 
 @dataclass(frozen=True)
 class HindsightBenchmark:
-    """Best fixed ranking against a full payoff tape, with its marginals."""
+    """The best fixed ranking's tape payoff and its selection marginals."""
 
     marginals: np.ndarray  # by item
-    rank_marginals: np.ndarray
-    matrix: np.ndarray  # rank space
     value: float
-    ranking: Permutation  # rank labels
 
 
 def best_fixed_hindsight(tape_values: np.ndarray, q, utilities) -> HindsightBenchmark:
@@ -367,14 +363,11 @@ def best_fixed_hindsight(tape_values: np.ndarray, q, utilities) -> HindsightBenc
         if rank_totals[c] >= rank_totals[best]:
             best = c
         picks[c] = best
+    # P @ q and no scatter of q: the pinned regret columns hold its rounding
     P = np.zeros((n, n))
     P[picks, np.arange(n)] = 1.0
-    rank_marginals = P @ q
-    marginals = rank_marginals[ranks]
-    return HindsightBenchmark(
-        marginals=marginals, rank_marginals=rank_marginals, matrix=P,
-        value=float(totals @ marginals), ranking=_permutation_from_picks(picks),
-    )
+    marginals = (P @ q)[ranks]
+    return HindsightBenchmark(marginals=marginals, value=float(totals @ marginals))
 
 
 def _burn_in(cfg: ExperimentConfig, rep: int, windows, payoffs):
@@ -391,8 +384,8 @@ def _burn_in(cfg: ExperimentConfig, rep: int, windows, payoffs):
     if cfg.estimate == "sort":
         env = GreedyUserEnv(instance.utilities, windows)
         ascending = estimate_order_sorting(env.show, n, budget).order
-        w0 = np.array([w for _, w, _ in env.history], dtype=np.int64)
-        y0 = np.array([y for _, _, y in env.history], dtype=np.int64)
+        w0 = np.array([w for w, _ in env.history], dtype=np.int64)
+        y0 = np.array([y for _, y in env.history], dtype=np.int64)
         pay0 = np.array([payoffs.draw(y, t) for t, y in enumerate(y0.tolist(), 1)])
     else:
         rng = substream(cfg.seed, rep, STREAM_ESTIMATE)
@@ -520,9 +513,7 @@ def _bound_values(cfg: ExperimentConfig) -> dict:
     return bounds
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentReport:
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     reps = range(cfg.replications)
     results: dict[int, tuple[dict, RegretTrace]] = {}
     if workers > 1 and cfg.replications > 1:

@@ -694,6 +694,10 @@ class _ReferenceEpsilonGreedy(EpsilonGreedyRanker):
     """Reference ranker: fresh means and a fresh family every exploit trial, the
     pivot drawn by ``Generator.choice`` and the utility order sorted again."""
 
+    def __init__(self, q, **kwargs):
+        super().__init__(q, **kwargs)
+        self.alpha = np.asarray(lazy_alpha(q), dtype=float)
+
     def act(self, t, utilities):
         if self.rng.random() < self._epsilon(t):
             self.explorations += 1

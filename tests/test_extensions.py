@@ -208,8 +208,7 @@ class TestGreedyUserEnv:
         assert env.show((0, 2, 1)) == 1
         assert env.show((0, 2, 1)) == 2
         assert env.trials == 3
-        assert env.history == [((1, 0, 2), 1, 1), ((0, 2, 1), 3, 1),
-                               ((0, 2, 1), 2, 2)]
+        assert env.history == [(1, 1), (3, 1), (2, 2)]
 
 
 def merge_sort_comparison_bound(n: int) -> int:

@@ -14,7 +14,7 @@ from conftest import (
     write_tape_csv,
 )
 import rankbandit
-from rankbandit.core import DegenerateInstanceError, regret_upper_bound
+from rankbandit.core import DegenerateInstanceError, regret_upper_bound, utility_ranks
 from rankbandit.environments import RegretTrace, TapePayoffs
 from rankbandit.harness import (
     ConfigError,
@@ -26,7 +26,7 @@ from rankbandit.harness import (
     run_experiment,
     run_replication,
 )
-from rankbandit.polytope import is_admissible
+from rankbandit.polytope import _permutation_from_picks, is_admissible
 
 
 def summarize_traces(trace_dir, checkpoints: list[int]) -> tuple[list[float], list[float]]:
@@ -148,6 +148,16 @@ class TestConfig:
                      "^instance.utilities: ", id="utilities-nan"),
         pytest.param(lambda r: r["instance"].update(utilities=[math.nan, math.nan, 3.0]),
                      "^instance.utilities: ", id="utilities-nan-pair"),
+        pytest.param(lambda r: r["instance"].update(utilities={"a": 1}),
+                     "^instance.utilities: ", id="utilities-object"),
+        pytest.param(lambda r: r["instance"].update(n=3, utilities=5),
+                     "^instance.utilities: ", id="utilities-number-with-n"),
+        pytest.param(lambda r: r["instance"].update(means={"a": 1}),
+                     "^instance.means: ", id="means-object"),
+        pytest.param(lambda r: r.update(payoffs={"type": "tape", "path": 987654}),
+                     "^payoffs.path: must be a string", id="path-number"),
+        pytest.param(lambda r: r.update(payoffs={"type": "tape", "path": ["t.csv"]}),
+                     "^payoffs.path: must be a string", id="path-list"),
         pytest.param(lambda r: r.update(payoffs={"type": "bernoulli",
                                                  "rates": [[0.1, 0.2, 0.3]]}),
                      r"^payoffs.rates\[0\]: ", id="rates-nested"),
@@ -353,6 +363,20 @@ class TestBounds:
                 regret_upper_bound(cfg.instance, 500, 0.05))
 
 
+def hindsight_oracle(tape, q, utilities):
+    """The best fixed ranking (rank labels) and its selection matrix, rebuilt
+    from the picks: column ``c`` picks the lowest rank ``a >= c`` of the
+    largest rank total."""
+    ranks = utility_ranks(utilities)
+    rank_totals = np.zeros(len(ranks))
+    rank_totals[ranks] = np.asarray(tape, dtype=float).sum(axis=1)
+    picks = [c + int(np.argmax(rank_totals[c:])) for c in range(len(ranks))]
+    ranking = _permutation_from_picks(picks)
+    matrix = selection_matrix_oracle(ranking)
+    assert matrix.argmax(axis=0).tolist() == picks
+    return ranking, matrix
+
+
 class TestHindsight:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(107)
@@ -367,8 +391,9 @@ class TestHindsight:
 
     def test_closed_form_against_linprog(self):
         """The closed form against the LP over the admissible polytope: same
-        value, a 0/1 admissible matrix realized by ``ranking``, and the LP's
-        marginals whenever the optimum is unique (distinct rank totals)."""
+        value, the marginals of the oracle's 0/1 admissible matrix bit for
+        bit, and the LP's marginals whenever the optimum is unique (distinct
+        rank totals)."""
         rng = np.random.default_rng(113)
         distinct = tied = 0
         for k in range(600):
@@ -391,10 +416,13 @@ class TestHindsight:
             assert abs(bench.value - value) <= tol, k
             if n <= 6:
                 assert abs(bench.value - brute_force_best_fixed(tape, q, utilities)) <= tol, k
-            assert np.all((bench.matrix == 0.0) | (bench.matrix == 1.0)), k
-            assert is_admissible(bench.matrix), k
-            assert sorted(bench.ranking) == list(range(n)), k
-            assert np.array_equal(selection_matrix_oracle(bench.ranking), bench.matrix), k
+            ranking, matrix = hindsight_oracle(tape, q, utilities)
+            assert sorted(ranking) == list(range(n)), k
+            assert np.all((matrix == 0.0) | (matrix == 1.0)), k
+            assert is_admissible(matrix), k
+            rank_marginals = matrix @ q
+            assert rank_marginals[utility_ranks(utilities)].tobytes() == \
+                bench.marginals.tobytes(), k
             if np.unique(tape.sum(axis=1)).size == n:
                 distinct += 1
                 assert np.max(np.abs(bench.marginals - marginals)) <= 1e-9, k
@@ -407,9 +435,9 @@ class TestHindsight:
         # windows tie ranks 1 and 2 and pick rank 1
         tape = np.array([[2.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
         bench = best_fixed_hindsight(tape, [0.5, 0.3, 0.2], [2.0, 3.0, 1.0])
-        assert bench.ranking == (1, 0, 2)
-        assert np.array_equal(bench.matrix, [[0, 0, 0], [1, 1, 0], [0, 0, 1]])
-        assert np.allclose(bench.rank_marginals, [0.0, 0.8, 0.2])
+        ranking, matrix = hindsight_oracle(tape, [0.5, 0.3, 0.2], [2.0, 3.0, 1.0])
+        assert ranking == (1, 0, 2)
+        assert np.array_equal(matrix, [[0, 0, 0], [1, 1, 0], [0, 0, 1]])
         assert np.allclose(bench.marginals, [0.8, 0.2, 0.0])
         assert bench.value == pytest.approx(2.0)
 
@@ -418,8 +446,7 @@ class TestHindsight:
         tape = np.array([[0.1] * 20, [0.9] * 20, [0.2] * 20])
         utilities = [1.0, 3.0, 2.0]  # item 1 also has the top utility
         bench = best_fixed_hindsight(tape, [0.5, 0.3, 0.2], utilities)
-        assert np.allclose(bench.rank_marginals, [0.0, 0.0, 1.0], atol=1e-9)
-        assert bench.marginals[1] == pytest.approx(1.0)
+        assert np.allclose(bench.marginals, [0.0, 1.0, 0.0], atol=1e-9)
         assert bench.value == pytest.approx(0.9 * 20)
 
     def test_zero_tape(self):

@@ -101,32 +101,57 @@ REACH = sorted(p for d in ("src", "bench") for p in (REPO / d).rglob("*.py")) \
 ALLOWED = {
     # run_episode looks the hook up with getattr; the README shows it
     "environments.py: AdaptiveWindows.observe",
+    # counters that ROADMAP item 1's per-replication diagnostics will read
+    "adversarial.py: EpsilonGreedyRanker.explorations",
+    "extensions.py: QueuedDelayPolicy.enqueued",
+    "extensions.py: QueuedDelayPolicy.dequeued",
+    "extensions.py: SortResult.comparisons",
+    # what run_episode's record_orders keeps; the golden orders digest pins it
+    "environments.py: RegretTrace.orders",
+    # failure state: the rank suffix whose mass falls short, and both masses
+    "polytope.py: InfeasibleTargetError.suffix_start",
+    "polytope.py: InfeasibleTargetError.required",
+    "polytope.py: InfeasibleTargetError.actual",
 }
+
+
+def _is_self(node) -> bool:
+    return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self"
 
 
 def reached(sources):
     """What the code in ``sources`` reaches: ``(names, attributes, qualified,
-    calls)``, where ``qualified`` holds ``Owner.attr`` for every attribute
-    read off a name or an attribute ``Owner`` (so ``module.Owner.attr`` too),
-    with ``cls`` read as its enclosing class, and ``calls`` maps a callee
-    name to each call's positional-argument count and keywords. Strings and
-    comments are not code, so nothing in them counts."""
+    calls, loads)``, where ``qualified`` holds ``Owner.attr`` for every
+    attribute read off a name or an attribute ``Owner`` (so
+    ``module.Owner.attr`` too), with ``cls`` read as its enclosing class,
+    ``calls`` maps a callee name to each call's positional-argument count and
+    keywords, and ``loads`` maps an attribute name to where it is loaded: the
+    class ``C`` for a ``self.attr`` read inside ``C.__init__``, else ``""``.
+    Strings and comments are not code, so nothing in them counts."""
     names: set[str] = set()
     attributes: set[str] = set()
     qualified: set[str] = set()
     calls: dict[str, list[tuple[int, set[str]]]] = {}
+    loads: dict[str, set[str]] = {}
     for text in sources:
         tree = ast.parse(text)
+        in_init: dict[int, str] = {}  # id of a self.attr read in C.__init__ -> C
         for klass in ast.walk(tree):
             if isinstance(klass, ast.ClassDef):
                 qualified.update(f"{klass.name}.{node.attr}" for node in ast.walk(klass)
                                  if isinstance(node, ast.Attribute)
                                  and getattr(node.value, "id", None) == "cls")
+                for fn in klass.body:
+                    if getattr(fn, "name", None) == "__init__":
+                        in_init.update((id(node), klass.name) for node in ast.walk(fn)
+                                       if _is_self(node))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    loads.setdefault(node.attr, set()).add(in_init.get(id(node), ""))
                 # the class as a bare name or as a module attribute
                 owner = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
                 if owner is not None:
@@ -141,7 +166,7 @@ def reached(sources):
                 calls.setdefault(callee, []).append(
                     (math.inf if starred else len(node.args),
                      {k.arg for k in node.keywords}))
-    return names, attributes, qualified, calls
+    return names, attributes, qualified, calls, loads
 
 
 def _defaulted(fn: ast.FunctionDef, bound: int) -> list[tuple[str, float]]:
@@ -157,14 +182,30 @@ def _defaulted(fn: ast.FunctionDef, bound: int) -> list[tuple[str, float]]:
     return out
 
 
+def _fields(klass: ast.ClassDef) -> list[str]:
+    """Public data fields of a class, in order of first appearance: the
+    annotated names of a dataclass body and every ``self.attr`` assigned in
+    its methods."""
+    dataclass = any("dataclass" in (getattr(d, "id", None), getattr(d, "attr", None),
+                                    getattr(getattr(d, "func", None), "id", None))
+                    for d in klass.decorator_list)
+    found = [node.target.id for node in klass.body if dataclass
+             and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    found += [node.attr for node in ast.walk(klass)
+              if _is_self(node) and isinstance(node.ctx, ast.Store)]
+    return [f for f in dict.fromkeys(found) if not f.startswith("_")]
+
+
 def unreached_surface(name: str, source: str, reach) -> list[str]:
-    """Public functions, methods and properties of a module that ``reach``
-    (from :func:`reached`) never names, and defaulted parameters that no call
-    of their callee passes by keyword or by position. A function is named by
-    a name or an attribute, a method or property by an attribute, and a
-    class or static method only as ``Class.method`` (or ``cls.method`` in
-    its own class)."""
-    names, attributes, qualified, calls = reach
+    """Public functions, methods, properties and data fields of a module that
+    ``reach`` (from :func:`reached`) never names, and defaulted parameters
+    that no call of their callee passes by keyword or by position. A
+    function is named by a name or an attribute, a method or property by an
+    attribute, and a class or static method only as ``Class.method`` (or
+    ``cls.method`` in its own class). A field of class ``C`` is reached by a
+    load of the attribute, a call included, other than a ``self`` read in
+    ``C.__init__``."""
+    names, attributes, qualified, calls, loads = reach
     out = []
     for node in ast.parse(source).body:
         if getattr(node, "name", "_").startswith("_"):
@@ -188,6 +229,9 @@ def unreached_surface(name: str, source: str, reach) -> list[str]:
                         reach_it = fn.name in attributes
                     members.append((label, fn, fn.name, reach_it,
                                     0 if "staticmethod" in kind else 1))
+            methods = {fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)}
+            out += [f"{name}: {node.name}.{f}" for f in _fields(node)
+                    if f not in methods and not loads.get(f, set()) - {node.name}]
         else:
             continue
         for label, fn, callee, is_reached, bound in members:
@@ -234,6 +278,32 @@ def test_class_methods_are_reached_through_their_class():
     code = "mod.Tape.load('t.csv').size()\ntrace.save()\nTrace.load()\n"
     assert unreached_surface("mod.py", module, reached([module, code])) == [
         "mod.py: Tape.blank", "mod.py: Tape.save"]
+
+
+def test_fields_are_reached_by_loads():
+    module = ("class Source:\n"
+              "    def __init__(self, fn, n):\n"
+              "        self.fn = fn\n        self.n = n\n        self.size = self.n + 1\n"
+              "        self.seen = 0\n        self._cache = None\n\n"
+              "    def draw(self, t):\n        self.seen += 1\n        return self.fn(t)\n")
+    # own-__init__ reads, stores and an augmented store do not reach
+    assert unreached_surface("mod.py", module, reached([module, "s.draw(1)\n"])) == [
+        "mod.py: Source.n", "mod.py: Source.size", "mod.py: Source.seen"]
+    code = ('src = Source(abs, 3)\nsrc.draw(1)\n'
+            '# src.size\n'
+            'print("src.seen", src.n)\n')
+    assert unreached_surface("mod.py", module, reached([module, code])) == [
+        "mod.py: Source.size", "mod.py: Source.seen"]
+
+
+def test_dataclass_fields_are_fields():
+    module = ("@dataclass(frozen=True)\nclass Result:\n"
+              "    order: tuple\n    trials: int = 0\n    LIMIT = 3\n")
+    assert unreached_surface("mod.py", module, reached(["r.order\n"])) == [
+        "mod.py: Result.trials"]
+    # a read in another class's __init__ reaches a field of the same name
+    other = "class Env:\n    def __init__(self, r):\n        self.trials = r.trials\n"
+    assert unreached_surface("mod.py", module, reached(["r.order\n", other])) == []
 
 
 @pytest.fixture(scope="module")
