@@ -36,8 +36,8 @@ from .environments import (
 )
 from .extensions import (
     DelayModel, PartialOrderError, PooledDelayPolicy, QueuedDelayPolicy,
-    SocialLearningReport, SortResult, bold_wrap, estimate_order_sorting,
-    estimate_social_learning, qpmd_wrap,
+    SocialLearningReport, SortResult, estimate_order_sorting,
+    estimate_social_learning,
 )
 from .harness import (
     ConfigError, ExperimentConfig, ExperimentReport, best_fixed_hindsight,
@@ -60,12 +60,12 @@ __all__ = [
     "OptimalFamily", "PartialOrderError", "Permutation", "PooledDelayPolicy",
     "ProjectionError", "QueuedDelayPolicy", "RegretTrace",
     "ScheduleWindows", "SocialLearningReport", "SortResult", "TapePayoffs",
-    "admissibility_report", "best_fixed_hindsight", "bold_wrap",
+    "admissibility_report", "best_fixed_hindsight",
     "confidence_event_holds", "count_inversions", "estimate_order_sorting",
     "estimate_social_learning", "feasible_matrix", "find_permutation",
     "inversion_budget", "is_admissible", "lazy_alpha", "marginal_deficit",
     "optimal_family", "pivot_marginals",
-    "pivot_permutation", "qpmd_wrap", "regret_upper_bound",
+    "pivot_permutation", "regret_upper_bound",
     "rfsm_decompose", "run_episode", "run_experiment", "run_replication",
     "selection_matrix", "substream", "user_select", "window_suffix_bounds",
 ]

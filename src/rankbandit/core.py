@@ -46,11 +46,23 @@ def probability_vector(v, name: str = "q") -> np.ndarray:
 
 def _float_array(values, name: str) -> np.ndarray:
     """``values`` as a float array; a ValueError names ``name`` when they are
-    not numbers (a JSON object, a string, a ragged list)."""
+    not numbers (a JSON object, a string, a boolean, a ragged list)."""
     try:
+        if _holds_text_or_bool(values):
+            raise TypeError
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{name}: expected an array of numbers") from None
+
+
+def _holds_text_or_bool(values) -> bool:
+    """Whether (nested lists of) ``values`` hold a string or a boolean, which
+    numpy would turn into a number."""
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_text_or_bool, values))
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "bSU"
+    return isinstance(values, (str, bytes, bool, np.bool_))
 
 
 def user_select(order: Sequence[int], utilities: Sequence[float], w: int):

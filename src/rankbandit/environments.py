@@ -13,8 +13,9 @@ displayed ranking.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +27,9 @@ STREAM_POLICY = 2
 STREAM_TAPE = 3
 STREAM_DELAY = 4
 
-_BLOCK = 1024
+# values a random source draws from numpy at a time; numpy gives the same
+# stream whatever the block size, so this sets speed only
+BLOCK = 1024
 
 
 class TapeExhaustedError(RuntimeError):
@@ -45,30 +48,29 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _blocks(draw: Callable[[], np.ndarray]) -> Iterator:
+    """The values of ``draw()``, one at a time as Python numbers, calling it
+    for the next block when one runs out."""
+    while True:
+        yield from draw().tolist()
+
+
 class GaussianPayoffs:
     """Unit-variance Gaussian payoffs, one independent substream per item.
 
-    Draws are buffered per item, so the k-th draw for item ``i`` depends only
-    on ``(seed, replication, i, k)``.
+    Each item's draws come from its own substream in blocks of ``BLOCK``,
+    the same numbers as one ``normal`` call per draw, so the k-th draw for
+    item ``i`` depends only on ``(seed, replication, i, k)``.
     """
 
     def __init__(self, means: Sequence[float], seed: int, replication: int = 0):
         self.means = np.asarray(means, dtype=float)
-        n = self.means.size
-        self._gens = [substream(seed, replication, STREAM_PAYOFF, i) for i in range(n)]
-        self._buffers: list[np.ndarray] = [np.empty(0)] * n
-        self._used = [0] * n
+        gens = [substream(seed, replication, STREAM_PAYOFF, i) for i in range(self.means.size)]
+        self._streams = [_blocks(functools.partial(g.normal, mean, 1.0, BLOCK))
+                         for g, mean in zip(gens, self.means.tolist())]
 
     def draw(self, item: int, t: int) -> float:
-        buf = self._buffers[item]
-        k = self._used[item]
-        if k >= buf.size:
-            buf = self._gens[item].normal(self.means[item], 1.0, size=_BLOCK)
-            self._buffers[item] = buf
-            self._used[item] = 0
-            k = 0
-        self._used[item] = k + 1
-        return float(buf[k])
+        return next(self._streams[item])
 
 
 class TapePayoffs:
@@ -143,19 +145,13 @@ class MultinomialWindows:
     """
 
     def __init__(self, q: Sequence[float], seed: int, replication: int = 0):
-        self.q = probability_vector(q)
-        self.n = int(self.q.size)
-        self._rng = substream(seed, replication, STREAM_WINDOW)
-        self._buffer = np.empty(0, dtype=np.int64)
-        self._used = 0
+        self.q = q = probability_vector(q)
+        self.n = n = int(q.size)
+        rng = substream(seed, replication, STREAM_WINDOW)
+        self._windows = _blocks(lambda: rng.choice(n, size=BLOCK, p=q) + 1)
 
     def draw(self, t: int) -> int:
-        if self._used >= self._buffer.size:
-            self._buffer = self._rng.choice(self.n, size=4096, p=self.q) + 1
-            self._used = 0
-        w = int(self._buffer[self._used])
-        self._used += 1
-        return w
+        return next(self._windows)
 
 
 class LowerBoundBlockWindows:

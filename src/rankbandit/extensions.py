@@ -14,6 +14,7 @@ policy's trajectory exactly.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -24,14 +25,13 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .core import Permutation, user_select
+from .environments import BLOCK, _blocks
 
 # social-learning burn-in: review interval half-width at one review, review
 # noise, and the half-width of the interval before any review
 REVIEW_HALFWIDTH = 3.0
 REVIEW_NOISE_SD = 1.0
 PRIOR_HALFWIDTH = 10.0
-# uniform delays drawn from a wrapper's generator at a time
-DELAY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,14 @@ class DelayModel:
     def delays(self, rng: np.random.Generator | None) -> Iterator[int]:
         """The delay of each payoff in turn.
 
-        ``uniform`` delays are drawn from ``rng`` ``DELAY_BLOCK`` at a time,
-        which gives the same numbers as one ``rng.integers(0, tau_max + 1)``
-        per payoff; ``none`` and ``fixed`` take nothing from ``rng``.
+        ``uniform`` delays are drawn from ``rng`` ``BLOCK`` at a time by
+        ``environments._blocks``, which serves the payoff and window sources
+        too; that gives the same numbers as one ``rng.integers(0, tau_max + 1)``
+        per payoff. ``none`` and ``fixed`` take nothing from ``rng``.
         """
         if self.kind != "uniform":
             return itertools.repeat(self.tau_max)
-        return _uniform_delays(rng, self.tau_max + 1)
+        return _blocks(functools.partial(rng.integers, 0, self.tau_max + 1, BLOCK))
 
     @classmethod
     def parse(cls, spec: str) -> "DelayModel":
@@ -78,11 +79,6 @@ class DelayModel:
         raise ValueError(f"cannot parse delay spec {spec!r}")
 
 
-def _uniform_delays(rng: np.random.Generator, high: int) -> Iterator[int]:
-    while True:
-        yield from rng.integers(0, high, DELAY_BLOCK).tolist()
-
-
 class QueuedDelayPolicy:
     """Queue-per-item adaptation of a single base policy to delayed payoffs.
 
@@ -92,7 +88,8 @@ class QueuedDelayPolicy:
     queue is non-empty. Every observed payoff is enqueued under its item on
     arrival, so off-request picks are banked rather than lost. Delays come
     from :meth:`DelayModel.delays`: ``uniform`` ones are drawn from ``rng``
-    in blocks of ``DELAY_BLOCK``, the same numbers as one draw per payoff.
+    in blocks by ``environments._blocks``, the same numbers as one draw per
+    payoff.
 
     No inversion budget is stated for delayed feedback:
     :func:`~rankbandit.elimination.inversion_budget` holds only when every
@@ -148,10 +145,6 @@ class QueuedDelayPolicy:
         return sum(len(q) for q in self.queues.values()) + len(self._inflight)
 
 
-def qpmd_wrap(base, delay: DelayModel, rng: np.random.Generator | None = None):
-    return QueuedDelayPolicy(base, delay, rng)
-
-
 class PooledDelayPolicy:
     """Round-robin pool of independent base instances for delayed payoffs.
 
@@ -159,7 +152,7 @@ class PooledDelayPolicy:
     spawning a new instance when all are busy; the payoff is routed back to
     the instance that proposed the ranking. With delays bounded by
     ``tau_max`` the pool never exceeds ``tau_max + 1`` instances. Delays are
-    drawn as in :class:`QueuedDelayPolicy`, in blocks from ``rng``.
+    drawn as in :class:`QueuedDelayPolicy`, in blocks by ``environments._blocks``.
 
     No inversion budget is stated for delayed feedback:
     :func:`~rankbandit.elimination.inversion_budget` holds only when every
@@ -207,11 +200,6 @@ class PooledDelayPolicy:
     @property
     def pool_size(self) -> int:
         return len(self.instances)
-
-
-def bold_wrap(base_factory: Callable[[int], object], delay: DelayModel,
-              rng: np.random.Generator | None = None):
-    return PooledDelayPolicy(base_factory, delay, rng)
 
 
 class PartialOrderError(RuntimeError):
@@ -329,53 +317,32 @@ def estimate_social_learning(utilities: Sequence[float], windows, *,
     index order), which guarantees it is reviewed whenever the window is 1.
     Every trial of the burn-in is such a forced display.
     """
-    utilities = np.asarray(utilities, dtype=float)
-    n = utilities.size
-    counts = np.zeros(n, dtype=np.int64)
-    sums = np.zeros(n, dtype=float)
-
-    def bounds() -> tuple[np.ndarray, np.ndarray]:
-        lo = np.empty(n)
-        hi = np.empty(n)
-        for i in range(n):
-            if counts[i] == 0:
-                lo[i], hi[i] = -PRIOR_HALFWIDTH, PRIOR_HALFWIDTH
-            else:
-                mid = sums[i] / counts[i]
-                r = REVIEW_HALFWIDTH / math.sqrt(counts[i])
-                lo[i], hi[i] = mid - r, mid + r
-        return lo, hi
-
-    def overlapping(lo: np.ndarray, hi: np.ndarray) -> list[int]:
-        out = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if lo[i] < hi[j] and lo[j] < hi[i]:
-                    out.add(i)
-                    out.add(j)
-        return sorted(out)
-
+    utilities = np.asarray(utilities, dtype=float).tolist()
+    n = len(utilities)
+    counts = [0] * n
+    sums = [0.0] * n
+    lo = [-PRIOR_HALFWIDTH] * n
+    hi = [PRIOR_HALFWIDTH] * n
     trials = 0
     while True:
-        lo, hi = bounds()
-        unresolved = overlapping(lo, hi)
-        if not unresolved:
-            separated = True
+        unresolved = [i for i in range(n) if any(
+            lo[i] < hi[j] and lo[j] < hi[i] for j in range(n) if j != i)]
+        if not unresolved or trials >= budget:
             break
-        if trials >= budget:
-            separated = False
-            break
-        target = min(unresolved, key=lambda i: (counts[i], i))
+        target = min(unresolved, key=counts.__getitem__)  # first of the least reviewed
         order = [target] + [i for i in range(n) if i != target]
         trials += 1
         w = windows.draw(trials)
         prefix = order[:w]
         values = [rng.uniform(lo[i], hi[i]) for i in prefix]
-        y = prefix[int(np.argmax(values))]
-        review = float(utilities[y]) + rng.normal(0.0, REVIEW_NOISE_SD)
+        y = prefix[values.index(max(values))]
         counts[y] += 1
-        sums[y] += review
+        sums[y] += utilities[y] + rng.normal(0.0, REVIEW_NOISE_SD)
+        mid = sums[y] / counts[y]
+        r = REVIEW_HALFWIDTH / math.sqrt(counts[y])
+        lo[y], hi[y] = mid - r, mid + r
 
+    counts = np.array(counts, dtype=np.int64)
     means = np.divide(sums, counts, out=np.full(n, np.nan), where=counts > 0)
     return SocialLearningReport(
-        separated=separated, counts=counts, means=means, trials=trials)
+        separated=not unresolved, counts=counts, means=means, trials=trials)

@@ -29,8 +29,8 @@ from .environments import (
     _means_regret, run_episode, substream,
 )
 from .extensions import (
-    DelayModel, GreedyUserEnv, bold_wrap, estimate_order_sorting,
-    estimate_social_learning, qpmd_wrap,
+    DelayModel, GreedyUserEnv, PooledDelayPolicy, QueuedDelayPolicy,
+    estimate_order_sorting, estimate_social_learning,
 )
 
 STREAM_ESTIMATE = 5
@@ -318,8 +318,8 @@ def _build_policy(cfg: ExperimentConfig, rep: int):
         return _build_base_policy(cfg, rep)
     rng = substream(cfg.seed, rep, STREAM_DELAY)
     if cfg.policy.get("delay_wrapper", "qpmd") == "bold":
-        return bold_wrap(lambda idx: _build_base_policy(cfg, rep, idx), delay, rng)
-    return qpmd_wrap(_build_base_policy(cfg, rep), delay, rng)
+        return PooledDelayPolicy(lambda idx: _build_base_policy(cfg, rep, idx), delay, rng)
+    return QueuedDelayPolicy(_build_base_policy(cfg, rep), delay, rng)
 
 
 def default_sort_budget(n: int, horizon: int) -> int:

@@ -46,10 +46,10 @@ from rankbandit.environments import (
 from rankbandit.extensions import (
     DelayModel,
     GreedyUserEnv,
-    bold_wrap,
+    PooledDelayPolicy,
+    QueuedDelayPolicy,
     estimate_order_sorting,
     estimate_social_learning,
-    qpmd_wrap,
 )
 from rankbandit.harness import best_fixed_hindsight
 from rankbandit.polytope import (
@@ -343,10 +343,10 @@ def test_criterion_10_delayed_feedback():
                                T, record_orders=False)
 
         base = episode(EliminationRanker(n, DELTA))
-        wrapped = episode(qpmd_wrap(EliminationRanker(n, DELTA),
-                                    DelayModel(kind="fixed", tau_max=tau)))
-        pool = bold_wrap(lambda k: EliminationRanker(n, DELTA),
-                         DelayModel(kind="fixed", tau_max=tau))
+        wrapped = episode(QueuedDelayPolicy(EliminationRanker(n, DELTA),
+                                            DelayModel(kind="fixed", tau_max=tau)))
+        pool = PooledDelayPolicy(lambda k: EliminationRanker(n, DELTA),
+                                 DelayModel(kind="fixed", tau_max=tau))
         episode(pool)
         diff = wrapped.regret_at(T) - base.regret_at(T)
         worst_diff = max(worst_diff, diff)

@@ -19,7 +19,7 @@ from rankbandit.elimination import (
 from rankbandit.environments import (
     GaussianPayoffs, LowerBoundBlockWindows, MultinomialWindows, run_episode,
 )
-from rankbandit.extensions import DelayModel, bold_wrap, qpmd_wrap
+from rankbandit.extensions import DelayModel, PooledDelayPolicy, QueuedDelayPolicy
 
 
 @dataclass(frozen=True)
@@ -259,8 +259,8 @@ class TestFindPermutation:
         q = 1.0 / np.arange(1, n + 1)
 
         def episode(cls):
-            policy = bold_wrap(lambda idx: cls(n, 0.01), DelayModel.parse("uniform:0..4"),
-                               np.random.default_rng([seed, 1]))
+            policy = PooledDelayPolicy(lambda idx: cls(n, 0.01), DelayModel.parse("uniform:0..4"),
+                                       np.random.default_rng([seed, 1]))
             return run_episode(policy, inst, GaussianPayoffs(inst.means, seed, 0),
                                MultinomialWindows(q / q.sum(), seed, 0), horizon)
 
@@ -365,8 +365,8 @@ class TestCachedState:
         q = 1.0 / np.arange(1, n + 1)
 
         def episode(cls):
-            policy = qpmd_wrap(cls(n, 0.05), DelayModel.parse(spec),
-                               np.random.default_rng([13, 1]))
+            policy = QueuedDelayPolicy(cls(n, 0.05), DelayModel.parse(spec),
+                                       np.random.default_rng([13, 1]))
             trace = run_episode(policy, inst, GaussianPayoffs(inst.means, 13, 0),
                                 MultinomialWindows(q / q.sum(), 13, 0), horizon)
             return trace, policy.base_clock

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -7,6 +8,9 @@ import pytest
 from rankbandit.core import Instance
 from rankbandit.elimination import EliminationRanker
 from rankbandit.environments import (
+    BLOCK,
+    STREAM_PAYOFF,
+    STREAM_WINDOW,
     GaussianPayoffs,
     MultinomialWindows,
     ScheduleWindows,
@@ -14,15 +18,17 @@ from rankbandit.environments import (
     substream,
 )
 from rankbandit.extensions import (
-    DELAY_BLOCK,
+    PRIOR_HALFWIDTH,
+    REVIEW_HALFWIDTH,
+    REVIEW_NOISE_SD,
     DelayModel,
     GreedyUserEnv,
     PartialOrderError,
     PooledDelayPolicy,
-    bold_wrap,
+    QueuedDelayPolicy,
+    SocialLearningReport,
     estimate_order_sorting,
     estimate_social_learning,
-    qpmd_wrap,
 )
 
 
@@ -58,8 +64,8 @@ class TestDelayModel:
 
 
 _WRAPPERS = {
-    "qpmd": lambda delay, rng: qpmd_wrap(_StubBase(0), delay, rng),
-    "bold": lambda delay, rng: bold_wrap(_StubBase, delay, rng),
+    "qpmd": lambda delay, rng: QueuedDelayPolicy(_StubBase(0), delay, rng),
+    "bold": lambda delay, rng: PooledDelayPolicy(_StubBase, delay, rng),
 }
 
 
@@ -75,7 +81,7 @@ class TestBlockDraws:
     @pytest.mark.parametrize("tau_max", [1, 4, 9])
     @pytest.mark.parametrize("wrapper", sorted(_WRAPPERS))
     def test_equal_scalar_draws(self, wrapper, tau_max):
-        count = 2 * DELAY_BLOCK + 77
+        count = 2 * BLOCK + 77
         policy = _WRAPPERS[wrapper](DelayModel(kind="uniform", tau_max=tau_max),
                                     np.random.default_rng(tau_max))
         g = np.random.default_rng(tau_max)
@@ -88,8 +94,31 @@ class TestBlockDraws:
     def test_none_and_fixed_take_no_draw(self, wrapper, delay):
         rng = np.random.default_rng(5)
         policy = _WRAPPERS[wrapper](delay, rng)
-        assert _applied_delays(policy, 2 * DELAY_BLOCK) == [delay.tau_max] * (2 * DELAY_BLOCK)
+        assert _applied_delays(policy, 2 * BLOCK) == [delay.tau_max] * (2 * BLOCK)
         assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+    def test_windows_equal_scalar_draws(self):
+        count = 2 * BLOCK + 77
+        q = np.array([0.5, 0.3, 0.2])
+        windows = MultinomialWindows(q, seed=7, replication=2)
+        got = [windows.draw(t) for t in range(1, count + 1)]
+        g = substream(7, 2, STREAM_WINDOW)
+        assert got == [int(g.choice(3, p=q)) + 1 for _ in range(count)]
+        assert all(type(w) is int for w in got)
+
+    def test_payoffs_equal_scalar_draws(self):
+        count = 2 * BLOCK + 77
+        means = [0.5, -1.0, 2.0]
+        payoffs = GaussianPayoffs(means, seed=7, replication=2)
+        # the items' draws interleave at random: each item has its own stream
+        picks = np.random.default_rng(0).permutation(np.repeat(np.arange(3), count))
+        got = {item: [] for item in range(3)}
+        for t, item in enumerate(picks.tolist(), 1):
+            got[item].append(payoffs.draw(item, t))
+        for item, mean in enumerate(means):
+            g = substream(7, 2, STREAM_PAYOFF, item)
+            assert got[item] == [float(g.normal(mean, 1.0)) for _ in range(count)]
+            assert all(type(x) is float for x in got[item])
 
 
 def _episode(policy, seed, horizon=400):
@@ -102,16 +131,16 @@ def _episode(policy, seed, horizon=400):
 class TestQueuedDelay:
     def test_zero_delay_is_transparent(self):
         base_trace = _episode(EliminationRanker(n=3, delta=0.05), seed=53)
-        wrapped = qpmd_wrap(EliminationRanker(n=3, delta=0.05),
-                            DelayModel())
+        wrapped = QueuedDelayPolicy(EliminationRanker(n=3, delta=0.05),
+                                    DelayModel())
         wrapped_trace = _episode(wrapped, seed=53)
         assert np.array_equal(base_trace.orders, wrapped_trace.orders)
         assert np.array_equal(base_trace.payoffs, wrapped_trace.payoffs)
         assert np.array_equal(base_trace.cum_regret, wrapped_trace.cum_regret)
 
     def test_queue_conservation(self):
-        wrapped = qpmd_wrap(EliminationRanker(n=3, delta=0.05),
-                            DelayModel(kind="fixed", tau_max=5))
+        wrapped = QueuedDelayPolicy(EliminationRanker(n=3, delta=0.05),
+                                    DelayModel(kind="fixed", tau_max=5))
         horizon = 300
         _episode(wrapped, seed=59, horizon=horizon)
         # every feed is inflight, banked in a queue, or consumed by the base
@@ -120,16 +149,16 @@ class TestQueuedDelay:
         assert wrapped.enqueued == wrapped.dequeued + queued
 
     def test_base_clock_lags_delay(self):
-        wrapped = qpmd_wrap(EliminationRanker(n=3, delta=0.05),
-                            DelayModel(kind="fixed", tau_max=5))
+        wrapped = QueuedDelayPolicy(EliminationRanker(n=3, delta=0.05),
+                                    DelayModel(kind="fixed", tau_max=5))
         horizon = 300
         _episode(wrapped, seed=61, horizon=horizon)
         assert wrapped.base_clock <= horizon + 1
         assert wrapped.base_clock >= horizon - 6 * 3  # waits cost <= tau+1 each
 
     def test_ranking_held_while_waiting(self):
-        wrapped = qpmd_wrap(EliminationRanker(n=3, delta=0.05),
-                            DelayModel(kind="fixed", tau_max=4))
+        wrapped = QueuedDelayPolicy(EliminationRanker(n=3, delta=0.05),
+                                    DelayModel(kind="fixed", tau_max=4))
         trace = _episode(wrapped, seed=67, horizon=200)
         changes = sum(
             not np.array_equal(trace.orders[k], trace.orders[k - 1])
@@ -138,9 +167,9 @@ class TestQueuedDelay:
         assert changes <= wrapped.base_clock
 
     def test_uniform_delay_runs(self):
-        wrapped = qpmd_wrap(EliminationRanker(n=3, delta=0.05),
-                            DelayModel(kind="uniform", tau_max=6),
-                            rng=substream(71, 0, 4))
+        wrapped = QueuedDelayPolicy(EliminationRanker(n=3, delta=0.05),
+                                    DelayModel(kind="uniform", tau_max=6),
+                                    rng=substream(71, 0, 4))
         trace = _episode(wrapped, seed=71, horizon=300)
         assert trace.regret_at(300) >= 0.0
 
@@ -163,14 +192,14 @@ class _StubBase:
 
 class TestPooledDelay:
     def test_zero_delay_single_instance(self):
-        pool = bold_wrap(lambda i: EliminationRanker(n=3, delta=0.05),
-                         DelayModel())
+        pool = PooledDelayPolicy(lambda i: EliminationRanker(n=3, delta=0.05),
+                                 DelayModel())
         _episode(pool, seed=73, horizon=200)
         assert pool.pool_size == 1
 
     def test_fixed_delay_pool_size(self):
-        pool = bold_wrap(lambda i: EliminationRanker(n=3, delta=0.05),
-                         DelayModel(kind="fixed", tau_max=2))
+        pool = PooledDelayPolicy(lambda i: EliminationRanker(n=3, delta=0.05),
+                                 DelayModel(kind="fixed", tau_max=2))
         _episode(pool, seed=79, horizon=200)
         assert pool.pool_size == 3
 
@@ -195,7 +224,7 @@ class TestPooledDelay:
             assert stub.feeds == expected
 
     def test_missing_feed_breaks_pool_bound(self):
-        pool = bold_wrap(lambda i: _StubBase(i), DelayModel())
+        pool = PooledDelayPolicy(lambda i: _StubBase(i), DelayModel())
         pool.act(1, [1.0, 2.0, 3.0])
         with pytest.raises(AssertionError, match="pool grew"):
             pool.act(2, [1.0, 2.0, 3.0])
@@ -269,7 +298,112 @@ class TestSorting:
         assert res.order == tuple(np.argsort(utilities))
 
 
+def social_learning_oracle(utilities, windows, *, rng, budget) -> SocialLearningReport:
+    """``estimate_social_learning`` as numpy arrays that rebuild every review
+    interval and scan every pair on each trial."""
+    utilities = np.asarray(utilities, dtype=float)
+    n = utilities.size
+    counts = np.zeros(n, dtype=np.int64)
+    sums = np.zeros(n, dtype=float)
+
+    def bounds() -> tuple[np.ndarray, np.ndarray]:
+        lo = np.empty(n)
+        hi = np.empty(n)
+        for i in range(n):
+            if counts[i] == 0:
+                lo[i], hi[i] = -PRIOR_HALFWIDTH, PRIOR_HALFWIDTH
+            else:
+                mid = sums[i] / counts[i]
+                r = REVIEW_HALFWIDTH / math.sqrt(counts[i])
+                lo[i], hi[i] = mid - r, mid + r
+        return lo, hi
+
+    def overlapping(lo: np.ndarray, hi: np.ndarray) -> list[int]:
+        out = set()
+        for i in range(n):
+            for j in range(i + 1, n):
+                if lo[i] < hi[j] and lo[j] < hi[i]:
+                    out.add(i)
+                    out.add(j)
+        return sorted(out)
+
+    trials = 0
+    while True:
+        lo, hi = bounds()
+        unresolved = overlapping(lo, hi)
+        if not unresolved:
+            separated = True
+            break
+        if trials >= budget:
+            separated = False
+            break
+        target = min(unresolved, key=lambda i: (counts[i], i))
+        order = [target] + [i for i in range(n) if i != target]
+        trials += 1
+        w = windows.draw(trials)
+        prefix = order[:w]
+        values = [rng.uniform(lo[i], hi[i]) for i in prefix]
+        y = prefix[int(np.argmax(values))]
+        review = float(utilities[y]) + rng.normal(0.0, REVIEW_NOISE_SD)
+        counts[y] += 1
+        sums[y] += review
+
+    means = np.divide(sums, counts, out=np.full(n, np.nan), where=counts > 0)
+    return SocialLearningReport(
+        separated=separated, counts=counts, means=means, trials=trials)
+
+
+def _assert_same_social_run(utilities, make_windows, make_rng, budget):
+    reports, states = [], []
+    for body in (estimate_social_learning, social_learning_oracle):
+        rng = make_rng()
+        reports.append(body(utilities, make_windows(), rng=rng, budget=budget))
+        states.append(repr(rng.bit_generator.state))  # Philox state holds arrays
+    got, want = reports
+    assert (got.separated, got.trials) == (want.separated, want.trials)
+    assert got.counts.dtype == want.counts.dtype == np.int64
+    assert got.counts.tolist() == want.counts.tolist()
+    assert got.means.dtype == want.means.dtype
+    assert got.means.tobytes() == want.means.tobytes()
+    assert states[0] == states[1]
+    return got
+
+
 class TestSocialLearning:
+    @pytest.mark.parametrize("kind", ["schedule", "multinomial"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_numpy_oracle(self, n, kind):
+        outcomes = set()
+        for seed, budget in enumerate((0, 3, 80, 1500)):
+            gen = np.random.default_rng([n, seed])
+            utilities = gen.permutation(n) * gen.uniform(1.0, 3.0) + gen.normal()
+            if kind == "schedule":
+                schedule = gen.integers(1, n + 1, max(budget, 1)).tolist()
+                make_windows = functools.partial(ScheduleWindows, schedule, n)
+            else:
+                q = gen.dirichlet(np.ones(n))
+                make_windows = functools.partial(MultinomialWindows, q, seed=seed)
+            report = _assert_same_social_run(
+                utilities, make_windows, functools.partial(substream, seed, 0, 5), budget)
+            outcomes.add(report.separated)
+        assert outcomes == ({True} if n == 1 else {True, False})
+
+    @pytest.mark.parametrize("rep", [0, 1])
+    def test_matches_numpy_oracle_at_criterion_11_shape(self, rep):
+        # acceptance criterion 11's social half: the permutation comes first
+        # from the stream that then drives the burn-in
+        def make_rng():
+            rng = substream(2, rep, 9)
+            rng.permutation(5)
+            return rng
+
+        utilities = np.array([1.0, 1.2, 1.4, 1.6, 1.8])[substream(2, rep, 9).permutation(5)]
+        q = [0.3, 0.25, 0.2, 0.15, 0.1]
+        report = _assert_same_social_run(
+            utilities, lambda: MultinomialWindows(q, seed=2, replication=rep), make_rng,
+            40_000)
+        assert report.separated and report.trials > 100
+
     def test_separates_easy_instance(self):
         report = estimate_social_learning(
             [1.0, 5.0, 9.0], MultinomialWindows([0.6, 0.3, 0.1], seed=97),

@@ -154,6 +154,21 @@ class TestConfig:
                      "^instance.utilities: ", id="utilities-number-with-n"),
         pytest.param(lambda r: r["instance"].update(means={"a": 1}),
                      "^instance.means: ", id="means-object"),
+        # strings and booleans are no numbers in an array field either
+        pytest.param(lambda r: r["window"].update(q=["0.5", "0.3", "0.2"]),
+                     "^window.q: expected an array of numbers", id="q-strings"),
+        pytest.param(lambda r: r["window"].update(q=[True, False, False]),
+                     "^window.q: expected an array of numbers", id="q-bools"),
+        pytest.param(lambda r: r["window"].update(q=[True, 0.0, 0.0]),
+                     "^window.q: expected an array of numbers", id="q-bool-among-numbers"),
+        pytest.param(lambda r: r["instance"].update(utilities=[True, False, 3.0]),
+                     "^instance.utilities: expected an array of numbers", id="utilities-bools"),
+        pytest.param(lambda r: r["instance"].update(utilities=["1", "2", "3"]),
+                     "^instance.utilities: expected an array of numbers", id="utilities-strings"),
+        pytest.param(lambda r: r["instance"].update(means=[1.0, "3", 2.0]),
+                     "^instance.means: expected an array of numbers", id="means-string"),
+        pytest.param(lambda r: r["instance"].update(means=[True, False, 2.0]),
+                     "^instance.means: expected an array of numbers", id="means-bools"),
         pytest.param(lambda r: r.update(payoffs={"type": "tape", "path": 987654}),
                      "^payoffs.path: must be a string", id="path-number"),
         pytest.param(lambda r: r.update(payoffs={"type": "tape", "path": ["t.csv"]}),

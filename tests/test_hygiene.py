@@ -52,6 +52,17 @@ def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
 
 
+def test_all_lists_exactly_the_package_imports():
+    import rankbandit
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(rankbandit.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
+    assert [name for name in rankbandit.__all__ if not hasattr(rankbandit, name)] == []
+
+
 def unreferenced_definitions(module, sources: dict) -> list[str]:
     """Module-level functions and classes of ``module`` whose name appears in
     no file of ``sources`` (path -> text) outside their own definition."""
