@@ -10,9 +10,11 @@ regularizer ``F(p) = -2 * sum(sqrt(p))``. The iterate is a plain list of
 marginals over utility ranks. Each trial realizes it as a random ranking drawn
 straight from the comonotone coupling of the marginals with the window law:
 one uniform picks a rank in every window column, without building the
-coupling matrix. The draw follows the mixture that
-``rfsm_decompose(feasible_matrix(p, q))`` peels, which is its reference. The
-feedback is a one-sparse loss, ``feed(index, value)``, on the picked rank.
+coupling matrix. The window columns are laid out once per ranker, and the
+marginals' side of the coupling once per iterate. The draw follows the
+mixture that ``rfsm_decompose(feasible_matrix(p, q))`` peels, which is its
+reference. The feedback is a one-sparse loss, ``feed(index, value)``, on the
+picked rank.
 
 The mirror-descent ranker learns over utility ranks, not items: each ``act``
 maps ranks to the items that hold them under the utilities it is shown, so
@@ -109,12 +111,13 @@ def _block_constant(g: Sequence[float], mass: float) -> float:
     h_tol = 1e-12 * mass
     for _ in range(100):
         h = -mass
-        dh = 0.0
+        slope = 0.0
         for x in g:
             d = x + c
             inv2 = 1.0 / (d * d)
             h += inv2
-            dh -= 2.0 * inv2 / d
+            slope += inv2 / d
+        dh = -2.0 * slope  # doubling is exact, so this is the sum of -2 inv2 / d
         if h > 0:
             lo = c
         else:
@@ -271,11 +274,12 @@ class BLORanker:
     the one-sparse, importance-weighted loss ``-payoff / p[rank]``, where
     ``p`` are the marginals the coupling realizes (``last_marginals``).
 
-    The coupling's cumulatives, its realized marginals and their residual
-    check depend on the iterate only, so they are built once per iterate:
-    when ``engine.p`` is a new list. A zero payoff keeps the same list, and
-    so does the coupling; such a trial only searches each column's pick for
-    its one uniform.
+    The sampler's window segments depend on ``q`` only, so they are laid
+    out once, here. The coupling's cumulatives, its realized marginals and
+    their residual check depend on the iterate only, so they are built once
+    per iterate: when ``engine.p`` is a new list. A zero payoff keeps the
+    same list, and so does the coupling; such a trial only searches each
+    column's pick for its one uniform.
 
     Learning happens in utility-rank space, so the utilities may change from
     trial to trial: ``act`` maps ranks to the items that hold them now, and
@@ -288,12 +292,11 @@ class BLORanker:
                  eta: float | None = None, rng: np.random.Generator | None = None):
         self.engine = MirrorDescent(q, horizon=horizon, eta=eta)
         self.rng = rng if rng is not None else np.random.default_rng()
-        self._q = self.engine.q.tolist()  # the sampler reads lists fastest
+        self._sampler = CouplingSampler(self.engine.q.tolist())  # it reads lists fastest
         self._shown = None
         self._utilities: list | None = None
         self._maps: tuple[list[int], list[int]] | None = None
         self._coupled: list[float] | None = None  # the iterate _sampler couples
-        self._sampler: CouplingSampler | None = None
         self._pending: tuple[list[float], list[int]] | None = None
         self.last_marginals: list[float] | None = None
 
@@ -317,16 +320,16 @@ class BLORanker:
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
         ranks, by_rank = self._rank_maps(utilities)
         p = self.engine.p
+        sampler = self._sampler
         if p is not self._coupled:
-            sampler = CouplingSampler(p, self._q)
+            sampler.couple(p)
             if sampler.residual > 1e-6:
                 raise RuntimeError(f"osmd trial {t}: coupling residual "
                                    f"{sampler.residual:.3g} exceeds 1e-06")
-            self._sampler = sampler
             self._coupled = p
             self.last_marginals = sampler.realized
         self._pending = (self.last_marginals, ranks)
-        return self._sampler.draw(float(self.rng.random()), by_rank)
+        return sampler.draw(float(self.rng.random()), by_rank)
 
     def feed(self, t: int, item: int, payoff: float) -> None:
         if self._pending is None:

@@ -88,7 +88,7 @@ class TapePayoffs:
     def draw(self, item: int, t: int) -> float:
         if not 1 <= t <= self.horizon:
             raise TapeExhaustedError(f"trial {t} beyond tape horizon {self.horizon}")
-        return float(self.values[item, t - 1])
+        return self.values.item(item, t - 1)
 
     @classmethod
     def bernoulli(cls, rates: Sequence[float], horizon: int, seed: int,

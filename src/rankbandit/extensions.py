@@ -323,10 +323,12 @@ def estimate_social_learning(utilities: Sequence[float], windows, *,
     sums = [0.0] * n
     lo = [-PRIOR_HALFWIDTH] * n
     hi = [PRIOR_HALFWIDTH] * n
+    # overlaps[i]: how many other intervals overlap item i's, at first all
+    # of them; a review moves one interval, so only its pairs are checked again
+    overlaps = [n - 1] * n
     trials = 0
     while True:
-        unresolved = [i for i in range(n) if any(
-            lo[i] < hi[j] and lo[j] < hi[i] for j in range(n) if j != i)]
+        unresolved = [i for i in range(n) if overlaps[i]]
         if not unresolved or trials >= budget:
             break
         target = min(unresolved, key=counts.__getitem__)  # first of the least reviewed
@@ -340,7 +342,15 @@ def estimate_social_learning(utilities: Sequence[float], windows, *,
         sums[y] += utilities[y] + rng.normal(0.0, REVIEW_NOISE_SD)
         mid = sums[y] / counts[y]
         r = REVIEW_HALFWIDTH / math.sqrt(counts[y])
-        lo[y], hi[y] = mid - r, mid + r
+        new_lo, new_hi = mid - r, mid + r
+        for j in range(n):
+            if j != y:
+                now = new_lo < hi[j] and lo[j] < new_hi
+                if now != (lo[y] < hi[j] and lo[j] < hi[y]):
+                    step = 1 if now else -1
+                    overlaps[j] += step
+                    overlaps[y] += step
+        lo[y], hi[y] = new_lo, new_hi
 
     counts = np.array(counts, dtype=np.int64)
     means = np.divide(sums, counts, out=np.full(n, np.nan), where=counts > 0)

@@ -441,45 +441,69 @@ def feasible_matrix(p, q) -> np.ndarray:
 
 
 class CouplingSampler:
-    """The coupling of :func:`feasible_matrix`, set up once to draw rankings.
+    """The coupling of :func:`feasible_matrix` for one window law ``q``, set up
+    once to draw rankings for one target after another.
 
-    ``realized[i] = F[i] - F[i-1]`` equals that matrix's ``P q`` up to
-    rounding, and ``residual`` is its largest distance from ``p``. ``p`` must
-    be feasible for ``q``: the checks of :func:`feasible_matrix` do not run
-    here. Both are read by index, so plain lists of floats are the fast input.
+    The window side depends on ``q`` only and is laid out here: the running
+    sums of ``q``, and each column's segment ``(G[c-1], G[c]]`` of [0, 1],
+    where ``G`` is those sums with the last one forced to 1. :meth:`couple`
+    lays a target ``p`` beside it. It sets ``realized[i] = F[i] - F[i-1]``,
+    which equals that matrix's ``P q`` up to rounding, and ``residual``, its
+    largest distance from ``p``. ``p`` must be feasible for ``q``: the checks
+    of :func:`feasible_matrix` do not run here. Both are read by index, so
+    plain lists of floats are the fast input.
 
     :meth:`draw` maps a uniform ``u`` to the term of the mixture
     ``rfsm_decompose(feasible_matrix(p, q))`` whose cumulative weight covers
     ``u``. Peeling takes the lowest nonzero rank of every column and peels in
     absolute scale, so that term picks, in every column ``c``, the rank whose
     coupling segment holds ``G[c-1] + u * q[c]``; a uniform ``u`` thus samples
-    the peeled mixture exactly. Everything but that one search per column
-    depends on ``p`` and ``q`` only and is computed here.
+    the peeled mixture exactly.
     """
 
-    def __init__(self, p: Sequence[float], q: Sequence[float]):
-        F, G = _coupling_cumulatives(p, q)
-        n = len(F)
-        last = n - 1
+    def __init__(self, q: Sequence[float]):
+        sums = []
+        acc = 0.0
+        for x in q:
+            acc += x
+            sums.append(acc)
+        self._sums = sums
+        self._last = len(sums) - 1
+        # (low, width, end, fixed rank) per column; an impossible window
+        # length gets its fixed rank, which depends on p, from couple
+        self._columns = []
+        self._degenerate = []
+        low = 0.0
+        for c, end in enumerate(sums[:-1] + [1.0]):
+            if end - low <= ZERO_SNAP:
+                self._degenerate.append((c, end))
+                self._columns.append(None)
+            else:
+                self._columns.append((low, end - low, end, None))
+            low = end
+
+    def couple(self, p: Sequence[float]) -> None:
+        """Lay the target ``p`` beside the windows for the draws that follow."""
+        # the F of _coupling_cumulatives, float for float: clamped under the
+        # raw running sum of q and kept non-decreasing in [0, 1]
+        F = []
+        run = 0.0
+        acc = 0.0
+        for x, s in zip(p, self._sums):
+            acc += x
+            v = acc if acc < s else s
+            if v > run:
+                run = v if v < 1.0 else 1.0
+            F.append(run)
+        F[-1] = 1.0
+        self._F = F
         self.realized = list(map(sub, F, [0.0] + F[:-1]))
         self.residual = max(map(abs, map(sub, self.realized, p)))
-        # column c picks bisect_right(F, lo + u * width) capped at top, the
-        # lowest rank whose segment reaches the column's end G[c]: a target
-        # that rounds up to G[c] takes that rank
-        lows = [0.0] + G[:-1]
-        widths = list(map(sub, G, lows))
-        tops = [bisect_left(F, hi, 0, last) for hi in G]
-        if min(widths) <= ZERO_SNAP:
-            for c in range(n):
-                if widths[c] <= ZERO_SNAP:
-                    # impossible window length: the rank the coupling sits on,
-                    # as in feasible_matrix; an infinite target hits the cap
-                    i = bisect_right(F, G[c], 0, last)
-                    lows[c], widths[c], tops[c] = math.inf, 0.0, i if i > c else c
-        self._F = F
-        self._lows = lows
-        self._widths = widths
-        self._tops = tops
+        for c, end in self._degenerate:
+            # the rank the coupling sits on, as in feasible_matrix; the
+            # infinite target never falls inside the column
+            i = bisect_right(F, end, 0, self._last)
+            self._columns[c] = (math.inf, 0.0, math.inf, i if i > c else c)
 
     def draw(self, u: float, labels: Sequence) -> tuple:
         """The ranking the uniform ``u`` picks, shown as ``labels[rank]``.
@@ -488,11 +512,20 @@ class CouplingSampler:
         instead, as :func:`_permutation_from_picks` does.
         """
         F = self._F
+        last = self._last
         placed = [False] * len(F)
         out = []
         cursor = 0  # everything below is placed
-        for lo, width, top in zip(self._lows, self._widths, self._tops):
-            i = bisect_right(F, lo + u * width, 0, top)
+        for low, width, end, fixed in self._columns:
+            x = low + u * width
+            if x < end:
+                i = bisect_right(F, x, 0, last)
+            elif fixed is None:
+                # the target rounded onto or past the column's end: the lowest
+                # rank whose segment reaches that end
+                i = bisect_left(F, end, 0, last)
+            else:
+                i = fixed
             if placed[i]:
                 while placed[cursor]:
                     cursor += 1

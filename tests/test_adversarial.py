@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rankbandit.adversarial import (
     EpsilonGreedyRanker,
     MirrorDescent,
     ProjectionError,
+    _block_constant,
     _default_epsilon,
     _solve_masses,
     lazy_alpha,
@@ -27,14 +29,16 @@ from rankbandit.environments import MultinomialWindows, TapePayoffs, run_episode
 from rankbandit.polytope import rfsm_decompose, window_suffix_bounds
 
 
-def block_constant_oracle(g, mass):
-    """Reference root solve of a block: Newton from the bracket's midpoint."""
+def block_constant_oracle(g, mass, *, warm=False):
+    """Reference root solve of a block: Newton from the bracket's midpoint, or
+    with ``warm`` from 0 where the bracket holds it, as the library starts.
+    Newton's slope is a running sum of its own terms ``-2 inv2 / d``."""
     gmin = min(g)
     if len(g) == 1:
         return -gmin + 1.0 / math.sqrt(mass)
     lo = -gmin + 1.0 / math.sqrt(mass)          # sum >= mass here
     hi = -gmin + math.sqrt(len(g) / mass)       # sum <= mass here
-    c = 0.5 * (lo + hi)
+    c = 0.0 if warm and lo < 0.0 < hi else 0.5 * (lo + hi)
     h_tol = 1e-12 * mass
     for _ in range(100):
         h = -mass
@@ -347,6 +351,45 @@ def _suffix_bound_qs(n):
     late = np.ones(n)
     late[:2] = 0.0
     return [np.full(n, 1.0 / n)] + [v / v.sum() for v in (zipf, heavy, late)]
+
+
+def _block_outcome(solve, g, mass):
+    """The root as a hex string, or the name of the error the solve raised."""
+    try:
+        return solve(g, mass).hex()
+    except ZeroDivisionError as err:
+        return type(err).__name__
+
+
+class TestBlockConstant:
+    def test_random_blocks_match_two_accumulators(self):
+        # g spans 1e-3..1e160, so the slope's terms d**-3 reach subnormals and 0
+        rng = np.random.default_rng(109)
+        starts = set()
+        for _ in range(50_000):
+            g = (10.0 ** rng.uniform(-3.0, 160.0, int(rng.integers(1, 31)))).tolist()
+            mass = float(10.0 ** rng.uniform(-15.0, 0.0))
+            assert (_block_outcome(_block_constant, g, mass)
+                    == _block_outcome(partial(block_constant_oracle, warm=True), g, mass))
+            starts.add(-min(g) + 1.0 / math.sqrt(mass) < 0.0)
+        assert starts == {False, True}  # Newton starts at 0 and mid-bracket
+
+    def test_osmd_episode_blocks_match_two_accumulators(self, monkeypatch):
+        # every block one n = 20 tape episode solves, as the mirror step meets them
+        import rankbandit.adversarial as adversarial
+        blocks = []
+
+        def recording(g, mass):
+            blocks.append((list(g), mass))
+            return _block_constant(g, mass)
+
+        monkeypatch.setattr(adversarial, "_block_constant", recording)
+        q = 1.0 / np.arange(1, 21)
+        _episode(BLORanker, q / q.sum(), 11)
+        assert len(blocks) > 500
+        for g, mass in blocks:
+            assert (_block_constant(g, mass).hex()
+                    == block_constant_oracle(g, mass, warm=True).hex())
 
 
 class TestMirrorStepMatchesOracle:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -395,7 +397,8 @@ class TestFeasibleMatrix:
 
 def coupling_draw(p, q, u):
     """``(ranking, realized)`` of the library's sampler for the one uniform ``u``."""
-    sampler = CouplingSampler(p, q)
+    sampler = CouplingSampler(q)
+    sampler.couple(p)
     return sampler.draw(u, range(len(q))), sampler.realized
 
 
@@ -409,8 +412,8 @@ class _FixedDraw:
         return self.u
 
 
-def _random_target(rng, n):
-    """Random window law (with zero entries, lazy or not) and a feasible target."""
+def _random_law(rng, n):
+    """Random window law, with zero entries in about a quarter, lazy or not."""
     q = rng.dirichlet(np.ones(n) * rng.choice([0.3, 1.0, 3.0]))
     kind = rng.integers(4)
     if kind == 0 and n > 1:  # zero windows, possibly the shortest
@@ -420,8 +423,20 @@ def _random_target(rng, n):
         q /= q.sum()
     elif kind == 1:
         q = np.sort(q)[::-1]  # lazy
+    return q
+
+
+def _feasible_target(rng, q):
+    """The marginals of a random mixture of rankings under ``q``."""
+    n = q.size
     M, _, _ = random_mixture(rng, n, int(rng.integers(1, 2 * n + 1)))
-    return M @ q, q
+    return M @ q
+
+
+def _random_target(rng, n):
+    """Random window law and a feasible target for it."""
+    q = _random_law(rng, n)
+    return _feasible_target(rng, q), q
 
 
 class TestCouplingSample:
@@ -443,6 +458,30 @@ class TestCouplingSample:
             assert (ranking, realized) == coupling_sample(p.tolist(), q.tolist(), u)
             degenerate += bool(np.any(q == 0.0))
         assert degenerate > 500
+
+    def test_one_sampler_follows_many_targets(self):
+        """A sampler set up once for ``q`` and coupled to one target after
+        another draws and realizes what the one-call oracle does, to the bit."""
+        rng = np.random.default_rng(67)
+        targets = degenerate = 0
+        for _ in range(50):
+            n = int(rng.integers(1, 31))
+            q = _random_law(rng, n)
+            ql = q.tolist()
+            sampler = CouplingSampler(ql)
+            for _ in range(24):
+                p = _feasible_target(rng, q).tolist()
+                sampler.couple(p)
+                for u in (0.0, math.nextafter(1.0, 0.0), float(rng.random())):
+                    ranking, realized = coupling_sample(p, ql, u)
+                    assert sampler.draw(u, range(n)) == ranking, (p, ql, u)
+                assert [x.hex() for x in sampler.realized] == [x.hex() for x in realized]
+                residual = max(abs(r - x) for r, x in zip(realized, p))
+                assert sampler.residual.hex() == residual.hex()
+                targets += 1
+            degenerate += min(q) == 0.0
+        assert targets >= 1000
+        assert degenerate >= 8  # impossible window lengths take part
 
     def test_frozen_two_item_example(self):
         # coupling [[5/6, 0], [1/6, 1]]: window 1 picks rank 0 below u = 5/6
