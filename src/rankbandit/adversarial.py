@@ -129,6 +129,28 @@ def _block_constant(g: Sequence[float], mass: float) -> float:
     return c
 
 
+def _block_terms(g: Sequence[float], mass: float) -> tuple[float, list[float]]:
+    """The block constant ``c`` of :func:`_block_constant` and the terms ``(g_i + c)^-2``.
+
+    When ``min(g) * sqrt(mass)`` is above about 1e16, the bracket's low end
+    ``-gmin + 1 / sqrt(mass)`` rounds to ``-gmin``, and the solve or a term
+    can divide by zero. Only then, and only if it did, the block is solved
+    again on the offsets ``g_i - gmin``, for ``c + gmin``, and its terms are
+    formed from the offsets, so no ``g_i + c`` cancels to zero in rounding.
+    Every other block keeps the root and terms of the direct solve.
+    """
+    try:
+        c = _block_constant(g, mass)
+        return c, [1.0 / ((x + c) * (x + c)) for x in g]
+    except ZeroDivisionError:
+        gmin = min(g)
+        if -gmin + 1.0 / math.sqrt(mass) != -gmin:
+            raise
+    offsets = [x - gmin for x in g]
+    shifted = _block_constant(offsets, mass)
+    return shifted - gmin, [1.0 / ((x + shifted) * (x + shifted)) for x in offsets]
+
+
 def _solve_masses(g: list[float], lower: list[float]) -> tuple[list[float], float]:
     """Minimize ``g @ p - 2 * sum(sqrt(p))`` over the suffix-bounded simplex.
 
@@ -158,8 +180,7 @@ def _solve_masses(g: list[float], lower: list[float]) -> tuple[list[float], floa
                 continue
             block = g[lo_i:hi_i]
             try:
-                c = _block_constant(block, mass)
-                terms = [1.0 / ((x + c) * (x + c)) for x in block]
+                c, terms = _block_terms(block, mass)
                 total = 0.0
                 for x in terms:
                     total += x
@@ -167,7 +188,7 @@ def _solve_masses(g: list[float], lower: list[float]) -> tuple[list[float], floa
                 # suffix bounds hold to machine precision, not root-solve precision
                 scale = mass / total
             except ZeroDivisionError:
-                # a loss that swamps g rounds some g_i + c to 0, or every term to 0
+                # the terms still divide by zero after _block_terms' retry
                 raise ProjectionError(
                     f"block {lo_i}..{hi_i - 1} is not solvable in double precision; "
                     f"g={g}; p={p}") from None

@@ -11,9 +11,12 @@ without giving up payoff at larger windows.
 Because each pick takes every unplaced item of lower utility with it, the
 unplaced items are always the top of the utility order: a suffix of the items
 sorted by ascending utility. The ranker therefore keeps its statistics by
-position in that order, with the positions also sorted least-played first;
-``feed`` updates them in place and ``act`` rebuilds them only when the
-utilities change.
+position in that order, with a list of the positions sorted least-played
+first and then by item index; ``feed`` updates them in place and ``act``
+rebuilds them only when the utilities change. A pick at position ``k`` from
+start ``s`` places the blocked set ``asc[s:k]`` sorted by item index. The
+ranker sorts each such set once, at the first pass that needs it, and keeps
+it until the utilities change: at most ``n (n - 1) / 2`` of them.
 
 No lower bound exceeds one ceiling, the largest mean less the radius at the
 largest count, since a smaller count has a larger radius. A pass therefore
@@ -29,6 +32,7 @@ distinct, as :func:`rankbandit.core.user_select` requires and
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from typing import Sequence
 
@@ -48,15 +52,17 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
     upper bound beats the largest lower bound over the suffix.
 
     With ``L = log(4 n t^2 / delta)``, every lower bound is at most the
-    ceiling ``max(means) - sqrt(L / most)``, ``most`` the largest count: a
+    ceiling ``max(means) - sqrt(L / most)``, ``most`` the largest count,
+    read at the last of the positions ``_ks`` sorted least-played first: a
     seen position's count is at most ``most``, and division, ``sqrt`` and
-    subtraction round monotonically. So a first unplaced key that is unseen,
-    or whose upper bound beats the ceiling, is the pick, and while every pick
-    is certified so, the picks come from one forward walk over ``_order``.
-    From the first key that is not certified, the pass computes the bounds
-    of the positions left and finishes by the rule itself. Each blocked set
-    is appended in ascending item index, so the output is a deterministic
-    function of the statistics.
+    subtraction round monotonically. So a first unplaced position that is
+    unseen, or whose upper bound beats the ceiling, is the pick, and while
+    every pick is certified so, the picks come from one forward walk over
+    ``_ks``. From the first position that is not certified, the pass
+    computes the bounds of the positions left and finishes by the rule
+    itself. Both paths append each blocked set from the ranker's store of
+    sets sorted by item index, so the output is a deterministic function of
+    the statistics.
     """
     asc = ranker._asc
     n = len(asc)
@@ -65,14 +71,14 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
                          "the ranker has no utility order yet: act must run first")
     counts = ranker._counts
     means = ranker._means
-    order = ranker._order
+    ks = ranker._ks
+    blocked = ranker._blocked
     log_term = math.log(4.0 * n * t * t / ranker.delta)
-    most = order[-1] // (n * n)
+    most = counts[ks[-1]]
     ceiling = max(means) - math.sqrt(log_term / most) if most else -math.inf
     out: list[int] = []
     s = 0
-    for key in order:
-        k = key % n
+    for k in ks:
         if k < s:
             continue
         c = counts[k]
@@ -81,7 +87,7 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
             break
         out.append(asc[k])
         if k > s:
-            out.extend(sorted(asc[s:k]))
+            out += blocked[s, k]
         s = k + 1
         if s == n:
             return tuple(out)
@@ -104,8 +110,7 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
 
     while s < n:
         bound = sufmax[s]
-        for key in order:
-            k = key % n
+        for k in ks:
             if k >= s and upper[k] > bound:
                 break
         else:
@@ -113,22 +118,43 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
                              "confidence radii vanish against the means")
         out.append(asc[k])
         if k > s:
-            out.extend(sorted(asc[s:k]))
+            out += blocked[s, k]
         s = k + 1
     return tuple(out)
+
+
+class _BlockedSets(dict):
+    """``sorted(asc[s:k])`` by ``(s, k)``, each sorted at its first lookup."""
+
+    def __init__(self, asc: list[int]):
+        super().__init__()
+        self.asc = asc
+
+    def __missing__(self, key: tuple[int, int]) -> list[int]:
+        s, k = key
+        block = self[key] = sorted(self.asc[s:k])
+        return block
 
 
 class EliminationRanker:
     """Running statistics and the elimination pass :func:`find_permutation`.
 
     ``rewards`` and ``counts`` hold each item's payoff sum and selection
-    count. Beside them the ranker keeps three lists in ascending utility
-    order: the counts, the means ``rewards[i] / counts[i]`` (0.0 while
-    unseen), and the positions sorted least-played first, then by item
-    index. ``feed`` updates the fed item's entries in place; ``act`` rebuilds
-    the lists from ``rewards`` and ``counts`` when the utilities differ by
-    value from the last ones it saw, and on its first call. The same
-    read-only array as last time is not compared again.
+    count. Beside them the ranker keeps, by position in ascending utility
+    order, the counts and the means ``rewards[i] / counts[i]`` (0.0 while
+    unseen), and ``_ks``, the positions sorted least-played first, then by
+    item index. ``_first[c]`` is how many positions have a count below
+    ``c``, so the positions of count ``c`` are ``_ks[_first[c]:_first[c + 1]]``;
+    the list has the largest count plus two entries. ``_blocked`` holds
+    ``sorted(asc[s:k])`` for each ``(s, k)`` a pass has needed.
+
+    ``feed`` updates the fed item's entries in place. Its count grows by
+    one, so its position leaves the block of count ``c - 1`` for the block of
+    count ``c``, where one bisection by item places it, and ``_first[c]``
+    falls by one. ``act`` rebuilds all of it from ``rewards`` and ``counts``,
+    with an empty ``_blocked``, when the utilities differ by value from the
+    last ones it saw, and on its first call. The same read-only array as
+    last time is not compared again.
     """
 
     def __init__(self, n: int, delta: float):
@@ -145,9 +171,9 @@ class EliminationRanker:
         self._pos: list[int] = []  # position of each item
         self._counts: list[int] = []
         self._means: list[float] = []
-        # positions packed as (count * n + item) * n + position, ascending, so
-        # one integer comparison orders least-played, then lowest index
-        self._order: list[int] = []
+        self._ks: list[int] = []  # positions, least-played first, then by item
+        self._first: list[int] = []  # how many positions have a count below c
+        self._blocked = _BlockedSets([])
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
         if utilities is not self._shown or utilities.flags.writeable:
@@ -167,7 +193,12 @@ class EliminationRanker:
         self._pos = pos
         self._counts = counts
         self._means = [self.rewards[i] / c if c else 0.0 for i, c in zip(asc, counts)]
-        self._order = sorted((c * n + i) * n + k for k, (i, c) in enumerate(zip(asc, counts)))
+        self._ks = sorted(range(n), key=lambda k: (counts[k], asc[k]))
+        first = [0] * (max(counts) + 2)
+        for c in counts:
+            first[c + 1] += 1
+        self._first = list(itertools.accumulate(first))
+        self._blocked = _BlockedSets(asc)
 
     def feed(self, t: int, item: int, payoff: float) -> None:
         self.rewards[item] += payoff
@@ -175,13 +206,19 @@ class EliminationRanker:
         self.counts[item] = c
         if self._utilities is None:
             return  # the ordered state is built at the first act
-        n = len(self._asc)
         k = self._pos[item]
         self._counts[k] = c
         self._means[k] = self.rewards[item] / c
-        key = (c * n + item) * n + k
-        self._order.remove(key - n * n)
-        bisect.insort(self._order, key)
+        ks = self._ks
+        del ks[ks.index(k)]
+        first = self._first
+        if c + 1 == len(first):
+            first.append(first[-1])
+        first[c] -= 1
+        # the other positions of count c are now ks[first[c]:first[c + 1] - 1],
+        # sorted by item
+        ks.insert(bisect.bisect_left(ks, item, first[c], first[c + 1] - 1,
+                                     key=self._asc.__getitem__), k)
 
 
 def inversion_budget_value(gap: float, horizon: int, delta: float, n: int) -> float:

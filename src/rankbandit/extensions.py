@@ -149,7 +149,8 @@ class PooledDelayPolicy:
     """Round-robin pool of independent base instances for delayed payoffs.
 
     Each trial goes to the lowest-index instance not waiting on feedback,
-    spawning a new instance when all are busy; the payoff is routed back to
+    found by one ``index(False)`` over the busy flags, spawning a new
+    instance when all are busy; the payoff is routed back to
     the instance that proposed the ranking. With delays bounded by
     ``tau_max`` the pool never exceeds ``tau_max + 1`` instances. Delays are
     drawn as in :class:`QueuedDelayPolicy`, in blocks by ``environments._blocks``.
@@ -179,8 +180,9 @@ class PooledDelayPolicy:
 
     def act(self, t: int, utilities) -> Permutation:
         self._deliver(t)
-        free = next((i for i, busy in enumerate(self._busy) if not busy), None)
-        if free is None:
+        try:
+            free = self._busy.index(False)
+        except ValueError:
             free = len(self.instances)
             self.instances.append(self.base_factory(free))
             self._acts_done.append(0)

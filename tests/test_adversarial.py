@@ -15,6 +15,7 @@ from rankbandit.adversarial import (
     MirrorDescent,
     ProjectionError,
     _block_constant,
+    _block_terms,
     _default_epsilon,
     _solve_masses,
     lazy_alpha,
@@ -273,13 +274,15 @@ class TestMirrorDescent:
             md.feed(2, float("nan"))
         assert md.p == before
 
-    def test_swamping_loss_fails_as_a_named_step(self):
-        # eta * loss rounds g_i + c to 0 for the fed rank in double precision
+    def test_swamping_loss_steps_onto_its_bound(self):
+        # eta * loss swamps g at the fed rank: its block's bracket rounds onto
+        # -g, so the block is solved on its offsets, and the rank's mass falls
+        # to its suffix bound
         md = MirrorDescent(self.q, eta=0.2)
-        before = md.p
-        with pytest.raises(ProjectionError, match=r"mirror step 1: block 2\.\.2 .*p=\["):
-            md.feed(2, 1e20)
-        assert md.p == before
+        md.feed(2, 1e20)
+        assert md.p == pytest.approx([0.4, 0.4, 0.2], abs=1e-15)
+        assert md.p[2] == pytest.approx(window_suffix_bounds(self.q)[2], abs=1e-15)
+        self._assert_feasible(md, md.p)
 
     def test_large_loss_still_steps(self):
         md = MirrorDescent(self.q, eta=0.2)
@@ -373,6 +376,40 @@ class TestBlockConstant:
                     == _block_outcome(partial(block_constant_oracle, warm=True), g, mass))
             starts.add(-min(g) + 1.0 / math.sqrt(mass) < 0.0)
         assert starts == {False, True}  # Newton starts at 0 and mid-bracket
+
+    def test_collapsed_brackets_solve_on_offsets(self):
+        # the random blocks above whose bracket's low end rounds to -min(g):
+        # those that raised now solve on the offsets to the Newton tolerance,
+        # and those that solved keep their root and terms to the bit
+        rng = np.random.default_rng(109)
+        outcomes = {"raised": 0, "solved": 0}
+        for _ in range(50_000):
+            g = (10.0 ** rng.uniform(-3.0, 160.0, int(rng.integers(1, 31)))).tolist()
+            mass = float(10.0 ** rng.uniform(-15.0, 0.0))
+            gmin = min(g)
+            if -gmin + 1.0 / math.sqrt(mass) != -gmin:
+                continue
+            try:
+                c = _block_constant(g, mass)
+                terms = [1.0 / ((x + c) * (x + c)) for x in g]
+            except ZeroDivisionError:
+                _, terms = _block_terms(g, mass)
+                assert abs(math.fsum(terms) - mass) <= 1e-12 * mass, (g, mass)
+                outcomes["raised"] += 1
+            else:
+                got_c, got_terms = _block_terms(g, mass)
+                assert [x.hex() for x in [got_c, *got_terms]] == [x.hex() for x in [c, *terms]]
+                outcomes["solved"] += 1
+        assert outcomes == {"raised": 10_069, "solved": 139}
+
+    def test_collapsed_bracket_projects(self):
+        # 1e17 * sqrt(0.5) is above 1e16: the block divided by zero before
+        with pytest.raises(ZeroDivisionError):
+            _block_constant([1e17, 2e17], 0.5)
+        c, terms = _block_terms([1e17, 2e17], 0.5)
+        assert c == -1e17 and abs(math.fsum(terms) - 0.5) <= 1e-12 * 0.5
+        p, residual = _solve_masses([1e17, 2e17, 3e17], [1.0, 0.5, 0.0])
+        assert residual <= 1e-15 and sum(p[1:]) >= 0.5 - 1e-15
 
     def test_osmd_episode_blocks_match_two_accumulators(self, monkeypatch):
         # every block one n = 20 tape episode solves, as the mirror step meets them

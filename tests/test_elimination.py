@@ -17,7 +17,7 @@ from rankbandit.elimination import (
     inversion_budget_value,
 )
 from rankbandit.environments import (
-    GaussianPayoffs, LowerBoundBlockWindows, MultinomialWindows, run_episode,
+    AdaptiveWindows, GaussianPayoffs, LowerBoundBlockWindows, MultinomialWindows, run_episode,
 )
 from rankbandit.extensions import DelayModel, PooledDelayPolicy, QueuedDelayPolicy
 
@@ -336,6 +336,48 @@ class TestCachedState:
     """The ranker's utility-order state against the oracle, which reads only
     ``rewards`` and ``counts``, over runs that move that state."""
 
+    def test_positions_and_blocked_sets_follow_every_step(self):
+        # random interleavings of feed, act and new utilities; after each
+        # step the positions are in (count, item) order, each count's block
+        # of them starts where _first says, and every stored blocked set is
+        # the current one
+        rng = np.random.default_rng(19)
+        kinds = {"unseen": 0, "tied": 0, "rebuilt": 0, "blocked": 0}
+        for _ in range(200):
+            n = int(rng.integers(1, 61))
+            # means far apart separate the intervals within a few feeds, so
+            # passes reach the exact completion as well as the certified walk
+            means = rng.uniform(-20.0, 20.0, n)
+            ranker = EliminationRanker(n, 0.1)
+            u = rng.permutation(n) + 0.5
+            t = 1
+            for _ in range(40):
+                step = rng.random()
+                if step < 0.5:
+                    item = int(rng.integers(0, n))
+                    kinds["unseen"] += ranker.counts[item] == 0
+                    ranker.feed(t, item, float(rng.normal(means[item], 1.0)))
+                else:
+                    if step > 0.9:
+                        u = rng.permutation(n) + rng.uniform(0.0, 0.5)
+                        kinds["rebuilt"] += ranker._utilities is not None
+                    assert ranker.act(t, u) == find_permutation_oracle(
+                        ranker.rewards, ranker.counts, t, 0.1, u)
+                    t += 1
+                if ranker._utilities is None:
+                    continue
+                asc = sorted(range(n), key=u.__getitem__)
+                assert ranker._asc == asc
+                assert ranker._ks == sorted(range(n),
+                                            key=lambda k: (ranker.counts[asc[k]], asc[k]))
+                assert ranker._first == [sum(c < x for c in ranker.counts)
+                                         for x in range(max(ranker.counts) + 2)]
+                for (s, k), block in ranker._blocked.items():
+                    assert block == sorted(asc[s:k]), (s, k)
+                kinds["blocked"] += len(ranker._blocked)
+                kinds["tied"] += len(set(ranker.counts)) < n
+        assert min(kinds.values()) >= 300, kinds
+
     def test_utility_order_changes_mid_run(self):
         n, horizon = 6, 4000
         rng = np.random.default_rng(11)
@@ -397,6 +439,52 @@ class TestCachedState:
             slow.feed(t, item, payoff)
             kinds["ties"] += fast.counts.count(fast.counts[item]) > 1
         assert min(kinds.values()) >= 500, kinds
+
+
+def regret_seeking(instance):
+    """A window script for :class:`AdaptiveWindows` that plays each window
+    once, then the window whose last pick had the largest regret against the
+    optimal family, the lowest such window on ties. It reads only the last
+    entry of the history, so each trial costs O(n)."""
+    n = instance.n
+    means = instance.means.tolist()
+    best = [means[s] for s in optimal_family(instance).benchmark_by_window]
+    last = [0.0] * n  # regret of the last pick at each window
+
+    def fn(t, history):
+        if history:
+            w, y, _ = history[-1]
+            last[w - 1] = best[w - 1] - means[y]
+        return t if t <= n else max(range(n), key=last.__getitem__) + 1
+
+    return fn
+
+
+class TestAdaptiveWindows:
+    def test_regret_seeking_adversary_on_chain(self):
+        # criterion 05's chain against windows chosen from the past picks
+        n, horizon, delta = 5, 5000, 0.01
+        inst = Instance(utilities=[1.0, 2.0, 3.0, 4.0, 5.0], means=[2.0, 1.5, 1.0, 0.5, 0.0])
+        fam = optimal_family(inst)
+        held = 0
+        for seed in range(4):
+            def episode(cls):
+                return run_episode(cls(n, delta), inst, GaussianPayoffs(inst.means, seed, 0),
+                                   AdaptiveWindows(regret_seeking(inst), n), horizon)
+
+            fast, slow = episode(EliminationRanker), episode(OracleEliminationRanker)
+            for name in ("windows", "selected", "payoffs", "orders"):
+                assert np.array_equal(getattr(fast, name), getattr(slow, name)), (seed, name)
+            # the adversary moves between windows
+            assert len(set(fast.windows.tolist())) == n
+            if not confidence_event_holds(fast.selected, fast.payoffs, inst.means, delta):
+                continue
+            held += 1
+            inverted = count_inversions(fast.windows, fast.selected, fam, inst.means)
+            assert inverted, seed
+            for (s, y), count in inverted.items():
+                assert count <= inversion_budget(inst.gap(s, y), horizon, delta, n), (seed, s, y)
+        assert held >= 3, held
 
 
 class TestEliminationRanker:
