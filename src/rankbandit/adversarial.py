@@ -24,6 +24,7 @@ those may change between trials.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from typing import Sequence
 
@@ -32,6 +33,7 @@ import numpy as np
 from .core import (
     Permutation, _family_from_arrays, _see_utilities, items_by_rank, probability_vector,
 )
+from .environments import BLOCK, _blocks
 from .polytope import CouplingSampler, window_suffix_bounds
 
 _LAZY_TOL = 1e-12
@@ -103,9 +105,14 @@ def _block_constant(g: Sequence[float], mass: float) -> float:
     iterate's block is 0, and a one-sparse loss moves it little.
     """
     gmin = min(g)
+    return _block_root(g, mass, gmin, -gmin + 1.0 / math.sqrt(mass))
+
+
+def _block_root(g: Sequence[float], mass: float, gmin: float, lo: float) -> float:
+    """:func:`_block_constant` given ``gmin = min(g)`` and the bracket's low
+    end ``lo = -gmin + 1 / sqrt(mass)``, where the sum is at least ``mass``."""
     if len(g) == 1:
-        return -gmin + 1.0 / math.sqrt(mass)
-    lo = -gmin + 1.0 / math.sqrt(mass)          # sum >= mass here
+        return lo
     hi = -gmin + math.sqrt(len(g) / mass)       # sum <= mass here
     c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
     h_tol = 1e-12 * mass
@@ -133,19 +140,18 @@ def _block_terms(g: Sequence[float], mass: float) -> tuple[float, list[float]]:
     """The block constant ``c`` of :func:`_block_constant` and the terms ``(g_i + c)^-2``.
 
     When ``min(g) * sqrt(mass)`` is above about 1e16, the bracket's low end
-    ``-gmin + 1 / sqrt(mass)`` rounds to ``-gmin``, and the solve or a term
-    can divide by zero. Only then, and only if it did, the block is solved
-    again on the offsets ``g_i - gmin``, for ``c + gmin``, and its terms are
-    formed from the offsets, so no ``g_i + c`` cancels to zero in rounding.
-    Every other block keeps the root and terms of the direct solve.
+    ``-gmin + 1 / sqrt(mass)`` rounds to ``-gmin``: the bracket has
+    collapsed, and a direct solve can divide by zero, or return a root whose
+    terms miss ``mass`` by far. Such a block is solved on the offsets
+    ``g_i - gmin``, for ``c + gmin``, and its terms are formed from the
+    offsets, so no ``g_i + c`` cancels in rounding. Every other block keeps
+    the root and terms of the direct solve.
     """
-    try:
-        c = _block_constant(g, mass)
+    gmin = min(g)
+    lo = -gmin + 1.0 / math.sqrt(mass)
+    if lo != -gmin:
+        c = _block_root(g, mass, gmin, lo)
         return c, [1.0 / ((x + c) * (x + c)) for x in g]
-    except ZeroDivisionError:
-        gmin = min(g)
-        if -gmin + 1.0 / math.sqrt(mass) != -gmin:
-            raise
     offsets = [x - gmin for x in g]
     shifted = _block_constant(offsets, mass)
     return shifted - gmin, [1.0 / ((x + shifted) * (x + shifted)) for x in offsets]
@@ -188,7 +194,7 @@ def _solve_masses(g: list[float], lower: list[float]) -> tuple[list[float], floa
                 # suffix bounds hold to machine precision, not root-solve precision
                 scale = mass / total
             except ZeroDivisionError:
-                # the terms still divide by zero after _block_terms' retry
+                # _block_terms divided by zero, directly or on the offsets
                 raise ProjectionError(
                     f"block {lo_i}..{hi_i - 1} is not solvable in double precision; "
                     f"g={g}; p={p}") from None
@@ -302,6 +308,11 @@ class BLORanker:
     same list, and so does the coupling; such a trial only searches each
     column's pick for its one uniform.
 
+    ``rng`` is read ``BLOCK`` uniforms at a time, the same doubles as one
+    ``random()`` per trial, and ``act`` takes the next one. So the
+    generator's state after an ``act`` is not one draw further on: it is the
+    end of the last block read.
+
     Learning happens in utility-rank space, so the utilities may change from
     trial to trial: ``act`` maps ranks to the items that hold them now, and
     ``feed`` charges the rank the item held at that ``act``. The maps are
@@ -313,6 +324,7 @@ class BLORanker:
                  eta: float | None = None, rng: np.random.Generator | None = None):
         self.engine = MirrorDescent(q, horizon=horizon, eta=eta)
         self.rng = rng if rng is not None else np.random.default_rng()
+        self._uniforms = _blocks(functools.partial(self.rng.random, BLOCK))
         self._sampler = CouplingSampler(self.engine.q.tolist())  # it reads lists fastest
         self._shown = None
         self._utilities: list | None = None
@@ -350,7 +362,7 @@ class BLORanker:
             self._coupled = p
             self.last_marginals = sampler.realized
         self._pending = (self.last_marginals, ranks)
-        return sampler.draw(float(self.rng.random()), by_rank)
+        return sampler.draw(next(self._uniforms), by_rank)
 
     def feed(self, t: int, item: int, payoff: float) -> None:
         if self._pending is None:
@@ -383,6 +395,11 @@ class EpsilonGreedyRanker:
     item's mean. The pivot draw inverts a CDF computed once, as
     ``Generator.choice`` does, so it picks the same pivot from the same one
     uniform. ``explorations`` counts the trials that showed a pivot ranking.
+
+    The coin and the pivot's uniform come, in that order, from ``rng`` read
+    ``BLOCK`` uniforms at a time: the same doubles as one ``random()`` per
+    use. So the generator's state after an ``act`` is not one or two draws
+    further on: it is the end of the last block read.
     """
 
     def __init__(self, q: Sequence[float], *, rng: np.random.Generator | None = None,
@@ -395,6 +412,7 @@ class EpsilonGreedyRanker:
         self._cdf = cdf.tolist()
         self._pivots = [pivot_permutation(i, self.n) for i in range(self.n)]
         self.rng = rng if rng is not None else np.random.default_rng()
+        self._uniforms = _blocks(functools.partial(self.rng.random, BLOCK))
         self.explore_constant = explore_constant
         self.rewards = [0.0] * self.n
         self.counts = [0] * self.n
@@ -405,15 +423,13 @@ class EpsilonGreedyRanker:
         self._by_rank: list[int] | None = None
         self._representative: Permutation | None = None
 
-    def _epsilon(self, t: int) -> float:
-        return _default_epsilon(t, self.n, self.explore_constant)
-
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
         if utilities is not self._shown or utilities.flags.writeable:
             _see_utilities(self, utilities)
-        if self.rng.random() < self._epsilon(t):
+        uniforms = self._uniforms
+        if next(uniforms) < _default_epsilon(t, self.n, self.explore_constant):
             self.explorations += 1
-            pivot = bisect.bisect_right(self._cdf, self.rng.random())
+            pivot = bisect.bisect_right(self._cdf, next(uniforms))
             if self._by_rank is None:
                 self._by_rank = items_by_rank(self._utilities).tolist()
             by_rank = self._by_rank

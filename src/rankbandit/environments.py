@@ -27,8 +27,10 @@ STREAM_POLICY = 2
 STREAM_TAPE = 3
 STREAM_DELAY = 4
 
-# values a random source draws from numpy at a time; numpy gives the same
-# stream whatever the block size, so this sets speed only
+# values a random source draws from numpy at a time: the windows, Gaussian
+# payoffs and delays here and in extensions.py, and the uniforms of the
+# epsilon-greedy and mirror-descent rankers. numpy gives the same stream
+# whatever the block size, so this sets speed only
 BLOCK = 1024
 
 
@@ -258,11 +260,8 @@ def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
             raise ValueError("benchmark='means' requires instance means")
         table, rows = _family_table(instance, horizon)
 
-    trials = np.arange(1, horizon + 1, dtype=np.int64)
-    wcol = np.empty(horizon, dtype=np.int64)
-    ycol = np.empty(horizon, dtype=np.int64)
-    paycol = np.empty(horizon, dtype=float)
-    orders = np.empty((horizon, n), dtype=np.int16) if record_orders else None
+    ws, ys, pays = [], [], []
+    orders = [] if record_orders else None
 
     observe = getattr(windows, "observe", None)
     fixed_utilities = instance.utility_sequence is None
@@ -270,8 +269,7 @@ def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
     # policies see the array; the user model indexes a list fastest
     scanned = utilities.tolist()
 
-    for k in range(horizon):
-        t = k + 1
+    for t in range(1, horizon + 1):
         if not fixed_utilities:
             utilities = scanned = instance.utilities_at(t)
         order = policy.act(t, utilities)
@@ -281,15 +279,20 @@ def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
         policy.feed(t, y, payoff)
         if observe is not None:
             observe(w, y, payoff)
-        wcol[k] = w
-        ycol[k] = y
-        paycol[k] = payoff
+        ws.append(w)
+        ys.append(y)
+        pays.append(payoff)
         if orders is not None:
-            orders[k] = order
+            orders.append(order)
 
+    wcol = np.array(ws, dtype=np.int64)
+    ycol = np.array(ys, dtype=np.int64)
+    paycol = np.array(pays, dtype=np.float64)
+    if orders is not None:
+        orders = np.array(orders, dtype=np.int16).reshape(horizon, n)
     regcol = (_means_regret(instance.means, table, rows, wcol, ycol)
               if benchmark == "means" else np.zeros(horizon))
     return RegretTrace(
-        trials=trials, windows=wcol, selected=ycol, payoffs=paycol,
-        inst_regret=regcol, cum_regret=np.cumsum(regcol), orders=orders,
+        trials=np.arange(1, horizon + 1, dtype=np.int64), windows=wcol, selected=ycol,
+        payoffs=paycol, inst_regret=regcol, cum_regret=np.cumsum(regcol), orders=orders,
     )

@@ -52,8 +52,9 @@ class DelayModel:
 
         ``uniform`` delays are drawn from ``rng`` ``BLOCK`` at a time by
         ``environments._blocks``, which serves the payoff and window sources
-        too; that gives the same numbers as one ``rng.integers(0, tau_max + 1)``
-        per payoff. ``none`` and ``fixed`` take nothing from ``rng``.
+        and the rankers' uniforms too; that gives the same numbers as one
+        ``rng.integers(0, tau_max + 1)`` per payoff. ``none`` and ``fixed``
+        take nothing from ``rng``.
         """
         if self.kind != "uniform":
             return itertools.repeat(self.tau_max)

@@ -510,26 +510,55 @@ class CouplingSampler:
 
         A column whose pick is already placed takes the lowest unplaced rank
         instead, as :func:`_permutation_from_picks` does.
+
+        Each column's search starts at the previous column's pick. It finds
+        the rank a search from 0 finds, because the picks never step down and
+        ``pick[c] >= c``: a search from ``prev`` returns ``max(prev, pick)``.
+        Let ``x_c = low_c + u * width_c`` be column ``c``'s target and ``S``
+        the raw running sums of ``q``, so ``low_c == S[c-1]`` and
+        ``end_c == low_{c+1}``.
+
+        * ``pick[c] >= c``. ``couple`` clamps each running sum of ``p`` under
+          ``S[i]``, and ``S`` is non-decreasing, so ``F[i] <= S[i]`` below the
+          last rank. A column of positive width has ``x_c >= low_c >= F[c-1]``
+          (adding ``u * width >= 0`` never rounds down) and
+          ``end_c > low_c``, so ``bisect_right(F, x_c)`` and
+          ``bisect_left(F, end_c)`` are both at least ``c``. A degenerate
+          column takes ``max(bisect_right(F, end_c), c)``. The cap at
+          ``last >= c`` keeps the bound.
+        * The picks never step down. The targets rise:
+          ``x_c <= end_c == low_{c+1} <= x_{c+1}``, and a target that rounds
+          onto or past ``end_c`` is searched as ``end_c``. Both searches are
+          non-decreasing in the target, and ``bisect_left(F, y) >=
+          bisect_right(F, x)`` for ``y > x``. So a column of positive width
+          picks at most ``bisect_right(F, end_c)``, and the next column picks
+          at least that. A degenerate column's pick
+          ``max(bisect_right(F, end_c), c)`` is at most the next column's,
+          which searches a target of at least ``end_c`` and is at least
+          ``c + 1``. The cap at ``last`` keeps the order.
         """
         F = self._F
         last = self._last
         placed = [False] * len(F)
         out = []
         cursor = 0  # everything below is placed
+        i = 0  # the previous column's pick
         for low, width, end, fixed in self._columns:
             x = low + u * width
             if x < end:
-                i = bisect_right(F, x, 0, last)
+                i = bisect_right(F, x, i, last)
             elif fixed is None:
                 # the target rounded onto or past the column's end: the lowest
                 # rank whose segment reaches that end
-                i = bisect_left(F, end, 0, last)
+                i = bisect_left(F, end, i, last)
             else:
                 i = fixed
             if placed[i]:
                 while placed[cursor]:
                     cursor += 1
-                i = cursor
-            placed[i] = True
-            out.append(labels[i])
+                placed[cursor] = True
+                out.append(labels[cursor])
+            else:
+                placed[i] = True
+                out.append(labels[i])
         return tuple(out)

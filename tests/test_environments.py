@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import FixedPermutationPolicy, read_trace_csv, write_tape_csv
+from rankbandit.adversarial import EpsilonGreedyRanker
 from rankbandit.core import DegenerateInstanceError, Instance, optimal_family
 from rankbandit.environments import (
     AdaptiveWindows,
@@ -174,6 +175,87 @@ class TestWindows:
         win = AdaptiveWindows(lambda t, h: 5, n=3)
         with pytest.raises(ValueError):
             win.draw(1)
+
+
+class _TrialLog:
+    """Serves as an episode's policy and window source: passes each call on
+    and keeps every trial's ``[order, window, pick, payoff]``."""
+
+    def __init__(self, policy, windows):
+        self.policy = policy
+        self.windows = windows
+        self.rows = []
+
+    def act(self, t, utilities):
+        order = self.policy.act(t, utilities)
+        self.rows.append([order])
+        return order
+
+    def draw(self, t):
+        w = self.windows.draw(t)
+        self.rows[-1].append(w)
+        return w
+
+    def feed(self, t, item, payoff):
+        self.rows[-1] += [item, payoff]
+        self.policy.feed(t, item, payoff)
+
+
+class _NumpyPayoffs(GaussianPayoffs):
+    """Gaussian payoffs handed out as numpy scalars of ``dtype``."""
+
+    def __init__(self, means, seed, dtype):
+        super().__init__(means, seed)
+        self.dtype = dtype
+
+    def draw(self, item, t):
+        return self.dtype(super().draw(item, t))
+
+
+def per_row_columns(rows, n, record_orders):
+    """Window, pick, payoff and order columns written one trial at a time
+    into arrays allocated up front, the way the episode loop once did."""
+    horizon = len(rows)
+    wcol = np.empty(horizon, dtype=np.int64)
+    ycol = np.empty(horizon, dtype=np.int64)
+    paycol = np.empty(horizon, dtype=float)
+    orders = np.empty((horizon, n), dtype=np.int16) if record_orders else None
+    for k, (order, w, y, payoff) in enumerate(rows):
+        wcol[k] = w
+        ycol[k] = y
+        paycol[k] = payoff
+        if orders is not None:
+            orders[k] = order
+    return wcol, ycol, paycol, orders
+
+
+class TestEpisodeColumns:
+    @pytest.mark.parametrize("payoff_type", [None, np.float64, np.float32])
+    @pytest.mark.parametrize("record_orders", [True, False])
+    @pytest.mark.parametrize("horizon", [1, 57])
+    def test_columns_equal_a_per_row_writer(self, horizon, record_orders, payoff_type):
+        instance = Instance(utilities=[1.0, 2.0, 3.0], means=[1.0, 3.0, 2.0])
+        payoffs = (GaussianPayoffs(instance.means, seed=53) if payoff_type is None
+                   else _NumpyPayoffs(instance.means, 53, payoff_type))
+        log = _TrialLog(EpsilonGreedyRanker([0.5, 0.3, 0.2], rng=np.random.default_rng(59)),
+                        MultinomialWindows([0.5, 0.3, 0.2], seed=53))
+        trace = run_episode(log, instance, payoffs, log, horizon,
+                            record_orders=record_orders)
+        got = (trace.windows, trace.selected, trace.payoffs, trace.orders)
+        want = per_row_columns(log.rows, instance.n, record_orders)
+        for column, expected, dtype, shape in zip(
+                got, want, (np.int64, np.int64, np.float64, np.int16),
+                ((horizon,),) * 3 + ((horizon, instance.n),)):
+            if expected is None:
+                assert column is None
+                continue
+            assert column.dtype == dtype and column.shape == shape
+            assert column.dtype == expected.dtype and column.shape == expected.shape
+            assert column.tobytes() == expected.tobytes()
+        assert trace.trials.dtype == np.int64
+        assert trace.trials.tolist() == list(range(1, horizon + 1))
+        if payoff_type is not None:
+            assert all(type(row[3]) is payoff_type for row in log.rows)
 
 
 class TestRunEpisode:

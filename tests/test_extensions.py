@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rankbandit.core import Instance
+from rankbandit.adversarial import BLORanker, EpsilonGreedyRanker
+from rankbandit.core import Instance, user_select
 from rankbandit.elimination import EliminationRanker
 from rankbandit.environments import (
     BLOCK,
@@ -77,7 +78,35 @@ def _applied_delays(policy, count):
     return [due - t for due, t, *_ in sorted(policy._inflight, key=lambda entry: entry[1])]
 
 
+_RANKERS = {
+    "eps-greedy": lambda rng: EpsilonGreedyRanker([0.4, 0.3, 0.2, 0.1], rng=rng,
+                                                  explore_constant=0.5),
+    "osmd": lambda rng: BLORanker([0.4, 0.3, 0.2, 0.1], horizon=3000, rng=rng),
+}
+
+
 class TestBlockDraws:
+    @pytest.mark.parametrize("ranker", sorted(_RANKERS))
+    def test_policy_uniforms_equal_scalar_draws(self, ranker):
+        count = 2 * BLOCK + 77
+        policy = _RANKERS[ranker](np.random.default_rng(11))
+        twin = _RANKERS[ranker](np.random.default_rng(11))
+        # the twin's act takes each uniform from its own scalar random() call
+        twin._uniforms = iter(twin.rng.random, None)
+        env = np.random.default_rng(13)
+        u = [0.3, 0.1, 0.4, 0.2]
+        shown = set()
+        for t in range(1, count + 1):
+            order = policy.act(t, u)
+            assert order == twin.act(t, u), t
+            shown.add(order)
+            pick = user_select(order, u, int(env.integers(1, 5)))
+            payoff = float(env.random())
+            policy.feed(t, pick, payoff)
+            twin.feed(t, pick, payoff)
+        assert len(shown) > 4
+        assert next(policy._uniforms) == twin.rng.random()
+
     @pytest.mark.parametrize("tau_max", [1, 4, 9])
     @pytest.mark.parametrize("wrapper", sorted(_WRAPPERS))
     def test_equal_scalar_draws(self, wrapper, tau_max):

@@ -8,6 +8,7 @@ from conftest import (
     admissible_lp, coupling_sample, feasible_matrix_oracle, random_mixture,
     sample_decomposition, selection_matrix_oracle,
 )
+from rankbandit.adversarial import MirrorDescent
 from rankbandit.core import selection_matrix
 from rankbandit.polytope import (
     ZERO_SNAP,
@@ -482,6 +483,25 @@ class TestCouplingSample:
             degenerate += min(q) == 0.0
         assert targets >= 1000
         assert degenerate >= 8  # impossible window lengths take part
+
+    @pytest.mark.parametrize("n", [5, 20, 50])
+    def test_warm_started_draw_follows_mirror_descent_iterates(self, n):
+        """Searches that start at the previous column's pick draw what the
+        oracle's searches from 0 draw, on the iterates a ranker couples."""
+        rng = np.random.default_rng([71, n])
+        for _ in range(3):
+            q = _random_law(rng, n)
+            ql = q.tolist()
+            engine = MirrorDescent(q, horizon=2000)
+            sampler = CouplingSampler(ql)
+            for _ in range(40):
+                p = engine.p
+                sampler.couple(p)
+                for u in [0.0, math.nextafter(1.0, 0.0), *rng.random(8).tolist()]:
+                    ranking, _ = coupling_sample(p, ql, u)
+                    assert sampler.draw(u, range(n)) == ranking, (p, ql, u)
+                rank = int(rng.integers(engine._offset, n))
+                engine.feed(rank, -float(rng.random()) / max(p[rank], 1e-3))
 
     def test_frozen_two_item_example(self):
         # coupling [[5/6, 0], [1/6, 1]]: window 1 picks rank 0 below u = 5/6
