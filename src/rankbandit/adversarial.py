@@ -24,7 +24,6 @@ those may change between trials.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from typing import Sequence
 
@@ -33,7 +32,7 @@ import numpy as np
 from .core import (
     Permutation, _family_from_arrays, _see_utilities, items_by_rank, probability_vector,
 )
-from .environments import BLOCK, _blocks
+from .environments import _blocks
 from .polytope import CouplingSampler, window_suffix_bounds
 
 _LAZY_TOL = 1e-12
@@ -308,7 +307,8 @@ class BLORanker:
     same list, and so does the coupling; such a trial only searches each
     column's pick for its one uniform.
 
-    ``rng`` is read ``BLOCK`` uniforms at a time, the same doubles as one
+    ``rng`` is read in blocks of uniforms that grow from 32 to ``BLOCK``
+    (:func:`~rankbandit.environments._blocks`), the same doubles as one
     ``random()`` per trial, and ``act`` takes the next one. So the
     generator's state after an ``act`` is not one draw further on: it is the
     end of the last block read.
@@ -323,8 +323,8 @@ class BLORanker:
     def __init__(self, q: Sequence[float], *, horizon: int | None = None,
                  eta: float | None = None, rng: np.random.Generator | None = None):
         self.engine = MirrorDescent(q, horizon=horizon, eta=eta)
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self._uniforms = _blocks(functools.partial(self.rng.random, BLOCK))
+        rng = rng if rng is not None else np.random.default_rng()
+        self._uniforms = _blocks(rng.random)
         self._sampler = CouplingSampler(self.engine.q.tolist())  # it reads lists fastest
         self._shown = None
         self._utilities: list | None = None
@@ -397,9 +397,10 @@ class EpsilonGreedyRanker:
     uniform. ``explorations`` counts the trials that showed a pivot ranking.
 
     The coin and the pivot's uniform come, in that order, from ``rng`` read
-    ``BLOCK`` uniforms at a time: the same doubles as one ``random()`` per
-    use. So the generator's state after an ``act`` is not one or two draws
-    further on: it is the end of the last block read.
+    in blocks of uniforms that grow from 32 to ``BLOCK``
+    (:func:`~rankbandit.environments._blocks`): the same doubles as one
+    ``random()`` per use. So the generator's state after an ``act`` is not
+    one or two draws further on: it is the end of the last block read.
     """
 
     def __init__(self, q: Sequence[float], *, rng: np.random.Generator | None = None,
@@ -411,8 +412,8 @@ class EpsilonGreedyRanker:
         cdf /= cdf[-1]
         self._cdf = cdf.tolist()
         self._pivots = [pivot_permutation(i, self.n) for i in range(self.n)]
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self._uniforms = _blocks(functools.partial(self.rng.random, BLOCK))
+        rng = rng if rng is not None else np.random.default_rng()
+        self._uniforms = _blocks(rng.random)
         self.explore_constant = explore_constant
         self.rewards = [0.0] * self.n
         self.counts = [0] * self.n

@@ -19,14 +19,16 @@ ranker sorts each such set once, at the first pass that needs it, and keeps
 it until the utilities change: at most ``n (n - 1) / 2`` of them.
 
 No lower bound exceeds one ceiling, the largest mean less the radius at the
-largest count, since a smaller count has a larger radius. A pass therefore
-walks the least-played-first order once: while the first unplaced position
-in it is unseen or has an upper bound above the ceiling, that position is the
-pick, at the cost of one radius. At the first position that is not certified
-so, the pass computes every remaining bound and finishes by the rule itself.
-Each blocked set is sorted by item index. The utilities must be pairwise
-distinct, as :func:`rankbandit.core.user_select` requires and
-:class:`rankbandit.core.Instance` checks.
+largest count, since a smaller count has a larger radius. The ranker keeps
+the largest mean between passes: ``feed`` changes one mean, so it raises the
+kept value or, when the fed position held it, takes the maximum again. A
+pass therefore walks the least-played-first order once: while the first
+unplaced position in it is unseen or has an upper bound above the ceiling,
+that position is the pick, at the cost of one radius. At the first position
+that is not certified so, the pass computes every remaining bound and
+finishes by the rule itself. Each blocked set is sorted by item index. The
+utilities must be pairwise distinct, as :func:`rankbandit.core.user_select`
+requires and :class:`rankbandit.core.Instance` checks.
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
     ceiling ``max(means) - sqrt(L / most)``, ``most`` the largest count,
     read at the last of the positions ``_ks`` sorted least-played first: a
     seen position's count is at most ``most``, and division, ``sqrt`` and
-    subtraction round monotonically. So a first unplaced position that is
-    unseen, or whose upper bound beats the ceiling, is the pick, and while
-    every pick is certified so, the picks come from one forward walk over
-    ``_ks``. From the first position that is not certified, the pass
+    subtraction round monotonically. ``max(means)`` is the ranker's kept
+    ``_top``, the same float as the maximum taken afresh. So a first
+    unplaced position that is unseen, or whose upper bound beats the
+    ceiling, is the pick, and while every pick is certified so, the picks
+    come from one forward walk over ``_ks``. From the first position that is not certified, the pass
     computes the bounds of the positions left and finishes by the rule
     itself. Both paths append each blocked set from the ranker's store of
     sets sorted by item index, so the output is a deterministic function of
@@ -75,7 +78,7 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
     blocked = ranker._blocked
     log_term = math.log(4.0 * n * t * t / ranker.delta)
     most = counts[ks[-1]]
-    ceiling = max(means) - math.sqrt(log_term / most) if most else -math.inf
+    ceiling = ranker._top - math.sqrt(log_term / most) if most else -math.inf
     out: list[int] = []
     s = 0
     for k in ks:
@@ -146,14 +149,18 @@ class EliminationRanker:
     item index. ``_first[c]`` is how many positions have a count below
     ``c``, so the positions of count ``c`` are ``_ks[_first[c]:_first[c + 1]]``;
     the list has the largest count plus two entries. ``_blocked`` holds
-    ``sorted(asc[s:k])`` for each ``(s, k)`` a pass has needed.
+    ``sorted(asc[s:k])`` for each ``(s, k)`` a pass has needed, and ``_top``
+    is ``max(_means)``.
 
     ``feed`` updates the fed item's entries in place. Its count grows by
     one, so its position leaves the block of count ``c - 1`` for the block of
     count ``c``, where one bisection by item places it, and ``_first[c]``
-    falls by one. ``act`` rebuilds all of it from ``rewards`` and ``counts``,
-    with an empty ``_blocked``, when the utilities differ by value from the
-    last ones it saw, and on its first call. The same read-only array as
+    falls by one. A new mean above ``_top`` replaces it; ``_top`` is taken
+    again with ``max`` only when the fed position held it and its mean
+    changed, or when a NaN is involved, so it keeps ``max``'s result.
+    ``act`` rebuilds all of it from ``rewards`` and ``counts``, with an
+    empty ``_blocked``, when the utilities differ by value from the last
+    ones it saw, and on its first call. The same read-only array as
     last time is not compared again.
     """
 
@@ -171,6 +178,7 @@ class EliminationRanker:
         self._pos: list[int] = []  # position of each item
         self._counts: list[int] = []
         self._means: list[float] = []
+        self._top = -math.inf  # max(_means)
         self._ks: list[int] = []  # positions, least-played first, then by item
         self._first: list[int] = []  # how many positions have a count below c
         self._blocked = _BlockedSets([])
@@ -192,7 +200,9 @@ class EliminationRanker:
         self._asc = asc
         self._pos = pos
         self._counts = counts
-        self._means = [self.rewards[i] / c if c else 0.0 for i, c in zip(asc, counts)]
+        self._means = means = [self.rewards[i] / c if c else 0.0
+                               for i, c in zip(asc, counts)]
+        self._top = max(means)
         self._ks = sorted(range(n), key=lambda k: (counts[k], asc[k]))
         first = [0] * (max(counts) + 2)
         for c in counts:
@@ -208,7 +218,17 @@ class EliminationRanker:
             return  # the ordered state is built at the first act
         k = self._pos[item]
         self._counts[k] = c
-        self._means[k] = self.rewards[item] / c
+        means = self._means
+        old = means[k]
+        mean = means[k] = self.rewards[item] / c
+        top = self._top
+        if mean > top:
+            self._top = mean
+        elif not (old < top and mean == mean or mean == old):
+            # the fed position held the largest mean, or a NaN is involved:
+            # max keeps the first of the means when that is NaN and skips
+            # every later NaN
+            self._top = max(means)
         ks = self._ks
         del ks[ks.index(k)]
         first = self._first

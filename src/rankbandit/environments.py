@@ -27,10 +27,12 @@ STREAM_POLICY = 2
 STREAM_TAPE = 3
 STREAM_DELAY = 4
 
-# values a random source draws from numpy at a time: the windows, Gaussian
-# payoffs and delays here and in extensions.py, and the uniforms of the
-# epsilon-greedy and mirror-descent rankers. numpy gives the same stream
-# whatever the block size, so this sets speed only
+# the most values a random source draws from numpy at a time: the windows,
+# Gaussian payoffs and delays here and in extensions.py, and the uniforms of
+# the epsilon-greedy and mirror-descent rankers. A source's first block holds
+# 32 values and each next one twice as many, up to BLOCK, so a stream read
+# only a few dozen times draws no more than it needs. numpy gives the same
+# stream whatever the block sizes, so this sets speed and memory only
 BLOCK = 1024
 
 
@@ -50,25 +52,29 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _blocks(draw: Callable[[], np.ndarray]) -> Iterator:
-    """The values of ``draw()``, one at a time as Python numbers, calling it
-    for the next block when one runs out."""
+def _blocks(draw: Callable[[int], np.ndarray]) -> Iterator:
+    """The values of ``draw(size)``, one at a time as Python numbers, calling
+    it for the next block when one runs out. The sizes go 32, 64, ... up to
+    ``BLOCK`` and stay there."""
+    size = 32
     while True:
-        yield from draw().tolist()
+        yield from draw(size).tolist()
+        size = min(2 * size, BLOCK)
 
 
 class GaussianPayoffs:
     """Unit-variance Gaussian payoffs, one independent substream per item.
 
-    Each item's draws come from its own substream in blocks of ``BLOCK``,
-    the same numbers as one ``normal`` call per draw, so the k-th draw for
-    item ``i`` depends only on ``(seed, replication, i, k)``.
+    Each item's draws come from its own substream in blocks that grow from
+    32 values to ``BLOCK`` (:func:`_blocks`), the same numbers as one
+    ``normal`` call per draw, so the k-th draw for item ``i`` depends only
+    on ``(seed, replication, i, k)``.
     """
 
     def __init__(self, means: Sequence[float], seed: int, replication: int = 0):
         self.means = np.asarray(means, dtype=float)
         gens = [substream(seed, replication, STREAM_PAYOFF, i) for i in range(self.means.size)]
-        self._streams = [_blocks(functools.partial(g.normal, mean, 1.0, BLOCK))
+        self._streams = [_blocks(functools.partial(g.normal, mean, 1.0))
                          for g, mean in zip(gens, self.means.tolist())]
 
     def draw(self, item: int, t: int) -> float:
@@ -143,14 +149,20 @@ class ScheduleWindows:
 class MultinomialWindows:
     """I.i.d. window lengths with distribution ``q`` over ``1..n``.
 
-    Draws are sequential: call once per trial, in trial order.
+    Draws are sequential: call once per trial, in trial order. A block of
+    windows inverts the CDF of ``q``, computed once, at uniforms drawn in
+    blocks by :func:`_blocks`: what ``Generator.choice(n, size, p=q)`` does,
+    so the windows are the same numbers as one ``choice`` call per trial.
     """
 
     def __init__(self, q: Sequence[float], seed: int, replication: int = 0):
         self.q = q = probability_vector(q)
-        self.n = n = int(q.size)
+        self.n = int(q.size)
         rng = substream(seed, replication, STREAM_WINDOW)
-        self._windows = _blocks(lambda: rng.choice(n, size=BLOCK, p=q) + 1)
+        cdf = q.cumsum()
+        cdf /= cdf[-1]
+        self._windows = _blocks(
+            lambda size: cdf.searchsorted(rng.random(size), side="right") + 1)
 
     def draw(self, t: int) -> int:
         return next(self._windows)
@@ -261,7 +273,13 @@ def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
         table, rows = _family_table(instance, horizon)
 
     ws, ys, pays = [], [], []
-    orders = [] if record_orders else None
+    orders = None
+    if record_orders:
+        # imported here, so that a run which records no orders (every
+        # harness run) does not load the module
+        from array import array
+
+        orders = array("h")  # the orders end to end, n entries a trial
 
     observe = getattr(windows, "observe", None)
     fixed_utilities = instance.utility_sequence is None
@@ -283,13 +301,16 @@ def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
         ys.append(y)
         pays.append(payoff)
         if orders is not None:
-            orders.append(order)
+            if len(order) != n:
+                raise ValueError(f"trial {t}: the policy displayed {len(order)} "
+                                 f"items, expected {n}")
+            orders.extend(order)
 
     wcol = np.array(ws, dtype=np.int64)
     ycol = np.array(ys, dtype=np.int64)
     paycol = np.array(pays, dtype=np.float64)
     if orders is not None:
-        orders = np.array(orders, dtype=np.int16).reshape(horizon, n)
+        orders = np.frombuffer(orders, dtype=np.int16).reshape(horizon, n)
     regcol = (_means_regret(instance.means, table, rows, wcol, ycol)
               if benchmark == "means" else np.zeros(horizon))
     return RegretTrace(

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .core import Permutation, user_select
-from .environments import BLOCK, _blocks
+from .environments import _blocks
 
 # social-learning burn-in: review interval half-width at one review, review
 # noise, and the half-width of the interval before any review
@@ -50,15 +50,15 @@ class DelayModel:
     def delays(self, rng: np.random.Generator | None) -> Iterator[int]:
         """The delay of each payoff in turn.
 
-        ``uniform`` delays are drawn from ``rng`` ``BLOCK`` at a time by
-        ``environments._blocks``, which serves the payoff and window sources
-        and the rankers' uniforms too; that gives the same numbers as one
-        ``rng.integers(0, tau_max + 1)`` per payoff. ``none`` and ``fixed``
-        take nothing from ``rng``.
+        ``uniform`` delays are drawn from ``rng`` in blocks that grow from 32
+        to ``BLOCK`` values by ``environments._blocks``, which serves the
+        payoff and window sources and the rankers' uniforms too; that gives
+        the same numbers as one ``rng.integers(0, tau_max + 1)`` per payoff.
+        ``none`` and ``fixed`` take nothing from ``rng``.
         """
         if self.kind != "uniform":
             return itertools.repeat(self.tau_max)
-        return _blocks(functools.partial(rng.integers, 0, self.tau_max + 1, BLOCK))
+        return _blocks(functools.partial(rng.integers, 0, self.tau_max + 1))
 
     @classmethod
     def parse(cls, spec: str) -> "DelayModel":
@@ -89,8 +89,8 @@ class QueuedDelayPolicy:
     queue is non-empty. Every observed payoff is enqueued under its item on
     arrival, so off-request picks are banked rather than lost. Delays come
     from :meth:`DelayModel.delays`: ``uniform`` ones are drawn from ``rng``
-    in blocks by ``environments._blocks``, the same numbers as one draw per
-    payoff.
+    in blocks that grow from 32 to ``BLOCK`` values by
+    ``environments._blocks``, the same numbers as one draw per payoff.
 
     No inversion budget is stated for delayed feedback:
     :func:`~rankbandit.elimination.inversion_budget` holds only when every
@@ -258,16 +258,15 @@ def estimate_order_sorting(show: Callable[[Sequence[int]], int], n: int,
         nonlocal trials, comparisons
         comparisons += 1
         rest = [c for c in range(n) if c != a and c != b]
-        pair = (a, b)
+        display, swapped = (a, b, *rest), (b, a, *rest)
         while True:
             if trials >= budget:
                 raise PartialOrderError(
                     f"budget {budget} exhausted after {comparisons} comparisons")
             trials += 1
-            y = show((*pair, *rest))
-            if y == pair[1]:
-                return pair[1]
-            pair = (pair[1], pair[0])
+            if show(display) == display[1]:
+                return display[1]
+            display, swapped = swapped, display
 
     def merge_sort(items: list[int]) -> list[int]:
         if len(items) <= 1:

@@ -548,7 +548,15 @@ class TestBLORanker:
         assert ranker.engine.p[2] > before[2]
 
 
-class _PeelingBLORanker(BLORanker):
+class _ScalarDrawBLORanker(BLORanker):
+    """Keeps its generator, to draw from it one value at a time."""
+
+    def __init__(self, q, *, rng, **kwargs):
+        super().__init__(q, rng=rng, **kwargs)
+        self.rng = rng
+
+
+class _PeelingBLORanker(_ScalarDrawBLORanker):
     """Reference ranker: build the coupling matrix, peel it, draw one term."""
 
     def act(self, t, utilities):
@@ -565,7 +573,7 @@ class _PeelingBLORanker(BLORanker):
         return tuple(int(by_rank[r]) for r in rank_order)
 
 
-class _NumpyGlueBLORanker(BLORanker):
+class _NumpyGlueBLORanker(_ScalarDrawBLORanker):
     """Reference ranker: the iterate copied into numpy, clipped at 0 and
     renormalized before the draw, with the realized marginals kept as an array."""
 
@@ -775,8 +783,9 @@ class _ReferenceEpsilonGreedy(EpsilonGreedyRanker):
     """Reference ranker: fresh means and a fresh family every exploit trial, the
     pivot drawn by ``Generator.choice`` and the utility order sorted again."""
 
-    def __init__(self, q, **kwargs):
-        super().__init__(q, **kwargs)
+    def __init__(self, q, *, rng=None, **kwargs):
+        self.rng = rng if rng is not None else np.random.default_rng()
+        super().__init__(q, rng=self.rng, **kwargs)
         self.alpha = np.asarray(lazy_alpha(q), dtype=float)
 
     def _epsilon(self, t):

@@ -137,6 +137,14 @@ def find_permutation_of(rewards, counts, t, delta, utilities):
     return ranker.act(t, utilities)
 
 
+def _pass_or_error(find, *args):
+    """The pass ``find(*args)`` returns, or ``ValueError`` if it raises one."""
+    try:
+        return find(*args)
+    except ValueError:
+        return ValueError
+
+
 class OracleEliminationRanker(EliminationRanker):
     def act(self, t, utilities):
         return find_permutation_oracle(self.rewards, self.counts, t, self.delta, utilities)
@@ -339,10 +347,11 @@ class TestCachedState:
     def test_positions_and_blocked_sets_follow_every_step(self):
         # random interleavings of feed, act and new utilities; after each
         # step the positions are in (count, item) order, each count's block
-        # of them starts where _first says, and every stored blocked set is
-        # the current one
+        # of them starts where _first says, every stored blocked set is the
+        # current one, and the kept largest mean is max(_means)
         rng = np.random.default_rng(19)
         kinds = {"unseen": 0, "tied": 0, "rebuilt": 0, "blocked": 0}
+        top = {"raised": 0, "lowered": 0}
         for _ in range(200):
             n = int(rng.integers(1, 61))
             # means far apart separate the intervals within a few feeds, so
@@ -356,7 +365,10 @@ class TestCachedState:
                 if step < 0.5:
                     item = int(rng.integers(0, n))
                     kinds["unseen"] += ranker.counts[item] == 0
+                    before = ranker._top
                     ranker.feed(t, item, float(rng.normal(means[item], 1.0)))
+                    top["raised"] += ranker._top > before
+                    top["lowered"] += ranker._top < before
                 else:
                     if step > 0.9:
                         u = rng.permutation(n) + rng.uniform(0.0, 0.5)
@@ -374,9 +386,48 @@ class TestCachedState:
                                          for x in range(max(ranker.counts) + 2)]
                 for (s, k), block in ranker._blocked.items():
                     assert block == sorted(asc[s:k]), (s, k)
+                assert ranker._top == max(ranker._means)
                 kinds["blocked"] += len(ranker._blocked)
                 kinds["tied"] += len(set(ranker.counts)) < n
         assert min(kinds.values()) >= 300, kinds
+        assert min(top.values()) >= 100, top
+
+    def test_kept_top_follows_nonfinite_payoffs(self):
+        # nan, inf and -inf payoffs among finite ones: inf and -inf make
+        # infinite means, both together a NaN sum. After every step the kept
+        # largest mean is max(_means), NaN where max gives NaN, and every
+        # pass equals that of a fresh ranker, which takes max(_means) anew,
+        # and, while every mean is below inf and not NaN, the rule's oracle
+        # (an infinite or NaN mean leaves the rule with no contender, where
+        # the pass still places the unseen positions)
+        rng = np.random.default_rng(29)
+        specials = [math.nan, math.inf, -math.inf]
+        kinds = {"nan top": 0, "inf top": 0, "-inf top": 0, "no contender": 0, "passes": 0}
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            ranker = EliminationRanker(n, 0.1)
+            u = rng.permutation(n) + 0.5
+            ranker.act(1, u)
+            for t in range(1, 40):
+                if rng.random() < 0.5:
+                    item = int(rng.integers(0, n))
+                    payoff = (specials[int(rng.integers(0, 3))] if rng.random() < 0.15
+                              else float(rng.normal(0.0, 1.0)))
+                    ranker.feed(t, item, payoff)
+                else:
+                    state = (ranker.rewards, ranker.counts, t, 0.1, u)
+                    got = _pass_or_error(ranker.act, t, u)
+                    assert got == _pass_or_error(find_permutation_of, *state), t
+                    if all(m < math.inf for m in ranker._means):
+                        assert got == _pass_or_error(find_permutation_oracle, *state), t
+                    kinds["no contender"] += got is ValueError
+                    kinds["passes"] += 1
+                want = max(ranker._means)
+                assert ranker._top == want or math.isnan(ranker._top) and math.isnan(want)
+                kinds["nan top"] += math.isnan(want)
+                kinds["inf top"] += want == math.inf
+                kinds["-inf top"] += want == -math.inf
+        assert min(kinds.values()) >= 100, kinds
 
     def test_utility_order_changes_mid_run(self):
         n, horizon = 6, 4000

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,59 @@ class TestEpisodeColumns:
         assert trace.trials.tolist() == list(range(1, horizon + 1))
         if payoff_type is not None:
             assert all(type(row[3]) is payoff_type for row in log.rows)
+
+    @pytest.mark.parametrize("lengths", [{7: 2}, {7: 4}, {7: 2, 9: 4}],
+                             ids=["short", "long", "short-then-long"])
+    def test_order_of_wrong_length_raises(self, lengths):
+        # the first order of the wrong length raises at its trial, also
+        # when a later one, an item long, would make the total count right
+        instance = Instance(utilities=[1.0, 2.0, 3.0], means=[1.0, 3.0, 2.0])
+        with pytest.raises(ValueError, match=f"^trial 7: .* displayed {lengths[7]} "
+                                             "items, expected 3$"):
+            run_episode(_Rotating(3, lengths), instance, GaussianPayoffs(instance.means, seed=5),
+                        ScheduleWindows([1] * 12, n=3), 12)
+        # without recorded orders the lengths are not checked
+        trace = run_episode(_Rotating(3, lengths), instance,
+                            GaussianPayoffs(instance.means, seed=5),
+                            ScheduleWindows([1] * 12, n=3), 12, record_orders=False)
+        assert trace.orders is None
+
+    def test_recorded_orders_take_two_bytes_an_entry(self):
+        # each trial's order is a new tuple of n ints; the recorded episode's
+        # peak may exceed the unrecorded one's by at most 4 bytes an entry
+        # (2 for the int16 plus the array's growth), not a tuple per trial
+        n, horizon = 20, 20_000
+        instance = Instance(utilities=np.arange(n) + 1.0)
+        tape = TapePayoffs.bernoulli(np.linspace(0.1, 0.9, n), horizon, seed=3)
+        windows = ScheduleWindows([1 + t % n for t in range(horizon)], n)
+        peaks = {}
+        for record_orders in (True, False):
+            tracemalloc.start()
+            try:
+                trace = run_episode(_Rotating(n), instance, tape, windows, horizon,
+                                    benchmark="none", record_orders=record_orders)
+                peaks[record_orders] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert trace.orders is None
+        assert peaks[True] - peaks[False] <= 4 * n * horizon, peaks
+
+
+class _Rotating:
+    """Shows ``0..n-1`` rotated left by ``t mod n``: a new tuple each trial,
+    cut or padded at the trials ``lengths`` names to that many items."""
+
+    def __init__(self, n, lengths=None):
+        self.base = tuple(range(n)) * 2
+        self.n = n
+        self.lengths = lengths or {}
+
+    def act(self, t, utilities):
+        k = t % self.n
+        return self.base[k:k + self.lengths.get(t, self.n)]
+
+    def feed(self, t, item, payoff):
+        pass
 
 
 class TestRunEpisode:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rankbandit import adversarial, environments, extensions
 from rankbandit.adversarial import BLORanker, EpsilonGreedyRanker
 from rankbandit.core import Instance, user_select
 from rankbandit.elimination import EliminationRanker
@@ -85,14 +86,57 @@ _RANKERS = {
 }
 
 
+# each random stream served by environments._blocks, built afresh
+_STREAMS = {
+    "payoffs": lambda: iter(functools.partial(GaussianPayoffs([0.5], seed=7).draw, 0, 1),
+                            None),
+    "windows": lambda: iter(functools.partial(MultinomialWindows([0.5, 0.3, 0.2], seed=7).draw,
+                                              1), None),
+    "delays": lambda: DelayModel(kind="uniform", tau_max=4).delays(np.random.default_rng(7)),
+    **{name: functools.partial(lambda make: make(np.random.default_rng(7))._uniforms, make)
+       for name, make in _RANKERS.items()},
+}
+
+
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """The sizes each stream built from here on asks of numpy, one list per
+    stream in the order they are built."""
+    streams = []
+    blocks = environments._blocks
+
+    def logged(draw):
+        sizes = []
+        streams.append(sizes)
+        return blocks(lambda size: sizes.append(size) or draw(size))
+
+    for module in (environments, adversarial, extensions):
+        monkeypatch.setattr(module, "_blocks", logged)
+    return streams
+
+
 class TestBlockDraws:
+    @pytest.mark.parametrize("stream", sorted(_STREAMS))
+    def test_blocks_grow_from_32_to_block(self, stream, block_sizes):
+        # 32, 64, ... while below BLOCK, then BLOCK twice
+        want = list(itertools.takewhile(BLOCK.__gt__, (32 << k for k in itertools.count())))
+        want += [BLOCK, BLOCK]
+        assert want[:3] == [32, 64, 128]
+        values = _STREAMS[stream]()
+        assert len(list(itertools.islice(values, sum(want)))) == sum(want)
+        assert block_sizes == [want]
+        # the next block is drawn only once the last one is used up
+        next(values)
+        assert block_sizes == [want + [BLOCK]]
+
     @pytest.mark.parametrize("ranker", sorted(_RANKERS))
     def test_policy_uniforms_equal_scalar_draws(self, ranker):
         count = 2 * BLOCK + 77
         policy = _RANKERS[ranker](np.random.default_rng(11))
-        twin = _RANKERS[ranker](np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        twin = _RANKERS[ranker](rng)
         # the twin's act takes each uniform from its own scalar random() call
-        twin._uniforms = iter(twin.rng.random, None)
+        twin._uniforms = iter(rng.random, None)
         env = np.random.default_rng(13)
         u = [0.3, 0.1, 0.4, 0.2]
         shown = set()
@@ -105,7 +149,7 @@ class TestBlockDraws:
             policy.feed(t, pick, payoff)
             twin.feed(t, pick, payoff)
         assert len(shown) > 4
-        assert next(policy._uniforms) == twin.rng.random()
+        assert next(policy._uniforms) == rng.random()
 
     @pytest.mark.parametrize("tau_max", [1, 4, 9])
     @pytest.mark.parametrize("wrapper", sorted(_WRAPPERS))
@@ -134,6 +178,24 @@ class TestBlockDraws:
         g = substream(7, 2, STREAM_WINDOW)
         assert got == [int(g.choice(3, p=q)) + 1 for _ in range(count)]
         assert all(type(w) is int for w in got)
+
+    def test_windows_equal_choice_with_zero_mass(self):
+        # n = 50 with 17 windows of zero mass, the first and the last among
+        # them: the windows invert the CDF as Generator.choice does
+        n, count = 50, 2 * BLOCK + 77
+        rng = np.random.default_rng(23)
+        q = rng.random(n)
+        zero = np.concatenate(([0, n - 1], rng.choice(np.arange(1, n - 1), 15, replace=False)))
+        q[zero] = 0.0
+        q /= q.sum()
+        windows = MultinomialWindows(q, seed=7, replication=2)
+        got = [windows.draw(t) for t in range(1, count + 1)]
+        g = substream(7, 2, STREAM_WINDOW)
+        assert got == [int(g.choice(n, p=q)) + 1 for _ in range(count)]
+        g = substream(7, 2, STREAM_WINDOW)
+        assert got == (g.choice(n, size=count, p=q) + 1).tolist()
+        assert not set(got) & set((zero + 1).tolist())
+        assert len(set(got)) == n - zero.size
 
     def test_payoffs_equal_scalar_draws(self):
         count = 2 * BLOCK + 77

@@ -136,17 +136,17 @@ def reached(sources):
     attribute read off a name or an attribute ``Owner`` (so
     ``module.Owner.attr`` too), with ``cls`` read as its enclosing class,
     ``calls`` maps a callee name to each call's positional-argument count and
-    keywords, and ``loads`` maps an attribute name to where it is loaded: the
-    class ``C`` for a ``self.attr`` read inside ``C.__init__``, else ``""``.
-    Strings and comments are not code, so nothing in them counts."""
+    keywords, and ``loads`` holds every attribute name that is loaded other
+    than as a ``self.attr`` read inside a class's ``__init__``. Strings and
+    comments are not code, so nothing in them counts."""
     names: set[str] = set()
     attributes: set[str] = set()
     qualified: set[str] = set()
     calls: dict[str, list[tuple[int, set[str]]]] = {}
-    loads: dict[str, set[str]] = {}
+    loads: set[str] = set()
     for text in sources:
         tree = ast.parse(text)
-        in_init: dict[int, str] = {}  # id of a self.attr read in C.__init__ -> C
+        in_init: set[int] = set()  # ids of the self.attr nodes in any __init__
         for klass in ast.walk(tree):
             if isinstance(klass, ast.ClassDef):
                 qualified.update(f"{klass.name}.{node.attr}" for node in ast.walk(klass)
@@ -154,15 +154,14 @@ def reached(sources):
                                  and getattr(node.value, "id", None) == "cls")
                 for fn in klass.body:
                     if getattr(fn, "name", None) == "__init__":
-                        in_init.update((id(node), klass.name) for node in ast.walk(fn)
-                                       if _is_self(node))
+                        in_init.update(id(node) for node in ast.walk(fn) if _is_self(node))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
-                if isinstance(node.ctx, ast.Load):
-                    loads.setdefault(node.attr, set()).add(in_init.get(id(node), ""))
+                if isinstance(node.ctx, ast.Load) and id(node) not in in_init:
+                    loads.add(node.attr)
                 # the class as a bare name or as a module attribute
                 owner = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
                 if owner is not None:
@@ -213,9 +212,9 @@ def unreached_surface(name: str, source: str, reach) -> list[str]:
     that no call of their callee passes by keyword or by position. A
     function is named by a name or an attribute, a method or property by an
     attribute, and a class or static method only as ``Class.method`` (or
-    ``cls.method`` in its own class). A field of class ``C`` is reached by a
-    load of the attribute, a call included, other than a ``self`` read in
-    ``C.__init__``."""
+    ``cls.method`` in its own class). A field is reached by a load of the
+    attribute, a call included, other than a ``self`` read in an
+    ``__init__``: that read serves the constructor, in whichever class."""
     names, attributes, qualified, calls, loads = reach
     out = []
     for node in ast.parse(source).body:
@@ -242,7 +241,7 @@ def unreached_surface(name: str, source: str, reach) -> list[str]:
                                     0 if "staticmethod" in kind else 1))
             methods = {fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)}
             out += [f"{name}: {node.name}.{f}" for f in _fields(node)
-                    if f not in methods and not loads.get(f, set()) - {node.name}]
+                    if f not in methods and f not in loads]
         else:
             continue
         for label, fn, callee, is_reached, bound in members:
@@ -305,6 +304,14 @@ def test_fields_are_reached_by_loads():
             'print("src.seen", src.n)\n')
     assert unreached_surface("mod.py", module, reached([module, code])) == [
         "mod.py: Source.size", "mod.py: Source.seen"]
+    # a self read in another class's __init__ reaches neither class's field
+    other = ("class Sink:\n"
+             "    def __init__(self, n):\n        self.n = n\n"
+             "        self.size = self.n * 2\n")
+    assert unreached_surface("mod.py", module, reached([module, other, "s.draw(1)\n"])) == [
+        "mod.py: Source.n", "mod.py: Source.size", "mod.py: Source.seen"]
+    assert unreached_surface("other.py", other, reached([module, other])) == [
+        "other.py: Sink.n", "other.py: Sink.size"]
 
 
 def test_dataclass_fields_are_fields():
