@@ -10,11 +10,11 @@ regularizer ``F(p) = -2 * sum(sqrt(p))``. The iterate is a plain list of
 marginals over utility ranks. Each trial realizes it as a random ranking drawn
 straight from the comonotone coupling of the marginals with the window law:
 one uniform picks a rank in every window column, without building the
-coupling matrix. The window columns are laid out once per ranker, and the
-marginals' side of the coupling once per iterate. The draw follows the
-mixture that ``rfsm_decompose(feasible_matrix(p, q))`` peels, which is its
-reference. The feedback is a one-sparse loss, ``feed(index, value)``, on the
-picked rank.
+coupling matrix. ``CouplingSampler`` lays out the window columns once per
+ranker and the marginals' side once per iterate; ``feasible_matrix(p, q)`` is
+its dense view, and the mixture ``rfsm_decompose`` peels off that matrix is
+the draw's reference. The feedback is a one-sparse loss,
+``feed(index, value)``, on the picked rank.
 
 The mirror-descent ranker learns over utility ranks, not items: each ``act``
 maps ranks to the items that hold them under the utilities it is shown, so
@@ -96,20 +96,15 @@ def pivot_marginals(alpha: Sequence, q: Sequence) -> np.ndarray:
     return np.asarray(out)
 
 
-def _block_constant(g: Sequence[float], mass: float) -> float:
-    """Solve ``sum((g_i + c)^-2) == mass`` for the unique root with all terms positive.
+def _block_root(g: Sequence[float], mass: float, gmin: float, lo: float) -> float:
+    """Solve ``sum((g_i + c)^-2) == mass`` for the unique root with all terms
+    positive, given ``gmin = min(g)`` and the bracket's low end
+    ``lo = -gmin + 1 / sqrt(mass)``, where the sum is at least ``mass``.
 
     Newton starts at ``c = 0`` when the bracket holds it, otherwise at the
     bracket's midpoint: with ``g_i = 1 / sqrt(p_i)`` the root of the last
     iterate's block is 0, and a one-sparse loss moves it little.
     """
-    gmin = min(g)
-    return _block_root(g, mass, gmin, -gmin + 1.0 / math.sqrt(mass))
-
-
-def _block_root(g: Sequence[float], mass: float, gmin: float, lo: float) -> float:
-    """:func:`_block_constant` given ``gmin = min(g)`` and the bracket's low
-    end ``lo = -gmin + 1 / sqrt(mass)``, where the sum is at least ``mass``."""
     if len(g) == 1:
         return lo
     hi = -gmin + math.sqrt(len(g) / mass)       # sum <= mass here
@@ -136,15 +131,16 @@ def _block_root(g: Sequence[float], mass: float, gmin: float, lo: float) -> floa
 
 
 def _block_terms(g: Sequence[float], mass: float) -> tuple[float, list[float]]:
-    """The block constant ``c`` of :func:`_block_constant` and the terms ``(g_i + c)^-2``.
+    """The block constant ``c`` of :func:`_block_root` and the terms ``(g_i + c)^-2``.
 
     When ``min(g) * sqrt(mass)`` is above about 1e16, the bracket's low end
     ``-gmin + 1 / sqrt(mass)`` rounds to ``-gmin``: the bracket has
     collapsed, and a direct solve can divide by zero, or return a root whose
     terms miss ``mass`` by far. Such a block is solved on the offsets
-    ``g_i - gmin``, for ``c + gmin``, and its terms are formed from the
-    offsets, so no ``g_i + c`` cancels in rounding. Every other block keeps
-    the root and terms of the direct solve.
+    ``g_i - gmin``, whose minimum is exactly 0, for ``c + gmin``, and its
+    terms are formed from the offsets, so no ``g_i + c`` cancels in
+    rounding. Every other block keeps the root and terms of the direct
+    solve. Both go through the one solver, :func:`_block_root`.
     """
     gmin = min(g)
     lo = -gmin + 1.0 / math.sqrt(mass)
@@ -152,7 +148,7 @@ def _block_terms(g: Sequence[float], mass: float) -> tuple[float, list[float]]:
         c = _block_root(g, mass, gmin, lo)
         return c, [1.0 / ((x + c) * (x + c)) for x in g]
     offsets = [x - gmin for x in g]
-    shifted = _block_constant(offsets, mass)
+    shifted = _block_root(offsets, mass, 0.0, 1.0 / math.sqrt(mass))
     return shifted - gmin, [1.0 / ((x + shifted) * (x + shifted)) for x in offsets]
 
 
@@ -243,7 +239,7 @@ class MirrorDescent:
     A zero loss takes no step: the minimizer of ``D(p, p_prev)`` alone is
     ``p_prev``, so ``feed`` counts the trial and keeps the same ``p`` list.
     Any other loss starts each block's Newton solve at the last iterate's
-    root where the bracket holds it (see :func:`_block_constant`).
+    root where the bracket holds it (see :func:`_block_root`).
     """
 
     def __init__(self, q: Sequence[float], *, horizon: int | None = None,
@@ -333,13 +329,6 @@ class BLORanker:
         self._pending: tuple[list[float], list[int]] | None = None
         self.last_marginals: list[float] | None = None
 
-    def _rank_maps(self, utilities: Sequence[float]) -> tuple[list[int], list[int]]:
-        """(item -> rank, rank -> item) under the current utilities, rebuilt
-        when they differ from the last ones seen."""
-        if utilities is not self._shown or utilities.flags.writeable:
-            _see_utilities(self, utilities)
-        return self._maps
-
     def _rebuild(self, u: list) -> None:
         n = self.engine.n
         if len(u) != n:
@@ -351,7 +340,9 @@ class BLORanker:
         self._maps = (ranks, by_rank)
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
-        ranks, by_rank = self._rank_maps(utilities)
+        if utilities is not self._shown or utilities.flags.writeable:
+            _see_utilities(self, utilities)
+        ranks, by_rank = self._maps
         p = self.engine.p
         sampler = self._sampler
         if p is not self._coupled:
@@ -395,6 +386,7 @@ class EpsilonGreedyRanker:
     item's mean. The pivot draw inverts a CDF computed once, as
     ``Generator.choice`` does, so it picks the same pivot from the same one
     uniform. ``explorations`` counts the trials that showed a pivot ranking.
+    A payoff that makes the item's payoff sum non-finite raises.
 
     The coin and the pivot's uniform come, in that order, from ``rng`` read
     in blocks of uniforms that grow from 32 to ``BLOCK``
@@ -446,7 +438,11 @@ class EpsilonGreedyRanker:
         self._by_rank = self._representative = None
 
     def feed(self, t: int, item: int, payoff: float) -> None:
-        self.rewards[item] += payoff
+        total = self.rewards[item] + payoff
+        if not math.isfinite(total):
+            raise ValueError(f"trial {t}: payoff {payoff!r} for item {item} makes "
+                             "its payoff sum non-finite")
+        self.rewards[item] = total
         self.counts[item] += 1
         old = self._means[item]
         new = self._means[item] = self.rewards[item] / self.counts[item]
@@ -456,10 +452,7 @@ class EpsilonGreedyRanker:
             lo, hi = old, new
         elif new < old:
             lo, hi = new, old
-        elif old == new:
-            return
-        else:  # a NaN mean: rebuild rather than reason about unordered means
-            self._representative = None
+        else:
             return
         # the pattern moves iff another mean lies in [lo, hi]
         for j, m in enumerate(self._means):

@@ -85,8 +85,7 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
         if k < s:
             continue
         c = counts[k]
-        # NaN fails the check too, and takes the exact path
-        if c and not means[k] + math.sqrt(log_term / c) > ceiling:
+        if c and means[k] + math.sqrt(log_term / c) <= ceiling:
             break
         out.append(asc[k])
         if k > s:
@@ -157,7 +156,8 @@ class EliminationRanker:
     count ``c``, where one bisection by item places it, and ``_first[c]``
     falls by one. A new mean above ``_top`` replaces it; ``_top`` is taken
     again with ``max`` only when the fed position held it and its mean
-    changed, or when a NaN is involved, so it keeps ``max``'s result.
+    fell, so it keeps ``max``'s result. Every mean is finite: a payoff that
+    makes the item's payoff sum non-finite raises before anything changes.
     ``act`` rebuilds all of it from ``rewards`` and ``counts``, with an
     empty ``_blocked``, when the utilities differ by value from the last
     ones it saw, and on its first call. The same read-only array as
@@ -211,7 +211,11 @@ class EliminationRanker:
         self._blocked = _BlockedSets(asc)
 
     def feed(self, t: int, item: int, payoff: float) -> None:
-        self.rewards[item] += payoff
+        total = self.rewards[item] + payoff
+        if not math.isfinite(total):
+            raise ValueError(f"trial {t}: payoff {payoff!r} for item {item} makes "
+                             "its payoff sum non-finite")
+        self.rewards[item] = total
         c = self.counts[item] + 1
         self.counts[item] = c
         if self._utilities is None:
@@ -224,10 +228,7 @@ class EliminationRanker:
         top = self._top
         if mean > top:
             self._top = mean
-        elif not (old < top and mean == mean or mean == old):
-            # the fed position held the largest mean, or a NaN is involved:
-            # max keeps the first of the means when that is NaN and skips
-            # every later NaN
+        elif old == top and mean < old:  # the fed position held the largest mean
             self._top = max(means)
         ks = self._ks
         del ks[ks.index(k)]

@@ -20,6 +20,10 @@ peels a round's weight off all of them in one array step, moves down only the
 columns whose cell that step empties, sums the matrix only when every picked cell
 is dust (a float sum of non-negative cells is never below its largest cell),
 and builds the rankings from the recorded picks after the last round.
+
+The coupling of target marginals with a window law is laid out in one place,
+:class:`CouplingSampler`, which draws rankings from it; :func:`feasible_matrix`
+is its dense view.
 """
 
 from __future__ import annotations
@@ -359,45 +363,19 @@ def marginal_deficit(p, q) -> tuple[int, float]:
     return j + 1, float(gaps[j])
 
 
-def _coupling_cumulatives(pl: Sequence[float],
-                          ql: Sequence[float]) -> tuple[list[float], list[float]]:
-    """Cumulative masses ``(F, G)`` of ``p`` over ranks and ``q`` over windows.
-
-    ``F`` is clamped under ``G`` (and kept non-decreasing in [0, 1]) so the
-    coupling is exact even when ``p`` is feasible only up to a tolerance; both
-    end at exactly 1.
-    """
-    n = len(pl)
-    F = [0.0] * n
-    G = [0.0] * n
-    run = 0.0  # running maximum, so it also clamps from below at 0
-    acc_p = 0.0
-    acc_q = 0.0
-    for i in range(n):
-        acc_p += pl[i]
-        acc_q += ql[i]
-        G[i] = acc_q
-        v = acc_p if acc_p < acc_q else acc_q
-        if v > run:
-            run = v if v < 1.0 else 1.0
-        F[i] = run
-    F[-1] = 1.0
-    G[-1] = 1.0
-    return F, G
-
-
 def feasible_matrix(p, q) -> np.ndarray:
     """An admissible matrix ``P`` with ``P q = p``, or raise if none exists.
 
-    Built by the order-preserving coupling of the two distributions: lay the
-    cumulative masses ``F`` of ``p`` (over ranks) and ``G`` of ``q`` (over
-    windows) side by side on [0, 1]; cell ``(i, c)`` is the overlap of rank
-    segment ``(F[i-1], F[i]]`` with window segment ``(G[c-1], G[c]]``,
-    ``max(min(F[i], G[c]) - max(F[i-1], G[c-1]), 0)``, as a share of the
-    window's width. Feasibility is exactly the suffix-domination check of
-    :func:`marginal_deficit`, and the coupling puts mass only on cells with
-    rank >= window - 1 with suffix mass non-decreasing in the window, so the
-    result is admissible by construction.
+    The dense view of :class:`CouplingSampler`, the order-preserving coupling
+    of the two distributions: it lays the cumulative masses ``F`` of ``p``
+    (over ranks) and ``G`` of ``q`` (over windows) side by side on [0, 1];
+    cell ``(i, c)`` is the overlap of rank segment ``(F[i-1], F[i]]`` with
+    window segment ``(G[c-1], G[c]]``, ``max(min(F[i], G[c]) - max(F[i-1],
+    G[c-1]), 0)``, as a share of the window's width, and a degenerate column
+    is 1 on its fixed rank. Feasibility is exactly the suffix-domination
+    check of :func:`marginal_deficit`, and the coupling puts mass only on
+    cells with rank >= window - 1 with suffix mass non-decreasing in the
+    window, so the result is admissible by construction.
     """
     p = probability_vector(p, name="p")
     q = probability_vector(q, name="q")
@@ -408,21 +386,19 @@ def feasible_matrix(p, q) -> np.ndarray:
         Q = window_suffix_bounds(q)
         raise InfeasibleTargetError(start, float(Q[start]),
                                     float(Q[start] - deficit))
-    n = p.size
-    F, G = (np.asarray(x) for x in _coupling_cumulatives(p.tolist(), q.tolist()))
+    sampler = CouplingSampler(q.tolist())
+    sampler.couple(p.tolist())
+    F = np.asarray(sampler._F)
     F_lo = np.concatenate(([0.0], F[:-1]))
-    G_lo = np.concatenate(([0.0], G[:-1]))
-    width = G - G_lo
-    # impossible window lengths, and ones whose mass lies above F[-1] = 1 by
-    # rounding of q, get the rank the coupling sits on instead, so suffix
-    # masses stay monotone across neighbouring columns
-    degenerate = (width <= ZERO_SNAP) | (G_lo >= 1.0)
-    overlap = np.minimum(F[:, None], G) - np.maximum(F_lo[:, None], G_lo)
-    P = np.maximum(overlap, 0.0) / np.where(degenerate, 1.0, width)
-    P[:, degenerate] = 0.0
-    cols = np.flatnonzero(degenerate)
-    top = np.minimum(np.searchsorted(F, G[cols], side="right"), n - 1)
-    P[np.maximum(top, cols), cols] = 1.0
+    low, width, end, fixed = zip(*sampler._columns)
+    low, width, end = np.array((low, width, end))
+    # a degenerate column lies at infinity with width 0: it overlaps no rank
+    # segment and takes its fixed rank instead
+    overlap = np.minimum(F[:, None], end) - np.maximum(F_lo[:, None], low)
+    P = np.maximum(overlap, 0.0) / np.where(width > 0.0, width, 1.0)
+    for c, i in enumerate(fixed):
+        if i is not None:
+            P[i, c] = 1.0
 
     # shares carry rounding of order eps / width; judge the shortfall as
     # window mass, so a narrow (rare) window is not rejected for it
@@ -441,17 +417,20 @@ def feasible_matrix(p, q) -> np.ndarray:
 
 
 class CouplingSampler:
-    """The coupling of :func:`feasible_matrix` for one window law ``q``, set up
-    once to draw rankings for one target after another.
+    """The order-preserving coupling for one window law ``q``, set up once to
+    draw rankings for one target after another; :func:`feasible_matrix` is
+    its dense view.
 
     The window side depends on ``q`` only and is laid out here: the running
     sums of ``q``, and each column's segment ``(G[c-1], G[c]]`` of [0, 1],
-    where ``G`` is those sums with the last one forced to 1. :meth:`couple`
-    lays a target ``p`` beside it. It sets ``realized[i] = F[i] - F[i-1]``,
-    which equals that matrix's ``P q`` up to rounding, and ``residual``, its
-    largest distance from ``p``. ``p`` must be feasible for ``q``: the checks
-    of :func:`feasible_matrix` do not run here. Both are read by index, so
-    plain lists of floats are the fast input.
+    where ``G`` is those sums with the last one forced to 1. A column of
+    width at most ``ZERO_SNAP``, or whose low end is at least 1 (``q``
+    rounds past 1), is degenerate: it takes the rank the coupling sits on at
+    its end. :meth:`couple` lays a target ``p`` beside it. It sets
+    ``realized[i] = F[i] - F[i-1]``, which equals the dense ``P q`` up to
+    rounding, and ``residual``, its largest distance from ``p``. ``p`` must
+    be feasible for ``q``: the checks of :func:`feasible_matrix` do not run
+    here. Both are read by index, so plain lists of floats are the fast input.
 
     :meth:`draw` maps a uniform ``u`` to the term of the mixture
     ``rfsm_decompose(feasible_matrix(p, q))`` whose cumulative weight covers
@@ -469,13 +448,14 @@ class CouplingSampler:
             sums.append(acc)
         self._sums = sums
         self._last = len(sums) - 1
-        # (low, width, end, fixed rank) per column; an impossible window
-        # length gets its fixed rank, which depends on p, from couple
+        # (low, width, end, fixed rank) per column; a degenerate column gets
+        # its fixed rank from couple: it depends on p, and it keeps suffix
+        # masses monotone across neighbouring columns
         self._columns = []
         self._degenerate = []
         low = 0.0
         for c, end in enumerate(sums[:-1] + [1.0]):
-            if end - low <= ZERO_SNAP:
+            if end - low <= ZERO_SNAP or low >= 1.0:
                 self._degenerate.append((c, end))
                 self._columns.append(None)
             else:
@@ -484,8 +464,8 @@ class CouplingSampler:
 
     def couple(self, p: Sequence[float]) -> None:
         """Lay the target ``p`` beside the windows for the draws that follow."""
-        # the F of _coupling_cumulatives, float for float: clamped under the
-        # raw running sum of q and kept non-decreasing in [0, 1]
+        # F is clamped under the raw running sum of q and kept non-decreasing
+        # in [0, 1], so the coupling is exact for p feasible up to a tolerance
         F = []
         run = 0.0
         acc = 0.0
@@ -500,7 +480,7 @@ class CouplingSampler:
         self.realized = list(map(sub, F, [0.0] + F[:-1]))
         self.residual = max(map(abs, map(sub, self.realized, p)))
         for c, end in self._degenerate:
-            # the rank the coupling sits on, as in feasible_matrix; the
+            # the rank the coupling sits on at the column's end; the
             # infinite target never falls inside the column
             i = bisect_right(F, end, 0, self._last)
             self._columns[c] = (math.inf, 0.0, math.inf, i if i > c else c)

@@ -5,7 +5,8 @@ permutations, scan prefixes directly or hand a linear program to scipy, so
 library results can be checked against them without circularity. The
 exceptions are :func:`feasible_matrix_oracle`, the list form of the array
 coupling, and :func:`coupling_sample`, the one-call form of the ranking
-sampler, which share their cumulative masses with the library.
+sampler, which lay out their cumulative masses with
+:func:`_coupling_cumulatives`, written as the library's sampler computes them.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from scipy.optimize import linprog
 from rankbandit.core import probability_vector
 from rankbandit.environments import RegretTrace
 from rankbandit.polytope import (
-    ZERO_SNAP, InfeasibleTargetError, _coupling_cumulatives, _permutation_from_picks,
-    marginal_deficit, window_suffix_bounds,
+    ZERO_SNAP, InfeasibleTargetError, _permutation_from_picks, marginal_deficit,
+    window_suffix_bounds,
 )
 
 
@@ -193,6 +194,32 @@ def hindsight_linprog(tape_values, q, utilities):
     marginals = np.empty(n)
     marginals[order] = P @ q
     return float(-res.fun), marginals
+
+
+def _coupling_cumulatives(pl, ql):
+    """Cumulative masses ``(F, G)`` of ``p`` over ranks and ``q`` over windows.
+
+    ``F`` is clamped under ``G`` (and kept non-decreasing in [0, 1]) so the
+    coupling is exact even when ``p`` is feasible only up to a tolerance; both
+    end at exactly 1.
+    """
+    n = len(pl)
+    F = [0.0] * n
+    G = [0.0] * n
+    run = 0.0  # running maximum, so it also clamps from below at 0
+    acc_p = 0.0
+    acc_q = 0.0
+    for i in range(n):
+        acc_p += pl[i]
+        acc_q += ql[i]
+        G[i] = acc_q
+        v = acc_p if acc_p < acc_q else acc_q
+        if v > run:
+            run = v if v < 1.0 else 1.0
+        F[i] = run
+    F[-1] = 1.0
+    G[-1] = 1.0
+    return F, G
 
 
 def feasible_matrix_oracle(p, q, *, atol=1e-8, feas_tol=1e-9):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -14,7 +15,7 @@ from rankbandit.adversarial import (
     EpsilonGreedyRanker,
     MirrorDescent,
     ProjectionError,
-    _block_constant,
+    _block_root,
     _block_terms,
     _default_epsilon,
     _solve_masses,
@@ -23,7 +24,8 @@ from rankbandit.adversarial import (
     pivot_permutation,
 )
 from rankbandit.core import (
-    Instance, _family_from_arrays, items_by_rank, user_select, utility_ranks,
+    Instance, _family_from_arrays, _see_utilities, items_by_rank, user_select,
+    utility_ranks,
 )
 from rankbandit.elimination import EliminationRanker
 from rankbandit.environments import MultinomialWindows, TapePayoffs, run_episode
@@ -364,6 +366,14 @@ def _block_outcome(solve, g, mass):
         return type(err).__name__
 
 
+def _block_constant(g, mass):
+    """The direct solve of a block, the oracle of the warm-started Newton
+    root: :func:`_block_root` on ``g`` itself, with the bracket's low end
+    ``-min(g) + 1 / sqrt(mass)``, which a collapsed bracket rounds away."""
+    gmin = min(g)
+    return _block_root(g, mass, gmin, -gmin + 1.0 / math.sqrt(mass))
+
+
 class TestBlockConstant:
     def test_random_blocks_match_two_accumulators(self):
         # g spans 1e-3..1e160, so the slope's terms d**-3 reach subnormals and 0
@@ -560,7 +570,9 @@ class _PeelingBLORanker(_ScalarDrawBLORanker):
     """Reference ranker: build the coupling matrix, peel it, draw one term."""
 
     def act(self, t, utilities):
-        ranks, by_rank = self._rank_maps(utilities)
+        if utilities is not self._shown or utilities.flags.writeable:
+            _see_utilities(self, utilities)
+        ranks, by_rank = self._maps
         p = np.clip(self.engine.p, 0.0, None)
         p /= p.sum()
         q = self.engine.q
@@ -578,7 +590,9 @@ class _NumpyGlueBLORanker(_ScalarDrawBLORanker):
     renormalized before the draw, with the realized marginals kept as an array."""
 
     def act(self, t, utilities):
-        ranks, by_rank = self._rank_maps(utilities)
+        if utilities is not self._shown or utilities.flags.writeable:
+            _see_utilities(self, utilities)
+        ranks, by_rank = self._maps
         p = np.clip(np.array(self.engine.p), 0.0, None)
         p /= p.sum()
         rank_order, realized = coupling_sample(p.tolist(), self.engine.q.tolist(),
@@ -777,6 +791,38 @@ class TestEpsilonGreedy:
             ranker.feed(t, pick, 0.0)
         # lazy mixture guarantees every item is picked at rate 1/n
         assert min(ranker.counts) > 2000 / 4 * 0.7
+
+    def test_nonfinite_payoff_sums_are_rejected(self):
+        # a NaN, inf or -inf payoff, and a second 1e308 on one item, whose sum
+        # overflows, raise naming the trial, the item and the payoff; every
+        # statistic is as it was, and the next exploit ranking is the family
+        # of fresh means
+        rng = np.random.default_rng(31)
+        raised = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            ranker = EpsilonGreedyRanker(random_lazy_q(rng, n),
+                                         rng=np.random.default_rng(7), explore_constant=0.0)
+            u = (rng.permutation(n) + 0.5).tolist()
+            for t in range(1, 30):
+                if rng.random() < 0.5:
+                    ranker.feed(t, int(rng.integers(0, n)), float(rng.normal(0.0, 1.0)))
+                else:
+                    ranker.act(t, u)
+            big = int(rng.integers(0, n))
+            ranker.feed(30, big, 1e308)
+            for payoff in (math.nan, math.inf, -math.inf, 1e308):
+                item = big if payoff == 1e308 else int(rng.integers(0, n))
+                state = (list(ranker.rewards), list(ranker.counts), list(ranker._means))
+                with pytest.raises(ValueError, match=re.escape(
+                        f"trial 31: payoff {payoff!r} for item {item} ")):
+                    ranker.feed(31, item, payoff)
+                raised += 1
+                assert (ranker.rewards, ranker.counts, ranker._means) == state
+                means = [r / c if c else 0.0 for r, c in zip(ranker.rewards, ranker.counts)]
+                assert ranker.act(31, u) == _family_from_arrays(
+                    u, means, strict=False).representative
+        assert raised == 240
 
 
 class _ReferenceEpsilonGreedy(EpsilonGreedyRanker):

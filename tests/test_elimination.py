@@ -1,4 +1,5 @@
 import math
+import re
 import types
 from dataclasses import dataclass
 
@@ -392,42 +393,40 @@ class TestCachedState:
         assert min(kinds.values()) >= 300, kinds
         assert min(top.values()) >= 100, top
 
-    def test_kept_top_follows_nonfinite_payoffs(self):
-        # nan, inf and -inf payoffs among finite ones: inf and -inf make
-        # infinite means, both together a NaN sum. After every step the kept
-        # largest mean is max(_means), NaN where max gives NaN, and every
-        # pass equals that of a fresh ranker, which takes max(_means) anew,
-        # and, while every mean is below inf and not NaN, the rule's oracle
-        # (an infinite or NaN mean leaves the rule with no contender, where
-        # the pass still places the unseen positions)
+    def test_nonfinite_payoff_sums_are_rejected(self):
+        # a NaN, inf or -inf payoff, and a second 1e308 on one item, whose sum
+        # overflows, raise naming the trial, the item and the payoff; every
+        # statistic is as it was, and the next pass is the rule's (a mean near
+        # 1e308 leaves the rule with no contender, so both passes raise then)
         rng = np.random.default_rng(29)
-        specials = [math.nan, math.inf, -math.inf]
-        kinds = {"nan top": 0, "inf top": 0, "-inf top": 0, "no contender": 0, "passes": 0}
-        for _ in range(300):
+        raised = passes = 0
+        for _ in range(60):
             n = int(rng.integers(1, 9))
             ranker = EliminationRanker(n, 0.1)
             u = rng.permutation(n) + 0.5
             ranker.act(1, u)
-            for t in range(1, 40):
+            for t in range(1, 30):
                 if rng.random() < 0.5:
-                    item = int(rng.integers(0, n))
-                    payoff = (specials[int(rng.integers(0, 3))] if rng.random() < 0.15
-                              else float(rng.normal(0.0, 1.0)))
-                    ranker.feed(t, item, payoff)
+                    ranker.feed(t, int(rng.integers(0, n)), float(rng.normal(0.0, 1.0)))
                 else:
-                    state = (ranker.rewards, ranker.counts, t, 0.1, u)
-                    got = _pass_or_error(ranker.act, t, u)
-                    assert got == _pass_or_error(find_permutation_of, *state), t
-                    if all(m < math.inf for m in ranker._means):
-                        assert got == _pass_or_error(find_permutation_oracle, *state), t
-                    kinds["no contender"] += got is ValueError
-                    kinds["passes"] += 1
-                want = max(ranker._means)
-                assert ranker._top == want or math.isnan(ranker._top) and math.isnan(want)
-                kinds["nan top"] += math.isnan(want)
-                kinds["inf top"] += want == math.inf
-                kinds["-inf top"] += want == -math.inf
-        assert min(kinds.values()) >= 100, kinds
+                    ranker.act(t, u)
+            for payoff in (math.nan, math.inf, -math.inf, 1e308):
+                item = int(rng.integers(0, n))
+                if payoff == 1e308:
+                    ranker.feed(30, item, payoff)  # a finite sum: the next one overflows
+                state = (list(ranker.rewards), list(ranker.counts), list(ranker._means),
+                         ranker._top, list(ranker._ks))
+                with pytest.raises(ValueError, match=re.escape(
+                        f"trial 31: payoff {payoff!r} for item {item} ")):
+                    ranker.feed(31, item, payoff)
+                raised += 1
+                assert (ranker.rewards, ranker.counts, ranker._means, ranker._top,
+                        ranker._ks) == state
+                want = _pass_or_error(find_permutation_oracle, ranker.rewards,
+                                      ranker.counts, 31, 0.1, u)
+                assert _pass_or_error(ranker.act, 31, u) == want
+                passes += want is not ValueError
+        assert raised == 240 and passes >= 180
 
     def test_utility_order_changes_mid_run(self):
         n, horizon = 6, 4000

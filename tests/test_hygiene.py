@@ -126,6 +126,37 @@ ALLOWED = {
 }
 
 
+def unreached_helpers(module, sources: dict) -> list[str]:
+    """Private module-level functions and classes of ``module`` (names
+    starting with ``_``) whose name appears in no file of ``sources`` outside
+    their own definition."""
+    return [item for item in unreferenced_definitions(module, sources)
+            if item.split(": ", 1)[1].startswith("_")]
+
+
+def test_finds_a_helper_only_tests_use():
+    module = ("def _kept():\n    return 1\n\n\n"
+              "def _tested():\n    return 2\n\n\n"
+              "def api():\n    return _kept()\n")
+    tests = "from pkg.mod import _tested, api\n"
+    # api is public, so the surface check covers it, not this one
+    assert unreached_helpers("src/pkg/mod.py", {"src/pkg/mod.py": module}) == [
+        "line 5: _tested"]
+    assert unreached_helpers("src/pkg/mod.py", {"src/pkg/mod.py": module,
+                                                "tests/test_mod.py": tests}) == []
+
+
+@pytest.fixture(scope="module")
+def reach_sources():
+    return {p: p.read_text() for p in REACH}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_private_helpers_serve_the_library(module, reach_sources):
+    # a helper that only unit tests use lives in the tests
+    assert unreached_helpers(module, reach_sources) == []
+
+
 def _is_self(node) -> bool:
     return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self"
 

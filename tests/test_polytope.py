@@ -484,6 +484,40 @@ class TestCouplingSample:
         assert targets >= 1000
         assert degenerate >= 8  # impossible window lengths take part
 
+    def test_one_sampler_follows_targets_past_one(self):
+        """Laws whose running sum passes 1 before the last window, as a law off
+        1 by +-5e-11 in one entry can, followed by tiny windows. A window that
+        starts at or above 1 is degenerate in the sampler's column table even
+        when it is wider than ``ZERO_SNAP``; the draws and realizations still
+        equal the one-call oracle's, to the bit, and the dense view its own."""
+        rng = np.random.default_rng(73)
+        above = 0
+        for _ in range(40):
+            n = int(rng.integers(3, 31))
+            q = _random_law(rng, n)
+            m = int(rng.integers(1, n - 1))  # q[m:] holds the tiny windows
+            if not q[:m].any():
+                q[m - 1] = 1.0
+            q[:m] /= q[:m].sum()
+            q[m:] = rng.choice([0.0, 2e-11], n - m)
+            q[np.argmax(q[:m])] += rng.choice([-5e-11, 5e-11])
+            ql = q.tolist()
+            sums = np.cumsum(ql).tolist()
+            wide = [c for c in range(1, n - 1)
+                    if sums[c - 1] >= 1.0 and sums[c] - sums[c - 1] > ZERO_SNAP]
+            sampler = CouplingSampler(ql)
+            for _ in range(24):
+                p = _feasible_target(rng, q).tolist()
+                sampler.couple(p)
+                assert all(sampler._columns[c][3] == n - 1 for c in wide)
+                for u in (0.0, math.nextafter(1.0, 0.0), float(rng.random())):
+                    ranking, realized = coupling_sample(p, ql, u)
+                    assert sampler.draw(u, range(n)) == ranking, (p, ql, u)
+                assert [x.hex() for x in sampler.realized] == [x.hex() for x in realized]
+            assert assert_coupling_matches_oracle(np.asarray(p), q)
+            above += len(wide)
+        assert above >= 50
+
     @pytest.mark.parametrize("n", [5, 20, 50])
     def test_warm_started_draw_follows_mirror_descent_iterates(self, n):
         """Searches that start at the previous column's pick draw what the
