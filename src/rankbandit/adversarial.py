@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    Permutation, _family_from_arrays, _see_utilities, items_by_rank, probability_vector,
+    Permutation, _check_payoff, _family_from_arrays, _see_utilities, probability_vector,
 )
 from .environments import _blocks
 from .polytope import CouplingSampler, window_suffix_bounds
@@ -319,6 +319,7 @@ class BLORanker:
     def __init__(self, q: Sequence[float], *, horizon: int | None = None,
                  eta: float | None = None, rng: np.random.Generator | None = None):
         self.engine = MirrorDescent(q, horizon=horizon, eta=eta)
+        self.n = self.engine.n
         rng = rng if rng is not None else np.random.default_rng()
         self._uniforms = _blocks(rng.random)
         self._sampler = CouplingSampler(self.engine.q.tolist())  # it reads lists fastest
@@ -329,14 +330,7 @@ class BLORanker:
         self._pending: tuple[list[float], list[int]] | None = None
         self.last_marginals: list[float] | None = None
 
-    def _rebuild(self, u: list) -> None:
-        n = self.engine.n
-        if len(u) != n:
-            raise ValueError(f"expected {n} utilities, got {len(u)}")
-        by_rank = items_by_rank(u).tolist()
-        ranks = [0] * n
-        for r, item in enumerate(by_rank):
-            ranks[item] = r
+    def _rebuild(self, by_rank: list[int], ranks: list[int]) -> None:
         self._maps = (ranks, by_rank)
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
@@ -358,6 +352,7 @@ class BLORanker:
     def feed(self, t: int, item: int, payoff: float) -> None:
         if self._pending is None:
             raise RuntimeError("feed before act")
+        _check_payoff(t, item, payoff)
         p, ranks = self._pending
         self._pending = None
         rank = ranks[item]
@@ -383,10 +378,11 @@ class EpsilonGreedyRanker:
     the ``>``/``<``/``==`` pattern between the empirical means, so it is
     rebuilt when ``act`` sees utilities that differ from the cached ones, or
     after ``feed`` moves the fed item's mean across, onto or off another
-    item's mean. The pivot draw inverts a CDF computed once, as
-    ``Generator.choice`` does, so it picks the same pivot from the same one
-    uniform. ``explorations`` counts the trials that showed a pivot ranking.
-    A payoff that makes the item's payoff sum non-finite raises.
+    item's mean. The pivot rankings are mapped to items when the utilities
+    change, and the draw inverts a CDF computed once, as ``Generator.choice``
+    does, so it picks the same pivot from the same one uniform.
+    ``explorations`` counts the trials that showed a pivot ranking. A payoff
+    that makes the item's payoff sum non-finite raises.
 
     The coin and the pivot's uniform come, in that order, from ``rng`` read
     in blocks of uniforms that grow from 32 to ``BLOCK``
@@ -403,7 +399,6 @@ class EpsilonGreedyRanker:
         cdf = np.cumsum(alpha / alpha.sum())
         cdf /= cdf[-1]
         self._cdf = cdf.tolist()
-        self._pivots = [pivot_permutation(i, self.n) for i in range(self.n)]
         rng = rng if rng is not None else np.random.default_rng()
         self._uniforms = _blocks(rng.random)
         self.explore_constant = explore_constant
@@ -413,7 +408,7 @@ class EpsilonGreedyRanker:
         self._means = [0.0] * self.n
         self._shown = None
         self._utilities: list | None = None
-        self._by_rank: list[int] | None = None
+        self._explore: list[Permutation] = []  # the pivot rankings, in items
         self._representative: Permutation | None = None
 
     def act(self, t: int, utilities: Sequence[float]) -> Permutation:
@@ -422,20 +417,16 @@ class EpsilonGreedyRanker:
         uniforms = self._uniforms
         if next(uniforms) < _default_epsilon(t, self.n, self.explore_constant):
             self.explorations += 1
-            pivot = bisect.bisect_right(self._cdf, next(uniforms))
-            if self._by_rank is None:
-                self._by_rank = items_by_rank(self._utilities).tolist()
-            by_rank = self._by_rank
-            return tuple([by_rank[r] for r in self._pivots[pivot]])
+            return self._explore[bisect.bisect_right(self._cdf, next(uniforms))]
         if self._representative is None:
             self._representative = _family_from_arrays(
                 self._utilities, self._means, strict=False).representative
         return self._representative
 
-    def _rebuild(self, u: list) -> None:
-        if len(u) != self.n:
-            raise ValueError(f"expected {self.n} utilities, got {len(u)}")
-        self._by_rank = self._representative = None
+    def _rebuild(self, by_rank: list[int], ranks: list[int]) -> None:
+        self._explore = [tuple([by_rank[r] for r in pivot_permutation(i, self.n)])
+                         for i in range(self.n)]
+        self._representative = None
 
     def feed(self, t: int, item: int, payoff: float) -> None:
         total = self.rewards[item] + payoff

@@ -134,19 +134,44 @@ def _unchangeable(values) -> np.ndarray | None:
     return None
 
 
+def _distinct_finite(u: list) -> None:
+    """Reject utilities ``u`` that are not finite or not pairwise distinct."""
+    if not all(map(math.isfinite, u)):
+        raise ValueError("utilities: entries must be finite")
+    if len(set(u)) != len(u):
+        raise ValueError("utilities: must be pairwise distinct (ties are undefined)")
+
+
+def _check_payoff(t: int, item: int, payoff: float) -> None:
+    """Reject a payoff that is not finite, naming the trial and the item."""
+    if not math.isfinite(payoff):
+        raise ValueError(f"trial {t}: payoff {payoff!r} for item {item} is not finite")
+
+
 def _see_utilities(ranker, utilities) -> None:
     """Compare ``utilities`` by value with ``ranker._utilities``; on a change,
-    call ``ranker._rebuild(u)`` with them as a list, then keep them.
+    check them, call ``ranker._rebuild(by_rank, ranks)`` and keep them as a list.
+
+    Unless there are ``ranker.n`` utilities that pass :func:`_distinct_finite`,
+    a ValueError is raised before anything changes, so a rejected array is
+    not kept and is compared again next time. ``by_rank`` is the list of
+    :func:`items_by_rank`, the item of each utility rank (rank 0 the lowest),
+    and ``ranks`` its inverse, the list of :func:`utility_ranks`.
 
     A ranker calls this from ``act`` unless ``utilities`` is the array it
-    kept in ``_shown`` and is still read-only. ``_rebuild`` raises before it
-    changes anything when the values are invalid, so a rejected array is not
-    kept and is compared again next time. ``_shown`` becomes
+    kept in ``_shown`` and is still read-only. ``_shown`` becomes
     :func:`_unchangeable` of ``utilities``.
     """
     u = utilities.tolist() if isinstance(utilities, np.ndarray) else list(utilities)
     if u != ranker._utilities:
-        ranker._rebuild(u)
+        if len(u) != ranker.n:
+            raise ValueError(f"expected {ranker.n} utilities, got {len(u)}")
+        _distinct_finite(u)
+        by_rank = items_by_rank(u).tolist()
+        ranks = [0] * len(u)
+        for r, item in enumerate(by_rank):
+            ranks[item] = r
+        ranker._rebuild(by_rank, ranks)
         ranker._utilities = u
     ranker._shown = _unchangeable(utilities)
 
@@ -167,10 +192,7 @@ class Instance:
         u = _float_array(self.utilities, "utilities")
         if u.ndim != 1 or u.size == 0:
             raise ValueError("utilities: expected a non-empty 1-d array")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("utilities: entries must be finite")
-        if len(set(u.tolist())) != u.size:
-            raise ValueError("utilities: must be pairwise distinct (ties are undefined)")
+        _distinct_finite(u.tolist())
         object.__setattr__(self, "utilities", _frozen_array(u))
         if self.means is not None:
             m = _float_array(self.means, "means")

@@ -28,7 +28,7 @@ that position is the pick, at the cost of one radius. At the first position
 that is not certified so, the pass computes every remaining bound and
 finishes by the rule itself. Each blocked set is sorted by item index. The
 utilities must be pairwise distinct, as :func:`rankbandit.core.user_select`
-requires and :class:`rankbandit.core.Instance` checks.
+requires; ``act`` checks them, as :class:`rankbandit.core.Instance` does.
 """
 
 from __future__ import annotations
@@ -169,6 +169,7 @@ class EliminationRanker:
             raise ValueError("n must be >= 1")
         if not 0 < delta <= 1:
             raise ValueError("delta must be in (0, 1]")
+        self.n = n
         self.delta = delta
         self.rewards = [0.0] * n
         self.counts = [0] * n
@@ -188,14 +189,7 @@ class EliminationRanker:
             _see_utilities(self, utilities)
         return find_permutation(self, t)
 
-    def _rebuild(self, u: list) -> None:
-        n = len(self.counts)
-        if len(u) != n:
-            raise ValueError(f"expected {n} utilities, got {len(u)}")
-        asc = np.argsort(u, kind="stable").tolist()
-        pos = [0] * n
-        for k, i in enumerate(asc):
-            pos[i] = k
+    def _rebuild(self, asc: list[int], pos: list[int]) -> None:
         counts = [self.counts[i] for i in asc]
         self._asc = asc
         self._pos = pos
@@ -203,7 +197,7 @@ class EliminationRanker:
         self._means = means = [self.rewards[i] / c if c else 0.0
                                for i, c in zip(asc, counts)]
         self._top = max(means)
-        self._ks = sorted(range(n), key=lambda k: (counts[k], asc[k]))
+        self._ks = sorted(range(self.n), key=lambda k: (counts[k], asc[k]))
         first = [0] * (max(counts) + 2)
         for c in counts:
             first[c + 1] += 1

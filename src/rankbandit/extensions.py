@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Permutation, user_select
+from .core import Permutation, _check_payoff, user_select
 from .environments import _blocks
 
 # social-learning burn-in: review interval half-width at one review, review
@@ -91,6 +91,8 @@ class QueuedDelayPolicy:
     from :meth:`DelayModel.delays`: ``uniform`` ones are drawn from ``rng``
     in blocks that grow from 32 to ``BLOCK`` values by
     ``environments._blocks``, the same numbers as one draw per payoff.
+    ``feed`` rejects a non-finite payoff before it draws a delay, and a
+    queued payoff leaves its queue only once the base has taken it.
 
     No inversion budget is stated for delayed feedback:
     :func:`~rankbandit.elimination.inversion_budget` holds only when every
@@ -103,8 +105,7 @@ class QueuedDelayPolicy:
         self._delays = delay.delays(rng)
         self.queues: dict[int, deque] = {}
         self._inflight: list[tuple[int, int, int, float]] = []
-        self.pending: int | None = None
-        self._request_open = False
+        self.pending: int | None = None  # None while the base's request is open
         self.base_clock = 1
         self._order: Permutation | None = None
         self.enqueued = 0
@@ -116,30 +117,27 @@ class QueuedDelayPolicy:
             self.queues.setdefault(item, deque()).append(payoff)
             self.enqueued += 1
 
-    def _serve_pending(self) -> None:
-        if self.pending is not None:
-            queue = self.queues.get(self.pending)
-            if queue:
-                payoff = queue.popleft()
-                self.dequeued += 1
-                self.base.feed(self.base_clock, self.pending, payoff)
-                self.base_clock += 1
-                self.pending = None
-
     def act(self, t: int, utilities) -> Permutation:
         self._deliver(t)
-        self._serve_pending()
-        if self.pending is None and not self._request_open:
-            self._order = self.base.act(self.base_clock, utilities)
-            self._request_open = True
+        pending = self.pending
+        if pending is not None:
+            queue = self.queues.get(pending)
+            if not queue:
+                return self._order
+            self.base.feed(self.base_clock, pending, queue[0])
+            queue.popleft()
+            self.dequeued += 1
+            self.base_clock += 1
+            self.pending = None
+        self._order = self.base.act(self.base_clock, utilities)
         return self._order
 
     def feed(self, t: int, item: int, payoff: float) -> None:
+        _check_payoff(t, item, payoff)
         tau = next(self._delays)
         heapq.heappush(self._inflight, (t + tau, t, item, payoff))
-        if self._request_open:
+        if self.pending is None:
             self.pending = item
-            self._request_open = False
 
     @property
     def backlog(self) -> int:
@@ -155,6 +153,8 @@ class PooledDelayPolicy:
     the instance that proposed the ranking. With delays bounded by
     ``tau_max`` the pool never exceeds ``tau_max + 1`` instances. Delays are
     drawn as in :class:`QueuedDelayPolicy`, in blocks by ``environments._blocks``.
+    ``feed`` checks payoffs as there, and one leaves the in-flight heap only
+    once its instance has taken it.
 
     No inversion budget is stated for delayed feedback:
     :func:`~rankbandit.elimination.inversion_budget` holds only when every
@@ -175,8 +175,9 @@ class PooledDelayPolicy:
 
     def _deliver(self, before: int) -> None:
         while self._inflight and self._inflight[0][0] < before:
-            _, _, inst_id, item, payoff = heapq.heappop(self._inflight)
+            _, _, inst_id, item, payoff = self._inflight[0]
             self.instances[inst_id].feed(self._acts_done[inst_id], item, payoff)
+            heapq.heappop(self._inflight)
             self._busy[inst_id] = False
 
     def act(self, t: int, utilities) -> Permutation:
@@ -197,6 +198,7 @@ class PooledDelayPolicy:
         return self.instances[free].act(self._acts_done[free], utilities)
 
     def feed(self, t: int, item: int, payoff: float) -> None:
+        _check_payoff(t, item, payoff)
         tau = next(self._delays)
         heapq.heappush(self._inflight, (t + tau, t, self._active, item, payoff))
 

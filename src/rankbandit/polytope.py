@@ -193,8 +193,7 @@ def _rankings_from_picks(picks: np.ndarray) -> tuple[Permutation, ...]:
                  for row, ok in zip(picks.tolist(), simple.tolist()))
 
 
-def rfsm_decompose(P, *, atol: float = 1e-9,
-                   check_residuals: bool = False) -> Decomposition:
+def rfsm_decompose(P, *, atol: float = 1e-9) -> Decomposition:
     """Peel an admissible matrix into a convex combination of rankings.
 
     The input must pass C.1-C.4 within ``atol``, or
@@ -227,9 +226,8 @@ def rfsm_decompose(P, *, atol: float = 1e-9,
     stop on dust nor find the matrix empty; once that cell is dust, the
     argmax finds another. The matrix is summed before the first round, and
     after that rebuilt and summed only when every picked cell is dust (and
-    for ``check_residuals`` or an error report), giving the same floats as a
-    scan every round. The rankings are built from the recorded picks after
-    the loop.
+    for an error report), giving the same floats as a scan every round. The
+    rankings are built from the recorded picks after the loop.
     """
     P = np.asarray(P, dtype=float)
     report = admissibility_report(P, atol)
@@ -254,26 +252,21 @@ def rfsm_decompose(P, *, atol: float = 1e-9,
     above = 0  # a column whose cell may exceed the dust
     gone: list[int] = []  # slots snapped to zero, in order
     moves: list[int] = []  # for each, the first round that no longer picks it
-    synced = 0  # how many of them C shows
 
     def matrix() -> np.ndarray:
         """``C`` as a scan every round would hold it."""
-        nonlocal synced
-        new = gone[synced:]
-        C[row_of[new], col_of[new]] = 0.0
-        synced = len(gone)
+        C[row_of[gone], col_of[gone]] = 0.0
         C[pick, columns] = cur
         return C
 
     def mass():
         """``C.sum()``, or None while a picked cell proves it above the dust."""
         nonlocal above
-        if not check_residuals:
-            if cur[above] > dust:
-                return None
-            above = int(cur.argmax())
-            if cur[above] > dust:
-                return None
+        if cur[above] > dust:
+            return None
+        above = int(cur.argmax())
+        if cur[above] > dust:
+            return None
         return matrix().sum()
 
     weights: list[float] = []
@@ -313,12 +306,6 @@ def rfsm_decompose(P, *, atol: float = 1e-9,
         if empty < n:
             cur[cur == math.inf] = 0.0
         remaining = mass()
-        if remaining is None:
-            continue
-        if check_residuals and remaining / n > 1e-8:
-            report = admissibility_report(C / (remaining / n), max(atol, 1e-8))
-            if not report.ok:
-                raise InadmissibleMatrixError(report)
         if remaining == 0.0:
             break
     if remaining is None:

@@ -6,7 +6,9 @@ library results can be checked against them without circularity. The
 exceptions are :func:`feasible_matrix_oracle`, the list form of the array
 coupling, and :func:`coupling_sample`, the one-call form of the ranking
 sampler, which lay out their cumulative masses with
-:func:`_coupling_cumulatives`, written as the library's sampler computes them.
+:func:`_coupling_cumulatives`, written as the library's sampler computes them,
+and :func:`rfsm_decompose_oracle`, the peeling as plain list scans, which can
+also check every intermediate residual for admissibility.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from scipy.optimize import linprog
 from rankbandit.core import probability_vector
 from rankbandit.environments import RegretTrace
 from rankbandit.polytope import (
-    ZERO_SNAP, InfeasibleTargetError, _permutation_from_picks, marginal_deficit,
-    window_suffix_bounds,
+    ZERO_SNAP, AdmissibilityReport, ConstraintViolation, Decomposition,
+    InadmissibleMatrixError, InfeasibleTargetError, _permutation_from_picks,
+    admissibility_report, marginal_deficit, window_suffix_bounds,
 )
 
 
@@ -325,6 +328,72 @@ def coupling_sample(p, q, u):
         lo = hi
     realized = [F[0]] + [F[i] - F[i - 1] for i in range(1, n)]
     return _permutation_from_picks(picks), realized
+
+
+def rfsm_decompose_oracle(P, *, atol=1e-9, check_residuals=False):
+    """The peeling of :func:`~rankbandit.polytope.rfsm_decompose` as plain
+    column-major list scans; ``check_residuals`` rescales the matrix left
+    after each round and raises if it is not admissible."""
+    P = np.asarray(P, dtype=float)
+    report = admissibility_report(P, atol)
+    if not report.ok:
+        raise InadmissibleMatrixError(report)
+    n = P.shape[0]
+    Pl = P.tolist()
+    cols = [[0.0 if abs(Pl[i][c]) < ZERO_SNAP else min(max(Pl[i][c], 0.0), 1.0)
+             for i in range(n)] for c in range(n)]
+    weights = []
+    orders = []
+    dust = n * n * ZERO_SNAP
+    remaining = 0.0
+    nnz = 0
+    for col in cols:
+        for v in col:
+            if v:
+                nnz += 1
+                remaining += v
+    picks = [0] * n
+    for _ in range(max(nnz - n + 1, 1)):
+        if remaining <= dust:
+            remaining = 0.0
+            break
+        for c in range(n):
+            col = cols[c]
+            i = 0
+            while i < n and col[i] == 0.0:
+                i += 1
+            if i == n:
+                held = max(sum(other) for other in cols)
+                raise InadmissibleMatrixError(AdmissibilityReport(
+                    ok=False, violations=(ConstraintViolation("C.2", (c + 1,), held),)))
+            picks[c] = i
+        peel = cols[0][picks[0]]
+        for c in range(1, n):
+            v = cols[c][picks[c]]
+            if v < peel:
+                peel = v
+        weights.append(peel)
+        orders.append(_permutation_from_picks(picks))
+        remaining = 0.0
+        for c in range(n):
+            col = cols[c]
+            v = col[picks[c]] - peel
+            col[picks[c]] = 0.0 if v < ZERO_SNAP else v
+            for x in col:
+                remaining += x
+        if check_residuals and remaining / n > 1e-8:
+            report = admissibility_report(
+                np.asarray(cols).T / (remaining / n), max(atol, 1e-8))
+            if not report.ok:
+                raise InadmissibleMatrixError(report)
+        if remaining == 0.0:
+            break
+    if remaining > n * 1e-9:
+        raise RuntimeError("peeling failed to terminate; residual mass remains")
+    if not weights:
+        raise ValueError("matrix carries no mass to decompose")
+    w = np.asarray(weights)
+    return Decomposition(w / w.sum(), tuple(orders))
 
 
 def selection_matrix_oracle(order):

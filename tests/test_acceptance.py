@@ -14,7 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import best_mean_by_window, random_instance, random_lazy_q, random_mixture
+from conftest import (
+    best_mean_by_window, random_instance, random_lazy_q, random_mixture, rfsm_decompose_oracle,
+)
 from rankbandit.adversarial import (
     BLORanker,
     EpsilonGreedyRanker,
@@ -166,8 +168,12 @@ def test_criterion_03_decomposition_round_trip():
     for _ in range(500):
         n = int(rng.integers(2, 9))
         M, _, _ = random_mixture(rng, n, int(rng.integers(1, n * n + 1)))
-        decomp = rfsm_decompose(M, check_residuals=True)  # raises if any
-        # intermediate residual leaves the polytope
+        decomp = rfsm_decompose(M)
+        # the list oracle peels through the same residual floats and raises if
+        # any intermediate residual leaves the polytope
+        oracle = rfsm_decompose_oracle(M, check_residuals=True)
+        assert np.array_equal(decomp.weights, oracle.weights)
+        assert decomp.permutations == oracle.permutations
         worst_residual = max(worst_residual,
                              float(np.max(np.abs(decomp.matrix() - M))))
         support_cap = int(np.sum(M > 1e-12)) - n + 1

@@ -493,6 +493,14 @@ class TestBLORanker:
         with pytest.raises(RuntimeError, match="feed before act"):
             ranker.feed(1, 0, 1.0)
 
+    def test_nonfinite_payoff_raises_at_feed(self):
+        ranker = BLORanker([0.5, 0.5], horizon=100, rng=np.random.default_rng(3))
+        ranker.act(1, [1.0, 2.0])
+        p = ranker.engine.p
+        with pytest.raises(ValueError, match="trial 1: payoff nan for item 0 is not finite"):
+            ranker.feed(1, 0, math.nan)
+        assert ranker.engine.p is p and ranker.engine.t == 0
+
     def test_pick_frequencies_match_marginals(self):
         # zero-payoff feedback freezes the engine, so picks are i.i.d. with
         # item marginals given by the realized matrix

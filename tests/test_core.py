@@ -12,11 +12,12 @@ from conftest import (
     random_instance,
 )
 from rankbandit import elimination
-from rankbandit.adversarial import BLORanker, EpsilonGreedyRanker
+from rankbandit.adversarial import BLORanker, EpsilonGreedyRanker, pivot_permutation
 from rankbandit.core import (
     DegenerateInstanceError,
     Instance,
     OptimalFamily,
+    _frozen_array,
     items_by_rank,
     optimal_family,
     regret_upper_bound,
@@ -152,7 +153,7 @@ class TestSeeUtilities:
                             lambda ranker, u: seen.append(1) or see(ranker, u))
         ranker = elimination.EliminationRanker(3, 0.1)
         rebuild = ranker._rebuild
-        ranker._rebuild = lambda u: rebuilt.append(u) or rebuild(u)
+        ranker._rebuild = lambda *maps: rebuilt.append(maps[0]) or rebuild(*maps)
         ranker.act(1, array)
         ranker.act(2, array)
         frozen = shown in ("same frozen", "thawed")
@@ -163,19 +164,49 @@ class TestSeeUtilities:
             base.setflags(write=True)
         base[:] = [0.9, 0.8, 0.1]  # in place, between two acts
         assert ranker.act(3, array) == (0, 1, 2)
-        assert (len(seen), rebuilt[-1]) == (2 if frozen else 3, [0.9, 0.8, 0.1])
+        assert (len(seen), rebuilt[-1]) == (2 if frozen else 3, [2, 1, 0])
 
-    @pytest.mark.parametrize("build", [
-        lambda: elimination.EliminationRanker(3, 0.1),
-        lambda: BLORanker([0.5, 0.3, 0.2], horizon=10, rng=np.random.default_rng(1)),
-        lambda: EpsilonGreedyRanker([0.5, 0.3, 0.2], rng=np.random.default_rng(1)),
+    _RANKERS = pytest.mark.parametrize("build", [
+        lambda n: elimination.EliminationRanker(n, 0.1),
+        lambda n: BLORanker([1.0 / n] * n, horizon=10, rng=np.random.default_rng(1)),
+        lambda n: EpsilonGreedyRanker([1.0 / n] * n, rng=np.random.default_rng(1)),
     ], ids=["elim", "osmd", "eps-greedy"])
+
+    @_RANKERS
     def test_rejected_utilities_are_compared_again(self, build):
-        ranker = build()
-        wrong = Instance(utilities=[0.1, 0.2, 0.3, 0.4]).utilities
-        for t in (1, 2):
-            with pytest.raises(ValueError, match="expected 3 utilities, got 4"):
-                ranker.act(t, wrong)
+        ranker = build(3)
+        ranker.act(1, Instance(utilities=[0.3, 0.8, 0.1]).utilities)
+        for wrong, message in [([0.1, 0.2, 0.3, 0.4], "expected 3 utilities, got 4"),
+                               ([0.1, 0.3, 0.1], "must be pairwise distinct"),
+                               ([0.1, math.nan, 0.3], "entries must be finite")]:
+            wrong = _frozen_array(wrong)  # read-only, so only a kept one is skipped
+            for t in (2, 3):
+                with pytest.raises(ValueError, match=message):
+                    ranker.act(t, wrong)
+            assert ranker._utilities == [0.3, 0.8, 0.1]
+
+    @_RANKERS
+    @pytest.mark.parametrize("kind", ["list", "ndarray"])
+    def test_rank_maps(self, build, kind):
+        """Every ranker keeps the maps ``_see_utilities`` built, and
+        epsilon-greedy its pivot rankings in items, for the latest utilities."""
+        rng = np.random.default_rng(19)
+        for n in range(1, 13):
+            ranker = build(n)
+            assert ranker.n == n
+            for t in (1, 2):
+                u = rng.permutation(n) + rng.uniform(0.0, 0.5, n)
+                ranker.act(t, u.tolist() if kind == "list" else u)
+                by_rank = items_by_rank(u).tolist()
+                ranks = utility_ranks(u).tolist()
+                if isinstance(ranker, elimination.EliminationRanker):
+                    assert (ranker._asc, ranker._pos) == (by_rank, ranks)
+                elif isinstance(ranker, BLORanker):
+                    assert ranker._maps == (ranks, by_rank)
+                else:
+                    assert ranker._explore == [
+                        tuple(by_rank[r] for r in pivot_permutation(i, n))
+                        for i in range(n)]
 
 
 class TestOptimalFamily:

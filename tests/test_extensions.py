@@ -265,6 +265,42 @@ class TestQueuedDelay:
         assert trace.regret_at(300) >= 0.0
 
 
+class TestDelayedPayoffChecks:
+    @pytest.mark.parametrize("wrap", [
+        lambda base, delay: QueuedDelayPolicy(base(0), delay),
+        lambda base, delay: PooledDelayPolicy(base, delay),
+    ], ids=["queued", "pooled"])
+    def test_nonfinite_payoff_raises_at_feed(self, wrap):
+        wrapped = wrap(lambda i: EliminationRanker(3, 0.1), DelayModel.parse("fixed:2"))
+        order = wrapped.act(1, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="trial 1: payoff nan for item 2 is not finite"):
+            wrapped.feed(1, 2, math.nan)
+        assert not wrapped._inflight
+        wrapped.feed(1, 2, 0.5)
+        assert wrapped.act(2, [1.0, 2.0, 3.0]) == order
+
+    def test_queued_keeps_a_payoff_its_base_rejects(self):
+        wrapped = QueuedDelayPolicy(EliminationRanker(3, 0.1), DelayModel())
+        for t in (1, 2):
+            wrapped.act(t, [1.0, 2.0, 3.0])
+            wrapped.feed(t, 0, 1e308)
+        with pytest.raises(ValueError, match="payoff sum non-finite"):
+            wrapped.act(3, [1.0, 2.0, 3.0])
+        assert (wrapped.dequeued, list(wrapped.queues[0]), wrapped.base_clock,
+                wrapped.pending) == (1, [1e308], 2, 0)
+
+    def test_pooled_keeps_a_payoff_its_instance_rejects(self):
+        pool = PooledDelayPolicy(lambda i: EliminationRanker(3, 0.1), DelayModel())
+        for t in (1, 2):
+            pool.act(t, [1.0, 2.0, 3.0])
+            pool.feed(t, 0, 1e308)
+        inflight = list(pool._inflight)
+        with pytest.raises(ValueError, match="payoff sum non-finite"):
+            pool.act(3, [1.0, 2.0, 3.0])
+        assert pool._inflight == inflight == [(2, 2, 0, 0, 1e308)]
+        assert pool._busy == [True]
+
+
 class _StubBase:
     """Records feeds; proposes a fixed ranking."""
 

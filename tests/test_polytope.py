@@ -6,14 +6,12 @@ from scipy.optimize import linprog
 
 from conftest import (
     admissible_lp, coupling_sample, feasible_matrix_oracle, random_mixture,
-    sample_decomposition, selection_matrix_oracle,
+    rfsm_decompose_oracle, sample_decomposition, selection_matrix_oracle,
 )
 from rankbandit.adversarial import MirrorDescent
 from rankbandit.core import selection_matrix
 from rankbandit.polytope import (
     ZERO_SNAP,
-    AdmissibilityReport,
-    ConstraintViolation,
     CouplingSampler,
     Decomposition,
     InadmissibleMatrixError,
@@ -43,70 +41,6 @@ def integral_permutation(P, atol=1e-9):
         raise InadmissibleMatrixError(report)
     picks = [int(np.argmax(snapped[:, c])) for c in range(P.shape[1])]
     return _permutation_from_picks(picks)
-
-
-def rfsm_decompose_oracle(P, *, atol=1e-9, check_residuals=False):
-    """The peeling of :func:`rfsm_decompose` as plain column-major list scans."""
-    P = np.asarray(P, dtype=float)
-    report = admissibility_report(P, atol)
-    if not report.ok:
-        raise InadmissibleMatrixError(report)
-    n = P.shape[0]
-    Pl = P.tolist()
-    cols = [[0.0 if abs(Pl[i][c]) < ZERO_SNAP else min(max(Pl[i][c], 0.0), 1.0)
-             for i in range(n)] for c in range(n)]
-    weights = []
-    orders = []
-    dust = n * n * ZERO_SNAP
-    remaining = 0.0
-    nnz = 0
-    for col in cols:
-        for v in col:
-            if v:
-                nnz += 1
-                remaining += v
-    picks = [0] * n
-    for _ in range(max(nnz - n + 1, 1)):
-        if remaining <= dust:
-            remaining = 0.0
-            break
-        for c in range(n):
-            col = cols[c]
-            i = 0
-            while i < n and col[i] == 0.0:
-                i += 1
-            if i == n:
-                held = max(sum(other) for other in cols)
-                raise InadmissibleMatrixError(AdmissibilityReport(
-                    ok=False, violations=(ConstraintViolation("C.2", (c + 1,), held),)))
-            picks[c] = i
-        peel = cols[0][picks[0]]
-        for c in range(1, n):
-            v = cols[c][picks[c]]
-            if v < peel:
-                peel = v
-        weights.append(peel)
-        orders.append(_permutation_from_picks(picks))
-        remaining = 0.0
-        for c in range(n):
-            col = cols[c]
-            v = col[picks[c]] - peel
-            col[picks[c]] = 0.0 if v < ZERO_SNAP else v
-            for x in col:
-                remaining += x
-        if check_residuals and remaining / n > 1e-8:
-            report = admissibility_report(
-                np.asarray(cols).T / (remaining / n), max(atol, 1e-8))
-            if not report.ok:
-                raise InadmissibleMatrixError(report)
-        if remaining == 0.0:
-            break
-    if remaining > n * 1e-9:
-        raise RuntimeError("peeling failed to terminate; residual mass remains")
-    if not weights:
-        raise ValueError("matrix carries no mass to decompose")
-    w = np.asarray(weights)
-    return Decomposition(w / w.sum(), tuple(orders))
 
 
 class TestAdmissibility:
@@ -258,7 +192,7 @@ class TestPeeling:
         for _ in range(60):
             n = int(rng.integers(2, 8))
             M, _, _ = random_mixture(rng, n, int(rng.integers(1, n * n + 1)))
-            d = rfsm_decompose(M, check_residuals=True)
+            d = rfsm_decompose(M)
             assert np.max(np.abs(d.matrix() - M)) < 1e-9
             z = int(np.sum(np.asarray(M) > 1e-12))
             assert len(d.permutations) <= z - n + 1
@@ -682,8 +616,7 @@ class TestArrayCodeMatchesListOracle:
         for _ in range(400):
             n = int(rng.integers(1, 31))
             M, _, _ = random_mixture(rng, n, int(rng.integers(1, 2 * n + 1)))
-            assert assert_decomposition_matches_oracle(
-                M, check_residuals=bool(rng.random() < 0.5))
+            assert assert_decomposition_matches_oracle(M)
             p, q = _random_target(rng, n)  # zero windows in a quarter of cases
             assert assert_coupling_matches_oracle(p, q)
 
@@ -693,8 +626,7 @@ class TestArrayCodeMatchesListOracle:
         for _ in range(1500):
             M = _edge_matrix(rng, int(rng.integers(1, 13)))
             for atol in (1e-9, 1e-6):
-                ok = assert_decomposition_matches_oracle(
-                    M, atol=atol, check_residuals=bool(rng.random() < 0.5))
+                ok = assert_decomposition_matches_oracle(M, atol=atol)
                 returned += ok
                 raised += not ok
         assert returned > 1000 and raised > 500
@@ -752,8 +684,6 @@ class TestSumCertificate:
             M = _dusty_mixture(rng, n)
             for atol in (1e-9, 1e-6):
                 assert assert_decomposition_matches_oracle(M, atol=atol)
-            # scaled up, the leftover dust may fail the residual check
-            assert_decomposition_matches_oracle(M, check_residuals=True)
             # the dust cells sit below the real mass, so they are reached only
             # after it is gone: a cell no ranking picks means the peeling
             # stopped on the dust bound with cells left
@@ -775,11 +705,9 @@ class TestSumCertificate:
             M = np.diag(np.full(n, 0.9 * n * n * ZERO_SNAP))
             M[0, 0] = 2 * ZERO_SNAP
         # atol = 1.0 admits columns of dust, whose sums are within 1 of 1
-        for check_residuals in (False, True):
-            assert not assert_decomposition_matches_oracle(
-                M, atol=1.0, check_residuals=check_residuals)
-            with pytest.raises((ValueError, RuntimeError), match=message):
-                rfsm_decompose(M, atol=1.0, check_residuals=check_residuals)
+        assert not assert_decomposition_matches_oracle(M, atol=1.0)
+        with pytest.raises((ValueError, RuntimeError), match=message):
+            rfsm_decompose(M, atol=1.0)
 
 
 def _pick_row(rng, n, kind):
