@@ -294,7 +294,8 @@ class BLORanker:
     :func:`~rankbandit.polytope.feasible_matrix`), and display it with ranks
     mapped back to item indices. On feedback, the picked item's rank gets
     the one-sparse, importance-weighted loss ``-payoff / p[rank]``, where
-    ``p`` are the marginals the coupling realizes (``last_marginals``).
+    ``p`` are the marginals the coupling realizes (``last_marginals``); a
+    non-finite loss raises before any state changes.
 
     The sampler's window segments depend on ``q`` only, so they are laid
     out once, here. The coupling's cumulatives, its realized marginals and
@@ -352,11 +353,14 @@ class BLORanker:
     def feed(self, t: int, item: int, payoff: float) -> None:
         if self._pending is None:
             raise RuntimeError("feed before act")
-        _check_payoff(t, item, payoff)
         p, ranks = self._pending
-        self._pending = None
         rank = ranks[item]
-        self.engine.feed(rank, -float(payoff) / p[rank])
+        loss = -float(payoff) / p[rank]
+        if not math.isfinite(loss):
+            _check_payoff(t, item, payoff)
+            raise ValueError(f"trial {t}: payoff {payoff!r} for item {item} gives loss {loss!r}")
+        self._pending = None
+        self.engine.feed(rank, loss)
 
 
 def _default_epsilon(t: int, n: int, c: float = 1.0) -> float:
@@ -374,9 +378,9 @@ class EpsilonGreedyRanker:
     the default ``c = 1`` the multiply is exact, so the rate is the unscaled
     one bit for bit.
 
-    The exploit ranking is cached. The family reads the utilities and only
-    the ``>``/``<``/``==`` pattern between the empirical means, so it is
-    rebuilt when ``act`` sees utilities that differ from the cached ones, or
+    The exploit ranking is cached. Its family walks the kept utility order
+    and reads only the ``>``/``<``/``==`` pattern of the empirical means, so
+    it is rebuilt when ``act`` sees new utilities, or
     after ``feed`` moves the fed item's mean across, onto or off another
     item's mean. The pivot rankings are mapped to items when the utilities
     change, and the draw inverts a CDF computed once, as ``Generator.choice``
@@ -408,6 +412,7 @@ class EpsilonGreedyRanker:
         self._means = [0.0] * self.n
         self._shown = None
         self._utilities: list | None = None
+        self._by_rank: list[int] = []  # the item of each utility rank
         self._explore: list[Permutation] = []  # the pivot rankings, in items
         self._representative: Permutation | None = None
 
@@ -420,10 +425,11 @@ class EpsilonGreedyRanker:
             return self._explore[bisect.bisect_right(self._cdf, next(uniforms))]
         if self._representative is None:
             self._representative = _family_from_arrays(
-                self._utilities, self._means, strict=False).representative
+                self._by_rank, self._means, strict=False).representative
         return self._representative
 
     def _rebuild(self, by_rank: list[int], ranks: list[int]) -> None:
+        self._by_rank = by_rank
         self._explore = [tuple([by_rank[r] for r in pivot_permutation(i, self.n)])
                          for i in range(self.n)]
         self._representative = None

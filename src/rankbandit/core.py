@@ -134,12 +134,12 @@ def _unchangeable(values) -> np.ndarray | None:
     return None
 
 
-def _distinct_finite(u: list) -> None:
-    """Reject utilities ``u`` that are not finite or not pairwise distinct."""
+def _distinct_finite(u: list, name: str = "utilities") -> None:
+    """Reject utilities ``u``, called ``name``, that are not finite or not distinct."""
     if not all(map(math.isfinite, u)):
-        raise ValueError("utilities: entries must be finite")
+        raise ValueError(f"{name}: entries must be finite")
     if len(set(u)) != len(u):
-        raise ValueError("utilities: must be pairwise distinct (ties are undefined)")
+        raise ValueError(f"{name}: must be pairwise distinct (ties are undefined)")
 
 
 def _check_payoff(t: int, item: int, payoff: float) -> None:
@@ -205,9 +205,8 @@ class Instance:
             seq = _float_array(self.utility_sequence, "utility_sequence")
             if seq.ndim != 2 or seq.shape[1] != u.size:
                 raise ValueError("utility_sequence: expected shape (T, n)")
-            for row in seq:
-                if len(set(row.tolist())) != u.size:
-                    raise ValueError("utility_sequence: each row must be pairwise distinct")
+            for k, row in enumerate(seq.tolist()):
+                _distinct_finite(row, f"utility_sequence row {k}")
             object.__setattr__(self, "utility_sequence", _frozen_array(seq))
 
     @property
@@ -266,30 +265,31 @@ class OptimalFamily:
     benchmark_by_window: tuple[int, ...]
 
 
-def _family_from_arrays(utilities, means, *, strict: bool = True) -> OptimalFamily:
-    n = len(utilities)
-    if len(means) != n:
-        raise ValueError("means and utilities must have the same length")
-    if strict and len(set(float(m) for m in means)) != n:
+def _family_from_arrays(by_rank, means, *, strict: bool = True) -> OptimalFamily:
+    """The optimal family of items with mean payoffs ``means`` and utility order
+    ``by_rank`` (:func:`items_by_rank`), in one walk from the highest utility down.
+
+    The walk keeps the best undominated item seen so far: the highest mean, and
+    the lowest index among equal means. The items seen before ``j`` have higher
+    utility, so ``j`` is dominated iff its mean is ``<`` that item's, and then
+    joins that item's block. Under ``strict``, tied means raise.
+    """
+    if strict and len(set(float(m) for m in means)) != len(by_rank):
         raise DegenerateInstanceError("mean payoffs must be pairwise distinct")
-    dominated = [
-        any(utilities[i] > utilities[j] and means[i] > means[j] for i in range(n))
-        for j in range(n)
-    ]
-    undominated = sorted(
-        (i for i in range(n) if not dominated[i]),
-        key=lambda i: (-means[i], i),
-    )
-    blocks: dict[int, list[int]] = {s: [] for s in undominated}
-    for j in range(n):
-        if dominated[j]:
-            # highest-mean undominated item of strictly higher utility; one
-            # always exists because the argmax itself cannot be dominated
-            leader = next(s for s in undominated if utilities[s] > utilities[j])
-            blocks[leader].append(j)
+    blocks: dict[int, list[int]] = {}
+    lead = by_rank[-1]
+    for j in reversed(by_rank):
+        if means[j] < means[lead]:
+            blocks[lead].append(j)
+        else:
+            blocks[j] = []
+            if means[j] > means[lead] or j < lead:
+                lead = j
+    undominated = sorted(blocks, key=lambda i: (-means[i], i))
     representative: list[int] = []
     benchmark: list[int] = []
     for s in undominated:
+        blocks[s].sort()
         representative.append(s)
         representative.extend(blocks[s])
         benchmark.extend([s] * (1 + len(blocks[s])))
@@ -305,7 +305,7 @@ def optimal_family(instance: Instance) -> OptimalFamily:
     """Optimal ranking family of an instance with known mean payoffs."""
     if instance.means is None:
         raise ValueError("instance has no mean payoffs")
-    return _family_from_arrays(instance.utilities, instance.means, strict=True)
+    return _family_from_arrays(items_by_rank(instance.utilities).tolist(), instance.means)
 
 
 def regret_upper_bound(instance: Instance, horizon: int, delta: float) -> float:
@@ -321,17 +321,6 @@ def regret_upper_bound(instance: Instance, horizon: int, delta: float) -> float:
     family = optimal_family(instance)
     means = instance.means
     log_term = math.log(4.0 * instance.n * float(horizon) ** 2 / delta)
-    total = 0.0
     s = family.undominated
-    for prev, cur in zip(s, s[1:]):
-        gap = float(means[prev] - means[cur])
-        if gap <= 0:
-            raise DegenerateInstanceError(f"non-positive gap between items {prev} and {cur}")
-        total += 8.0 * log_term / gap
-    for leader, block in zip(s, family.blocks):
-        for j in block:
-            gap = float(means[leader] - means[j])
-            if gap <= 0:
-                raise DegenerateInstanceError(f"non-positive gap between items {leader} and {j}")
-            total += 8.0 * log_term / gap
-    return total
+    pairs = [*zip(s, s[1:])] + [(lead, j) for lead, block in zip(s, family.blocks) for j in block]
+    return sum((8.0 * log_term / float(means[a] - means[b]) for a, b in pairs), 0.0)

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Instance, _family_from_arrays, probability_vector, user_select
+from .core import Instance, _family_from_arrays, items_by_rank, probability_vector, user_select
 
 STREAM_PAYOFF = 0
 STREAM_WINDOW = 1
@@ -241,9 +241,9 @@ def _family_table(instance: Instance, horizon: int) -> tuple[np.ndarray, np.ndar
     else:
         distinct, rows = np.unique(instance.utility_sequence[:horizon], axis=0,
                                    return_inverse=True)
-    table = np.array([_family_from_arrays(u, instance.means).benchmark_by_window
-                      for u in distinct], dtype=np.intp).reshape(-1, instance.n)
-    return table, rows.reshape(-1)
+    table = [_family_from_arrays(items_by_rank(u).tolist(), instance.means).benchmark_by_window
+             for u in distinct]
+    return np.array(table, dtype=np.intp).reshape(-1, instance.n), rows.reshape(-1)
 
 
 def _means_regret(means, table, rows, windows, selected) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Shared brute-force oracles, generators and test doubles for the test suite.
 
 Most oracles here are independent of the library internals: they enumerate
-permutations, scan prefixes directly or hand a linear program to scipy, so
-library results can be checked against them without circularity. The
-exceptions are :func:`feasible_matrix_oracle`, the list form of the array
-coupling, and :func:`coupling_sample`, the one-call form of the ranking
-sampler, which lay out their cumulative masses with
-:func:`_coupling_cumulatives`, written as the library's sampler computes them,
-and :func:`rfsm_decompose_oracle`, the peeling as plain list scans, which can
-also check every intermediate residual for admissibility.
+permutations, scan prefixes directly, test dominance pair by pair
+(:func:`family_oracle`) or hand a linear program to scipy, so library
+results can be checked against them without circularity. The exceptions
+are :func:`feasible_matrix_oracle`, the list form of the array coupling, and
+:func:`coupling_sample`, the one-call form of the ranking sampler, which lay
+out their cumulative masses with :func:`_coupling_cumulatives`, written as
+the library's sampler computes them, and :func:`rfsm_decompose_oracle`, the
+peeling as plain list scans, which can also check every intermediate
+residual for admissibility.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 from scipy.optimize import linprog
 
-from rankbandit.core import probability_vector
+from rankbandit.core import DegenerateInstanceError, OptimalFamily, probability_vector
 from rankbandit.environments import RegretTrace
 from rankbandit.polytope import (
     ZERO_SNAP, AdmissibilityReport, ConstraintViolation, Decomposition,
@@ -51,6 +52,45 @@ def optimal_orders(utilities, means):
                for w in range(1, n + 1)):
             out.add(order)
     return out
+
+
+def family_oracle(utilities, means, *, strict=True):
+    """The optimal family by the pairwise dominance test: an item is dominated
+    when some item beats it in both utility and mean, and it joins the block
+    of the highest-mean undominated item of higher utility. The O(n^2) form
+    that :func:`~rankbandit.core._family_from_arrays` replaces with one walk."""
+    n = len(utilities)
+    if len(means) != n:
+        raise ValueError("means and utilities must have the same length")
+    if strict and len(set(float(m) for m in means)) != n:
+        raise DegenerateInstanceError("mean payoffs must be pairwise distinct")
+    dominated = [
+        any(utilities[i] > utilities[j] and means[i] > means[j] for i in range(n))
+        for j in range(n)
+    ]
+    undominated = sorted(
+        (i for i in range(n) if not dominated[i]),
+        key=lambda i: (-means[i], i),
+    )
+    blocks = {s: [] for s in undominated}
+    for j in range(n):
+        if dominated[j]:
+            # highest-mean undominated item of strictly higher utility; one
+            # always exists because the argmax itself cannot be dominated
+            leader = next(s for s in undominated if utilities[s] > utilities[j])
+            blocks[leader].append(j)
+    representative = []
+    benchmark = []
+    for s in undominated:
+        representative.append(s)
+        representative.extend(blocks[s])
+        benchmark.extend([s] * (1 + len(blocks[s])))
+    return OptimalFamily(
+        undominated=tuple(undominated),
+        blocks=tuple(tuple(blocks[s]) for s in undominated),
+        representative=tuple(representative),
+        benchmark_by_window=tuple(benchmark),
+    )
 
 
 def family_contains(family, order):

@@ -8,7 +8,8 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import (
-    coupling_sample, feasible_matrix_oracle, random_lazy_q, sample_decomposition,
+    coupling_sample, family_oracle, feasible_matrix_oracle, random_lazy_q,
+    sample_decomposition,
 )
 from rankbandit.adversarial import (
     BLORanker,
@@ -24,8 +25,7 @@ from rankbandit.adversarial import (
     pivot_permutation,
 )
 from rankbandit.core import (
-    Instance, _family_from_arrays, _see_utilities, items_by_rank, user_select,
-    utility_ranks,
+    Instance, _see_utilities, items_by_rank, user_select, utility_ranks,
 )
 from rankbandit.elimination import EliminationRanker
 from rankbandit.environments import MultinomialWindows, TapePayoffs, run_episode
@@ -501,6 +501,19 @@ class TestBLORanker:
             ranker.feed(1, 0, math.nan)
         assert ranker.engine.p is p and ranker.engine.t == 0
 
+    def test_nonfinite_loss_raises_at_feed(self):
+        # a finite payoff over a realized marginal below 1 overflows the loss
+        ranker = BLORanker([0.5, 0.5], horizon=100, rng=np.random.default_rng(3))
+        ranker.act(1, [1.0, 2.0])
+        p, pending = ranker.engine.p, ranker._pending
+        with pytest.raises(ValueError, match=re.escape(
+                "trial 1: payoff 1e+308 for item 0 gives loss -inf")):
+            ranker.feed(1, 0, 1e308)
+        assert ranker.engine.p is p and ranker.engine.t == 0
+        assert ranker._pending is pending
+        ranker.feed(1, 0, 1.0)
+        assert ranker.engine.t == 1
+
     def test_pick_frequencies_match_marginals(self):
         # zero-payoff feedback freezes the engine, so picks are i.i.d. with
         # item marginals given by the realized matrix
@@ -828,7 +841,7 @@ class TestEpsilonGreedy:
                 raised += 1
                 assert (ranker.rewards, ranker.counts, ranker._means) == state
                 means = [r / c if c else 0.0 for r, c in zip(ranker.rewards, ranker.counts)]
-                assert ranker.act(31, u) == _family_from_arrays(
+                assert ranker.act(31, u) == family_oracle(
                     u, means, strict=False).representative
         assert raised == 240
 
@@ -854,7 +867,7 @@ class _ReferenceEpsilonGreedy(EpsilonGreedyRanker):
             return tuple(int(by_rank[r]) for r in rank_order)
         means = [self.rewards[i] / self.counts[i] if self.counts[i] else 0.0
                  for i in range(self.n)]
-        return _family_from_arrays(list(utilities), means, strict=False).representative
+        return family_oracle(list(utilities), means, strict=False).representative
 
     def feed(self, t, item, payoff):
         self.rewards[item] += payoff

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    best_mean_by_window, family_contains, family_members, naive_select, optimal_orders,
-    random_instance,
+    best_mean_by_window, family_contains, family_members, family_oracle, naive_select,
+    optimal_orders, random_instance,
 )
 from rankbandit import elimination
 from rankbandit.adversarial import BLORanker, EpsilonGreedyRanker, pivot_permutation
@@ -17,6 +17,7 @@ from rankbandit.core import (
     DegenerateInstanceError,
     Instance,
     OptimalFamily,
+    _family_from_arrays,
     _frozen_array,
     items_by_rank,
     optimal_family,
@@ -126,6 +127,15 @@ class TestInstance:
         assert inst.utilities_at(2).tolist() == [2, 1]
         with pytest.raises(ValueError):
             inst.utilities_at(3)
+
+    @pytest.mark.parametrize("row, message", [
+        ([math.nan, 1.0], "utility_sequence row 1: entries must be finite"),
+        ([1.0, math.inf], "utility_sequence row 1: entries must be finite"),
+        ([2.0, 2.0], "utility_sequence row 1: must be pairwise distinct"),
+    ])
+    def test_schedule_rows_are_checked_at_construction(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            Instance(utilities=[1.0, 2.0], utility_sequence=[[1.0, 2.0], row])
 
 
 class TestSeeUtilities:
@@ -245,13 +255,36 @@ class TestOptimalFamily:
                 assert family_contains(fam, order) == (order in oracle)
 
     def test_exact_fraction_arithmetic(self):
-        from rankbandit.core import _family_from_arrays
-
         u = [Fraction(1), Fraction(2), Fraction(3)]
         m = [Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)]
-        fam = _family_from_arrays(u, m)
-        assert fam.undominated == (1, 2)
-        assert fam.blocks == ((0,), ())
+        for fam in (_family_from_arrays([0, 1, 2], m), family_oracle(u, m)):
+            assert fam.undominated == (1, 2)
+            assert fam.blocks == ((0,), ())
+
+    def test_walk_matches_pairwise_oracle(self):
+        """The walk down the utility order gives the pairwise dominance test's
+        family, on means from small grids so that ties are common; tied means
+        raise under ``strict`` in both."""
+        rng = np.random.default_rng(23)
+        raised = 0
+        for case in range(3000):
+            n = int(rng.integers(1, 13))
+            grid = (2, 3, 5, 1000)[case % 4]
+            utilities = (rng.permutation(n) + rng.uniform(0.0, 0.5, n)).tolist()
+            means = (rng.integers(0, grid, n) / grid).tolist()
+            by_rank = items_by_rank(utilities).tolist()
+            assert _family_from_arrays(by_rank, means, strict=False) == family_oracle(
+                utilities, means, strict=False)
+            if len(set(means)) == n:
+                assert _family_from_arrays(by_rank, means) == family_oracle(
+                    utilities, means)
+                continue
+            raised += 1
+            with pytest.raises(DegenerateInstanceError):
+                _family_from_arrays(by_rank, means)
+            with pytest.raises(DegenerateInstanceError):
+                family_oracle(utilities, means)
+        assert raised > 1000
 
     def test_members_have_zero_regret_everywhere(self):
         rng = np.random.default_rng(13)
@@ -305,6 +338,32 @@ class TestRegretUpperBound:
     def test_single_undominated_no_dominated(self):
         inst = Instance(utilities=[1.0], means=[0.7])
         assert regret_upper_bound(inst, 100, 0.1) == 0.0
+
+    def test_matches_oracle_sum_with_positive_gaps(self):
+        """The bound is the sum over the pairwise oracle's family, and every gap
+        in it is positive once the means are distinct."""
+        rng = np.random.default_rng(29)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            utilities = rng.permutation(n) + 1.0
+            means = rng.integers(0, 4 * n, n) / (4 * n)
+            if len(set(means.tolist())) != n:
+                continue
+            checked += 1
+            fam = family_oracle(utilities, means)
+            s = fam.undominated
+            gaps = [means[a] - means[b] for a, b in zip(s, s[1:])]
+            gaps += [means[leader] - means[j]
+                     for leader, block in zip(s, fam.blocks) for j in block]
+            assert all(g > 0 for g in gaps)
+            log_term = math.log(4.0 * n * 500.0 ** 2 / 0.05)
+            total = 0.0
+            for g in gaps:
+                total += 8.0 * log_term / float(g)
+            inst = Instance(utilities=utilities, means=means)
+            assert regret_upper_bound(inst, 500, 0.05) == total
+        assert checked > 150
 
     def test_input_validation(self):
         inst = Instance(utilities=[1, 2], means=[1.0, 0.5])
