@@ -20,7 +20,7 @@ a reproducible experiment harness (:mod:`rankbandit.harness`).
 
 from .adversarial import (
     BLORanker, EpsilonGreedyRanker, MirrorDescent, ProjectionError, lazy_alpha,
-    pivot_marginals, pivot_permutation,
+    pivot_marginals,
 )
 from .core import (
     DegenerateInstanceError, Instance, OptimalFamily, Permutation, optimal_family,
@@ -64,8 +64,7 @@ __all__ = [
     "confidence_event_holds", "count_inversions", "estimate_order_sorting",
     "estimate_social_learning", "feasible_matrix", "find_permutation",
     "inversion_budget", "is_admissible", "lazy_alpha", "marginal_deficit",
-    "optimal_family", "pivot_marginals",
-    "pivot_permutation", "regret_upper_bound",
+    "optimal_family", "pivot_marginals", "regret_upper_bound",
     "rfsm_decompose", "run_episode", "run_experiment", "run_replication",
     "selection_matrix", "substream", "user_select", "window_suffix_bounds",
 ]

@@ -42,22 +42,15 @@ class ProjectionError(RuntimeError):
     """The constrained mirror step failed; names the step and carries the iterate."""
 
 
-def pivot_permutation(i: int, n: int) -> Permutation:
-    """Pivot ranking for rank ``i``: ``(i, i-1, ..., 0, i+1, ..., n-1)``.
-
-    A window of length <= i+1 picks rank i; a longer window w picks rank w-1.
-    """
-    if not 0 <= i < n:
-        raise ValueError(f"pivot rank {i} outside [0, {n - 1}]")
-    return tuple(range(i, -1, -1)) + tuple(range(i + 1, n))
-
-
 def lazy_alpha(q: Sequence) -> np.ndarray:
     """Mixture weights over pivot rankings that equalize selection marginals.
 
     Requires a lazy window distribution (``q`` non-increasing with
-    ``q[0] > 0``); mixing ``pivot_permutation(i, n)`` with weight
-    ``alpha[i]`` then picks every rank with probability exactly ``1/n``.
+    ``q[0] > 0``). The pivot ranking of rank ``i`` shows ranks ``i, i-1,
+    ..., 0`` and then ``i+1, ..., n-1``: a window of length at most ``i+1``
+    picks rank ``i``, and a longer window ``w`` picks rank ``w-1``. Mixing
+    the pivot rankings with weights ``alpha`` then picks every rank with
+    probability exactly ``1/n``.
     Works with exact number types (e.g. ``fractions.Fraction``) as well as
     floats; the result dtype follows the input.
     """
@@ -430,8 +423,7 @@ class EpsilonGreedyRanker:
 
     def _rebuild(self, by_rank: list[int], ranks: list[int]) -> None:
         self._by_rank = by_rank
-        self._explore = [tuple([by_rank[r] for r in pivot_permutation(i, self.n)])
-                         for i in range(self.n)]
+        self._explore = [tuple(by_rank[i::-1] + by_rank[i + 1:]) for i in range(self.n)]
         self._representative = None
 
     def feed(self, t: int, item: int, payoff: float) -> None:

@@ -211,7 +211,6 @@ class RegretTrace:
     payoffs: np.ndarray
     inst_regret: np.ndarray
     cum_regret: np.ndarray
-    orders: np.ndarray | None = None
 
     CSV_COLUMNS = ("t", "window", "selected", "payoff", "inst_regret", "cum_regret")
 
@@ -256,7 +255,7 @@ def _means_regret(means, table, rows, windows, selected) -> np.ndarray:
 
 
 def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
-                benchmark: str = "means", record_orders: bool = True) -> RegretTrace:
+                benchmark: str = "means") -> RegretTrace:
     """Run one episode of the display/select/feed loop and record a trace.
 
     ``benchmark="means"`` scores each trial against the optimal family of the
@@ -266,21 +265,12 @@ def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
     """
     if benchmark not in ("means", "none"):
         raise ValueError(f"unknown benchmark mode {benchmark!r}")
-    n = instance.n
     if benchmark == "means":
         if instance.means is None:
             raise ValueError("benchmark='means' requires instance means")
         table, rows = _family_table(instance, horizon)
 
     ws, ys, pays = [], [], []
-    orders = None
-    if record_orders:
-        # imported here, so that a run which records no orders (every
-        # harness run) does not load the module
-        from array import array
-
-        orders = array("h")  # the orders end to end, n entries a trial
-
     observe = getattr(windows, "observe", None)
     fixed_utilities = instance.utility_sequence is None
     utilities = instance.utilities
@@ -300,20 +290,13 @@ def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
         ws.append(w)
         ys.append(y)
         pays.append(payoff)
-        if orders is not None:
-            if len(order) != n:
-                raise ValueError(f"trial {t}: the policy displayed {len(order)} "
-                                 f"items, expected {n}")
-            orders.extend(order)
 
     wcol = np.array(ws, dtype=np.int64)
     ycol = np.array(ys, dtype=np.int64)
     paycol = np.array(pays, dtype=np.float64)
-    if orders is not None:
-        orders = np.frombuffer(orders, dtype=np.int16).reshape(horizon, n)
     regcol = (_means_regret(instance.means, table, rows, wcol, ycol)
               if benchmark == "means" else np.zeros(horizon))
     return RegretTrace(
         trials=np.arange(1, horizon + 1, dtype=np.int64), windows=wcol, selected=ycol,
-        payoffs=paycol, inst_regret=regcol, cum_regret=np.cumsum(regcol), orders=orders,
+        payoffs=paycol, inst_regret=regcol, cum_regret=np.cumsum(regcol),
     )

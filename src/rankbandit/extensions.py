@@ -18,7 +18,6 @@ import functools
 import heapq
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -54,10 +53,12 @@ class DelayModel:
         to ``BLOCK`` values by ``environments._blocks``, which serves the
         payoff and window sources and the rankers' uniforms too; that gives
         the same numbers as one ``rng.integers(0, tau_max + 1)`` per payoff.
-        ``none`` and ``fixed`` take nothing from ``rng``.
+        ``none`` and ``fixed`` take nothing from ``rng`` and need none.
         """
         if self.kind != "uniform":
             return itertools.repeat(self.tau_max)
+        if rng is None:
+            raise ValueError("uniform delays need rng, a numpy Generator")
         return _blocks(functools.partial(rng.integers, 0, self.tau_max + 1))
 
     @classmethod
@@ -85,14 +86,15 @@ class QueuedDelayPolicy:
 
     The base policy advances one step at a time: it proposes a ranking, the
     first user pick under that ranking becomes the base's request, and the
-    wrapper keeps displaying the same ranking until the requested item's
-    queue is non-empty. Every observed payoff is enqueued under its item on
-    arrival, so off-request picks are banked rather than lost. Delays come
+    wrapper keeps displaying the same ranking until a payoff for the
+    requested item is due. Every observed payoff goes onto its item's heap
+    ``queues[item]`` as ``(due, t, payoff)`` with ``due = t + tau``, so
+    off-request picks are banked rather than lost. Delays come
     from :meth:`DelayModel.delays`: ``uniform`` ones are drawn from ``rng``
     in blocks that grow from 32 to ``BLOCK`` values by
     ``environments._blocks``, the same numbers as one draw per payoff.
     ``feed`` rejects a non-finite payoff before it draws a delay, and a
-    queued payoff leaves its queue only once the base has taken it.
+    payoff leaves its heap only once the base has taken it.
 
     No inversion budget is stated for delayed feedback:
     :func:`~rankbandit.elimination.inversion_budget` holds only when every
@@ -103,29 +105,20 @@ class QueuedDelayPolicy:
     def __init__(self, base, delay: DelayModel, rng: np.random.Generator | None = None):
         self.base = base
         self._delays = delay.delays(rng)
-        self.queues: dict[int, deque] = {}
-        self._inflight: list[tuple[int, int, int, float]] = []
+        self.queues: dict[int, list[tuple[int, int, float]]] = {}
         self.pending: int | None = None  # None while the base's request is open
         self.base_clock = 1
         self._order: Permutation | None = None
-        self.enqueued = 0
         self.dequeued = 0
 
-    def _deliver(self, before: int) -> None:
-        while self._inflight and self._inflight[0][0] < before:
-            _, _, item, payoff = heapq.heappop(self._inflight)
-            self.queues.setdefault(item, deque()).append(payoff)
-            self.enqueued += 1
-
     def act(self, t: int, utilities) -> Permutation:
-        self._deliver(t)
         pending = self.pending
         if pending is not None:
             queue = self.queues.get(pending)
-            if not queue:
+            if not queue or queue[0][0] >= t:
                 return self._order
-            self.base.feed(self.base_clock, pending, queue[0])
-            queue.popleft()
+            self.base.feed(self.base_clock, pending, queue[0][2])
+            heapq.heappop(queue)
             self.dequeued += 1
             self.base_clock += 1
             self.pending = None
@@ -135,26 +128,28 @@ class QueuedDelayPolicy:
     def feed(self, t: int, item: int, payoff: float) -> None:
         _check_payoff(t, item, payoff)
         tau = next(self._delays)
-        heapq.heappush(self._inflight, (t + tau, t, item, payoff))
+        heapq.heappush(self.queues.setdefault(item, []), (t + tau, t, payoff))
         if self.pending is None:
             self.pending = item
 
     @property
     def backlog(self) -> int:
-        return sum(len(q) for q in self.queues.values()) + len(self._inflight)
+        return sum(map(len, self.queues.values()))
+
+
+_AWAITING = (math.inf,)  # the slot of an instance whose payoff is not yet fed
 
 
 class PooledDelayPolicy:
     """Round-robin pool of independent base instances for delayed payoffs.
 
-    Each trial goes to the lowest-index instance not waiting on feedback,
-    found by one ``index(False)`` over the busy flags, spawning a new
-    instance when all are busy; the payoff is routed back to
-    the instance that proposed the ranking. With delays bounded by
+    Each trial goes to the lowest-index free instance, spawning a new
+    instance when none is free. The one payoff an instance owes waits in its
+    slot as ``(due, item, payoff)`` until an ``act`` after trial ``due``
+    feeds it back to that instance, which frees it. With delays bounded by
     ``tau_max`` the pool never exceeds ``tau_max + 1`` instances. Delays are
     drawn as in :class:`QueuedDelayPolicy`, in blocks by ``environments._blocks``.
-    ``feed`` checks payoffs as there, and one leaves the in-flight heap only
-    once its instance has taken it.
+    ``feed`` checks payoffs as there and rejects one that no ``act`` awaits.
 
     No inversion budget is stated for delayed feedback:
     :func:`~rankbandit.elimination.inversion_budget` holds only when every
@@ -169,38 +164,37 @@ class PooledDelayPolicy:
         self._delays = delay.delays(rng)
         self.instances: list = []
         self._acts_done: list[int] = []
-        self._busy: list[bool] = []
-        self._inflight: list[tuple[int, int, int, int, float]] = []
+        self._held: list[tuple | None] = []  # None while the instance is free
         self._active: int | None = None
 
-    def _deliver(self, before: int) -> None:
-        while self._inflight and self._inflight[0][0] < before:
-            _, _, inst_id, item, payoff = self._inflight[0]
-            self.instances[inst_id].feed(self._acts_done[inst_id], item, payoff)
-            heapq.heappop(self._inflight)
-            self._busy[inst_id] = False
-
     def act(self, t: int, utilities) -> Permutation:
-        self._deliver(t)
+        held = self._held
+        for i, entry in enumerate(held):
+            if entry and entry[0] < t:
+                self.instances[i].feed(self._acts_done[i], entry[1], entry[2])
+                held[i] = None
         try:
-            free = self._busy.index(False)
+            free = held.index(None)
         except ValueError:
             free = len(self.instances)
             self.instances.append(self.base_factory(free))
             self._acts_done.append(0)
-            self._busy.append(False)
+            held.append(None)
             if self.delay.tau_max + 1 < len(self.instances):
                 raise AssertionError(
                     f"pool grew to {len(self.instances)} > tau_max + 1")
         self._acts_done[free] += 1
-        self._busy[free] = True
+        held[free] = _AWAITING
         self._active = free
         return self.instances[free].act(self._acts_done[free], utilities)
 
     def feed(self, t: int, item: int, payoff: float) -> None:
         _check_payoff(t, item, payoff)
+        if self._active is None:
+            raise RuntimeError(f"trial {t}: feed for item {item} follows no act")
         tau = next(self._delays)
-        heapq.heappush(self._inflight, (t + tau, t, self._active, item, payoff))
+        self._held[self._active] = (t + tau, item, payoff)
+        self._active = None
 
     @property
     def pool_size(self) -> int:

@@ -429,8 +429,7 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> tuple[dict, RegretTrace]
     if main_horizon <= 0:
         raise RuntimeError("estimation burn-in consumed the whole horizon")
 
-    main = run_episode(policy, instance, payoffs, windows, main_horizon,
-                       benchmark="none", record_orders=False)
+    main = run_episode(policy, instance, payoffs, windows, main_horizon, benchmark="none")
     w, y, pay = (np.concatenate([b, m]) for b, m in
                  zip(burn, (main.windows, main.selected, main.payoffs)))
 

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import csv
 import itertools
+from array import array
 from bisect import bisect_left, bisect_right
 
 import numpy as np
 from scipy.optimize import linprog
 
 from rankbandit.core import DegenerateInstanceError, OptimalFamily, probability_vector
-from rankbandit.environments import RegretTrace
+from rankbandit.environments import RegretTrace, run_episode
 from rankbandit.polytope import (
     ZERO_SNAP, AdmissibilityReport, ConstraintViolation, Decomposition,
     InadmissibleMatrixError, InfeasibleTargetError, _permutation_from_picks,
@@ -494,3 +495,46 @@ class FixedPermutationPolicy:
 
     def feed(self, t, item, payoff):
         pass
+
+
+def pivot_permutation(i, n):
+    """Pivot ranking for rank ``i``: ``(i, i-1, ..., 0, i+1, ..., n-1)``.
+
+    A window of length <= i+1 picks rank i; a longer window w picks rank w-1.
+    """
+    if not 0 <= i < n:
+        raise ValueError(f"pivot rank {i} outside [0, {n - 1}]")
+    return tuple(range(i, -1, -1)) + tuple(range(i + 1, n))
+
+
+class RecordingPolicy:
+    """Hands act and feed on to ``policy`` and keeps every order it displays:
+    ``orders`` is the ``int16`` array of them, one row of ``n`` items a trial.
+    An order of another length raises at its trial, so no row can slip."""
+
+    def __init__(self, policy, n):
+        self.policy = policy
+        self.n = n
+        self._orders = array("h")
+
+    def act(self, t, utilities):
+        order = self.policy.act(t, utilities)
+        if len(order) != self.n:
+            raise ValueError(f"trial {t}: the policy displayed {len(order)} items, "
+                             f"expected {self.n}")
+        self._orders.extend(order)
+        return order
+
+    def feed(self, t, item, payoff):
+        self.policy.feed(t, item, payoff)
+
+    @property
+    def orders(self):
+        return np.frombuffer(self._orders, dtype=np.int16).reshape(-1, self.n)
+
+
+def recorded_episode(policy, instance, payoffs, windows, horizon, **kwargs):
+    """:func:`run_episode` with every displayed order recorded: ``(trace, orders)``."""
+    recorder = RecordingPolicy(policy, instance.n)
+    trace = run_episode(recorder, instance, payoffs, windows, horizon, **kwargs)
+    return trace, recorder.orders

@@ -214,8 +214,7 @@ def chain_runs():
         policy = EliminationRanker(5, DELTA)
         trace = run_episode(policy, CHAIN,
                             GaussianPayoffs(CHAIN.means, seed=0, replication=rep),
-                            LowerBoundBlockWindows(5, HORIZON), HORIZON,
-                            record_orders=False)
+                            LowerBoundBlockWindows(5, HORIZON), HORIZON)
         traces.append(trace)
     return traces
 
@@ -270,7 +269,7 @@ def test_criterion_07_adversarial_hindsight_regret():
                            rng=substream(0, rep, STREAM_POLICY))
         trace = run_episode(policy, instance, tape,
                             MultinomialWindows(LAZY_Q, seed=0, replication=rep),
-                            HORIZON, benchmark="none", record_orders=False)
+                            HORIZON, benchmark="none")
         bench = best_fixed_hindsight(tape.values, LAZY_Q, utilities)
         regrets.append(bench.value - float(trace.payoffs.sum()))
     mean_regret = float(np.mean(regrets))
@@ -322,7 +321,7 @@ def test_criterion_09_epsilon_greedy_scaling():
         trace = run_episode(policy, CHAIN,
                             GaussianPayoffs(CHAIN.means, seed=0, replication=rep),
                             MultinomialWindows(LAZY_Q, seed=0, replication=rep),
-                            HORIZON, record_orders=False)
+                            HORIZON)
         curves.append([trace.regret_at(c) for c in checkpoints])
     mean = np.mean(curves, axis=0)
     slope = float(np.polyfit(np.log(checkpoints), np.log(mean), 1)[0])
@@ -346,7 +345,7 @@ def test_criterion_10_delayed_feedback():
             return run_episode(policy, CHAIN,
                                GaussianPayoffs(CHAIN.means, seed=0, replication=rep),
                                MultinomialWindows(q, seed=0, replication=rep),
-                               T, record_orders=False)
+                               T)
 
         base = episode(EliminationRanker(n, DELTA))
         wrapped = episode(QueuedDelayPolicy(EliminationRanker(n, DELTA),

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import (
-    coupling_sample, family_oracle, feasible_matrix_oracle, random_lazy_q,
+    coupling_sample, family_oracle, feasible_matrix_oracle, pivot_permutation, random_lazy_q,
     sample_decomposition,
 )
 from rankbandit.adversarial import (
@@ -22,7 +22,6 @@ from rankbandit.adversarial import (
     _solve_masses,
     lazy_alpha,
     pivot_marginals,
-    pivot_permutation,
 )
 from rankbandit.core import (
     Instance, _see_utilities, items_by_rank, user_select, utility_ranks,
@@ -175,6 +174,17 @@ class TestPivots:
                 for w in range(1, n + 1):
                     expected = i if w <= i + 1 else w - 1
                     assert max(order[:w]) == expected
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_ranker_slices_are_the_pivot_rankings(self, n):
+        # the ranker slices its utility order instead of mapping each rank
+        rng = np.random.default_rng(n)
+        u = rng.permutation(n) + rng.uniform(0.0, 0.5, n)
+        ranker = EpsilonGreedyRanker(random_lazy_q(rng, n), rng=rng)
+        ranker.act(1, u)
+        by_rank = items_by_rank(u).tolist()
+        assert ranker._explore == [tuple(by_rank[r] for r in pivot_permutation(i, n))
+                                   for i in range(n)]
 
 
 class TestLazyAlpha:
@@ -652,7 +662,7 @@ def _episode(cls, q, seed, horizon=1000):
     tape = TapePayoffs.bernoulli(rates, horizon, seed, 0)
     windows = MultinomialWindows(np.asarray(q, dtype=float), seed, 0)
     trace = run_episode(ranker, instance, tape, windows, horizon,
-                        benchmark="none", record_orders=False)
+                        benchmark="none")
     return trace, ranker, np.asarray(iterates)
 
 

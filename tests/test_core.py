@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     best_mean_by_window, family_contains, family_members, family_oracle, naive_select,
-    optimal_orders, random_instance,
+    optimal_orders, pivot_permutation, random_instance,
 )
 from rankbandit import elimination
-from rankbandit.adversarial import BLORanker, EpsilonGreedyRanker, pivot_permutation
+from rankbandit.adversarial import BLORanker, EpsilonGreedyRanker
 from rankbandit.core import (
     DegenerateInstanceError,
     Instance,

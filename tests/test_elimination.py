@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import family_contains
+from conftest import family_contains, recorded_episode
 from rankbandit import elimination
 from rankbandit.core import Instance, optimal_family
 from rankbandit.elimination import (
@@ -270,11 +270,13 @@ class TestFindPermutation:
         def episode(cls):
             policy = PooledDelayPolicy(lambda idx: cls(n, 0.01), DelayModel.parse("uniform:0..4"),
                                        np.random.default_rng([seed, 1]))
-            return run_episode(policy, inst, GaussianPayoffs(inst.means, seed, 0),
-                               MultinomialWindows(q / q.sum(), seed, 0), horizon)
+            return recorded_episode(policy, inst, GaussianPayoffs(inst.means, seed, 0),
+                                    MultinomialWindows(q / q.sum(), seed, 0), horizon)
 
-        fast, slow = episode(EliminationRanker), episode(OracleEliminationRanker)
-        for name in ("selected", "windows", "payoffs", "orders"):
+        (fast, fast_orders), (slow, slow_orders) = (episode(EliminationRanker),
+                                                    episode(OracleEliminationRanker))
+        assert np.array_equal(fast_orders, slow_orders)
+        for name in ("selected", "windows", "payoffs"):
             assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
         # the pass really explores: picks are spread over many items
         assert len(set(fast.selected.tolist())) > 10
@@ -296,11 +298,13 @@ class TestFindPermutation:
         monkeypatch.setattr(elimination, "find_permutation", recorded)
 
         def episode(cls):
-            return run_episode(cls(n, 0.01), inst, GaussianPayoffs(inst.means, 3, 0),
-                               LowerBoundBlockWindows(n, horizon), horizon)
+            return recorded_episode(cls(n, 0.01), inst, GaussianPayoffs(inst.means, 3, 0),
+                                    LowerBoundBlockWindows(n, horizon), horizon)
 
-        fast, slow = episode(EliminationRanker), episode(OracleEliminationRanker)
-        for name in ("selected", "payoffs", "orders"):
+        (fast, fast_orders), (slow, slow_orders) = (episode(EliminationRanker),
+                                                    episode(OracleEliminationRanker))
+        assert np.array_equal(fast_orders, slow_orders)
+        for name in ("selected", "payoffs"):
             assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
         # most passes finish exactly; some are certified throughout, and
         # some certify a pick before the exact completion takes over
@@ -439,12 +443,13 @@ class TestCachedState:
                         utility_sequence=seq)
 
         def episode(cls):
-            return run_episode(cls(n, 0.05), inst, GaussianPayoffs(inst.means, 11, 0),
-                               MultinomialWindows([0.3, 0.2, 0.2, 0.1, 0.1, 0.1], 11, 0),
-                               horizon)
+            return recorded_episode(cls(n, 0.05), inst, GaussianPayoffs(inst.means, 11, 0),
+                                    MultinomialWindows([0.3, 0.2, 0.2, 0.1, 0.1, 0.1], 11, 0),
+                                    horizon)
 
-        fast, slow = episode(EliminationRanker), episode(OracleEliminationRanker)
-        assert np.array_equal(fast.orders, slow.orders)
+        (fast, fast_orders), (slow, slow_orders) = (episode(EliminationRanker),
+                                                    episode(OracleEliminationRanker))
+        assert np.array_equal(fast_orders, slow_orders)
         assert np.array_equal(fast.selected, slow.selected)
         switches = int(np.sum(np.any(seq[1:] != seq[:-1], axis=1)))
         assert switches >= 500, switches
@@ -459,12 +464,13 @@ class TestCachedState:
         def episode(cls):
             policy = QueuedDelayPolicy(cls(n, 0.05), DelayModel.parse(spec),
                                        np.random.default_rng([13, 1]))
-            trace = run_episode(policy, inst, GaussianPayoffs(inst.means, 13, 0),
-                                MultinomialWindows(q / q.sum(), 13, 0), horizon)
-            return trace, policy.base_clock
+            trace, orders = recorded_episode(policy, inst, GaussianPayoffs(inst.means, 13, 0),
+                                             MultinomialWindows(q / q.sum(), 13, 0), horizon)
+            return trace, orders, policy.base_clock
 
-        (fast, steps), (slow, _) = episode(EliminationRanker), episode(OracleEliminationRanker)
-        assert np.array_equal(fast.orders, slow.orders)
+        (fast, fast_orders, steps), (slow, slow_orders, _) = (
+            episode(EliminationRanker), episode(OracleEliminationRanker))
+        assert np.array_equal(fast_orders, slow_orders)
         assert np.array_equal(fast.selected, slow.selected)
         assert steps >= 500, steps
 
@@ -519,11 +525,14 @@ class TestAdaptiveWindows:
         held = 0
         for seed in range(4):
             def episode(cls):
-                return run_episode(cls(n, delta), inst, GaussianPayoffs(inst.means, seed, 0),
-                                   AdaptiveWindows(regret_seeking(inst), n), horizon)
+                return recorded_episode(cls(n, delta), inst,
+                                        GaussianPayoffs(inst.means, seed, 0),
+                                        AdaptiveWindows(regret_seeking(inst), n), horizon)
 
-            fast, slow = episode(EliminationRanker), episode(OracleEliminationRanker)
-            for name in ("windows", "selected", "payoffs", "orders"):
+            (fast, fast_orders), (slow, slow_orders) = (episode(EliminationRanker),
+                                                        episode(OracleEliminationRanker))
+            assert np.array_equal(fast_orders, slow_orders), seed
+            for name in ("windows", "selected", "payoffs"):
                 assert np.array_equal(getattr(fast, name), getattr(slow, name)), (seed, name)
             # the adversary moves between windows
             assert len(set(fast.windows.tolist())) == n
@@ -557,8 +566,7 @@ class TestEliminationRanker:
         fam = optimal_family(inst)
         pol = EliminationRanker(3, 0.05)
         run_episode(pol, inst, GaussianPayoffs(inst.means, 1, 0),
-                    MultinomialWindows([0.5, 0.3, 0.2], 1, 0), 4000,
-                    record_orders=False)
+                    MultinomialWindows([0.5, 0.3, 0.2], 1, 0), 4000)
         assert family_contains(fam, pol.act(4001, inst.utilities))
 
 
@@ -592,8 +600,7 @@ class TestTraceDiagnostics:
         inst = Instance(utilities=[1, 2, 3], means=[1.0, 0.5, 0.0])
         pol = EliminationRanker(3, 0.05)
         trace = run_episode(pol, inst, GaussianPayoffs(inst.means, 2, 0),
-                            MultinomialWindows([0.6, 0.3, 0.1], 2, 0), 2000,
-                            record_orders=False)
+                            MultinomialWindows([0.6, 0.3, 0.1], 2, 0), 2000)
         assert confidence_event_holds(trace.selected, trace.payoffs,
                                       inst.means, 0.05)
 

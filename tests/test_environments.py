@@ -1,10 +1,11 @@
 import csv
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import FixedPermutationPolicy, read_trace_csv, write_tape_csv
+from conftest import (
+    FixedPermutationPolicy, RecordingPolicy, read_trace_csv, recorded_episode, write_tape_csv,
+)
 from rankbandit.adversarial import EpsilonGreedyRanker
 from rankbandit.core import DegenerateInstanceError, Instance, optimal_family
 from rankbandit.environments import (
@@ -240,9 +241,11 @@ class TestEpisodeColumns:
                    else _NumpyPayoffs(instance.means, 53, payoff_type))
         log = _TrialLog(EpsilonGreedyRanker([0.5, 0.3, 0.2], rng=np.random.default_rng(59)),
                         MultinomialWindows([0.5, 0.3, 0.2], seed=53))
-        trace = run_episode(log, instance, payoffs, log, horizon,
-                            record_orders=record_orders)
-        got = (trace.windows, trace.selected, trace.payoffs, trace.orders)
+        # the recorder's orders are checked with the columns, which it must not move
+        policy = RecordingPolicy(log, instance.n) if record_orders else log
+        trace = run_episode(policy, instance, payoffs, log, horizon)
+        got = (trace.windows, trace.selected, trace.payoffs,
+               policy.orders if record_orders else None)
         want = per_row_columns(log.rows, instance.n, record_orders)
         for column, expected, dtype, shape in zip(
                 got, want, (np.int64, np.int64, np.float64, np.int16),
@@ -261,48 +264,29 @@ class TestEpisodeColumns:
     @pytest.mark.parametrize("lengths", [{7: 2}, {7: 4}, {7: 2, 9: 4}],
                              ids=["short", "long", "short-then-long"])
     def test_order_of_wrong_length_raises(self, lengths):
-        # the first order of the wrong length raises at its trial, also
+        # the recorder raises at the first order of the wrong length, also
         # when a later one, an item long, would make the total count right
         instance = Instance(utilities=[1.0, 2.0, 3.0], means=[1.0, 3.0, 2.0])
         with pytest.raises(ValueError, match=f"^trial 7: .* displayed {lengths[7]} "
                                              "items, expected 3$"):
-            run_episode(_Rotating(3, lengths), instance, GaussianPayoffs(instance.means, seed=5),
-                        ScheduleWindows([1] * 12, n=3), 12)
-        # without recorded orders the lengths are not checked
+            recorded_episode(_Rotating(3, lengths), instance,
+                             GaussianPayoffs(instance.means, seed=5),
+                             ScheduleWindows([1] * 12, n=3), 12)
+        # the episode loop itself does not check the lengths
         trace = run_episode(_Rotating(3, lengths), instance,
                             GaussianPayoffs(instance.means, seed=5),
-                            ScheduleWindows([1] * 12, n=3), 12, record_orders=False)
-        assert trace.orders is None
-
-    def test_recorded_orders_take_two_bytes_an_entry(self):
-        # each trial's order is a new tuple of n ints; the recorded episode's
-        # peak may exceed the unrecorded one's by at most 4 bytes an entry
-        # (2 for the int16 plus the array's growth), not a tuple per trial
-        n, horizon = 20, 20_000
-        instance = Instance(utilities=np.arange(n) + 1.0)
-        tape = TapePayoffs.bernoulli(np.linspace(0.1, 0.9, n), horizon, seed=3)
-        windows = ScheduleWindows([1 + t % n for t in range(horizon)], n)
-        peaks = {}
-        for record_orders in (True, False):
-            tracemalloc.start()
-            try:
-                trace = run_episode(_Rotating(n), instance, tape, windows, horizon,
-                                    benchmark="none", record_orders=record_orders)
-                peaks[record_orders] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert trace.orders is None
-        assert peaks[True] - peaks[False] <= 4 * n * horizon, peaks
+                            ScheduleWindows([1] * 12, n=3), 12)
+        assert len(trace) == 12
 
 
 class _Rotating:
     """Shows ``0..n-1`` rotated left by ``t mod n``: a new tuple each trial,
     cut or padded at the trials ``lengths`` names to that many items."""
 
-    def __init__(self, n, lengths=None):
+    def __init__(self, n, lengths):
         self.base = tuple(range(n)) * 2
         self.n = n
-        self.lengths = lengths or {}
+        self.lengths = lengths
 
     def act(self, t, utilities):
         k = t % self.n
@@ -367,21 +351,15 @@ class TestRunEpisode:
         def make():
             from rankbandit.elimination import EliminationRanker
             policy = EliminationRanker(n=3, delta=0.05)
-            return run_episode(policy, self.instance,
-                               GaussianPayoffs(self.instance.means, seed=37),
-                               MultinomialWindows([0.5, 0.3, 0.2], seed=37), 300)
+            return recorded_episode(policy, self.instance,
+                                    GaussianPayoffs(self.instance.means, seed=37),
+                                    MultinomialWindows([0.5, 0.3, 0.2], seed=37), 300)
 
-        a, b = make(), make()
+        (a, a_orders), (b, b_orders) = make(), make()
         assert np.array_equal(a.payoffs, b.payoffs)
         assert np.array_equal(a.selected, b.selected)
-        assert np.array_equal(a.orders, b.orders)
+        assert np.array_equal(a_orders, b_orders)
         assert np.array_equal(a.cum_regret, b.cum_regret)
-
-    def test_record_orders_flag(self):
-        trace = run_episode(FixedPermutationPolicy((0, 1, 2)), self.instance,
-                            GaussianPayoffs(self.instance.means, seed=1),
-                            ScheduleWindows([1], n=3), 1, record_orders=False)
-        assert trace.orders is None
 
     def test_observe_hook_receives_picks(self):
         seen = []

@@ -1,13 +1,19 @@
+from __future__ import annotations
+
 import functools
+import heapq
 import itertools
 import math
+from collections import deque
+from typing import Callable
 
 import numpy as np
 import pytest
 
+from conftest import recorded_episode
 from rankbandit import adversarial, environments, extensions
 from rankbandit.adversarial import BLORanker, EpsilonGreedyRanker
-from rankbandit.core import Instance, user_select
+from rankbandit.core import Instance, Permutation, _check_payoff, user_select
 from rankbandit.elimination import EliminationRanker
 from rankbandit.environments import (
     BLOCK,
@@ -16,7 +22,6 @@ from rankbandit.environments import (
     GaussianPayoffs,
     MultinomialWindows,
     ScheduleWindows,
-    run_episode,
     substream,
 )
 from rankbandit.extensions import (
@@ -64,19 +69,38 @@ class TestDelayModel:
         draws = set(itertools.islice(DelayModel(kind="uniform", tau_max=3).delays(rng), 200))
         assert draws == {0, 1, 2, 3}
 
+    @pytest.mark.parametrize("wrapper", ["qpmd", "bold"], ids=["queued", "pooled"])
+    def test_uniform_delays_need_a_generator(self, wrapper):
+        with pytest.raises(ValueError, match="^uniform delays need rng"):
+            DelayModel.parse("uniform:0..2").delays(None)
+        with pytest.raises(ValueError, match="^uniform delays need rng"):
+            _WRAPPERS[wrapper](lambda i: EliminationRanker(3, 0.1),
+                               DelayModel.parse("uniform:0..2"))
 
+
+# each wrapper around base policies from a factory ``base(index)``
 _WRAPPERS = {
-    "qpmd": lambda delay, rng: QueuedDelayPolicy(_StubBase(0), delay, rng),
-    "bold": lambda delay, rng: PooledDelayPolicy(_StubBase, delay, rng),
+    "qpmd": lambda base, delay, rng=None: QueuedDelayPolicy(base(0), delay, rng),
+    "bold": lambda base, delay, rng=None: PooledDelayPolicy(base, delay, rng),
 }
 
 
 def _applied_delays(policy, count):
-    """Feed ``count`` payoffs and read each one's delay back from its
-    in-flight entry ``(due, t, ...)``; without an act nothing is delivered."""
+    """Feed ``count`` payoffs and read each one's delay back from where it
+    waits. The queued wrapper, never acting, keeps them all on item 0's heap
+    as ``(due, t, payoff)``; the pooled one acts before each feed and holds
+    it in the acting instance's slot as ``(due, item, payoff)``."""
+    if isinstance(policy, QueuedDelayPolicy):
+        for t in range(1, count + 1):
+            policy.feed(t, 0, 0.0)
+        return [due - t for due, t, _ in sorted(policy.queues[0], key=lambda entry: entry[1])]
+    delays = []
     for t in range(1, count + 1):
+        policy.act(t, None)
+        slot = policy._active
         policy.feed(t, 0, 0.0)
-    return [due - t for due, t, *_ in sorted(policy._inflight, key=lambda entry: entry[1])]
+        delays.append(policy._held[slot][0] - t)
+    return delays
 
 
 _RANKERS = {
@@ -155,7 +179,7 @@ class TestBlockDraws:
     @pytest.mark.parametrize("wrapper", sorted(_WRAPPERS))
     def test_equal_scalar_draws(self, wrapper, tau_max):
         count = 2 * BLOCK + 77
-        policy = _WRAPPERS[wrapper](DelayModel(kind="uniform", tau_max=tau_max),
+        policy = _WRAPPERS[wrapper](_StubBase, DelayModel(kind="uniform", tau_max=tau_max),
                                     np.random.default_rng(tau_max))
         g = np.random.default_rng(tau_max)
         want = [int(g.integers(0, tau_max + 1)) for _ in range(count)]
@@ -166,7 +190,7 @@ class TestBlockDraws:
     @pytest.mark.parametrize("wrapper", sorted(_WRAPPERS))
     def test_none_and_fixed_take_no_draw(self, wrapper, delay):
         rng = np.random.default_rng(5)
-        policy = _WRAPPERS[wrapper](delay, rng)
+        policy = _WRAPPERS[wrapper](_StubBase, delay, rng)
         assert _applied_delays(policy, 2 * BLOCK) == [delay.tau_max] * (2 * BLOCK)
         assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
@@ -213,19 +237,20 @@ class TestBlockDraws:
 
 
 def _episode(policy, seed, horizon=400):
+    """``(trace, orders)`` of an episode on a fixed 3-item instance."""
     instance = Instance(utilities=[1.0, 2.0, 3.0], means=[1.0, 3.0, 2.0])
-    return run_episode(policy, instance,
-                       GaussianPayoffs(instance.means, seed=seed),
-                       MultinomialWindows([0.5, 0.3, 0.2], seed=seed), horizon)
+    return recorded_episode(policy, instance,
+                            GaussianPayoffs(instance.means, seed=seed),
+                            MultinomialWindows([0.5, 0.3, 0.2], seed=seed), horizon)
 
 
 class TestQueuedDelay:
     def test_zero_delay_is_transparent(self):
-        base_trace = _episode(EliminationRanker(n=3, delta=0.05), seed=53)
+        base_trace, base_orders = _episode(EliminationRanker(n=3, delta=0.05), seed=53)
         wrapped = QueuedDelayPolicy(EliminationRanker(n=3, delta=0.05),
                                     DelayModel())
-        wrapped_trace = _episode(wrapped, seed=53)
-        assert np.array_equal(base_trace.orders, wrapped_trace.orders)
+        wrapped_trace, wrapped_orders = _episode(wrapped, seed=53)
+        assert np.array_equal(base_orders, wrapped_orders)
         assert np.array_equal(base_trace.payoffs, wrapped_trace.payoffs)
         assert np.array_equal(base_trace.cum_regret, wrapped_trace.cum_regret)
 
@@ -234,10 +259,11 @@ class TestQueuedDelay:
                                     DelayModel(kind="fixed", tau_max=5))
         horizon = 300
         _episode(wrapped, seed=59, horizon=horizon)
-        # every feed is inflight, banked in a queue, or consumed by the base
+        # every feed waits on its item's heap or was consumed by the base
         assert wrapped.backlog + wrapped.dequeued == horizon
-        queued = wrapped.backlog - len(wrapped._inflight)
-        assert wrapped.enqueued == wrapped.dequeued + queued
+        waiting = [entry for queue in wrapped.queues.values() for entry in queue]
+        assert len(waiting) == wrapped.backlog > 0
+        assert all(due == t + 5 for due, t, _ in waiting)
 
     def test_base_clock_lags_delay(self):
         wrapped = QueuedDelayPolicy(EliminationRanker(n=3, delta=0.05),
@@ -250,10 +276,10 @@ class TestQueuedDelay:
     def test_ranking_held_while_waiting(self):
         wrapped = QueuedDelayPolicy(EliminationRanker(n=3, delta=0.05),
                                     DelayModel(kind="fixed", tau_max=4))
-        trace = _episode(wrapped, seed=67, horizon=200)
+        _, orders = _episode(wrapped, seed=67, horizon=200)
         changes = sum(
-            not np.array_equal(trace.orders[k], trace.orders[k - 1])
-            for k in range(1, len(trace)))
+            not np.array_equal(orders[k], orders[k - 1])
+            for k in range(1, len(orders)))
         # the proposal only moves when the base is stepped
         assert changes <= wrapped.base_clock
 
@@ -261,21 +287,23 @@ class TestQueuedDelay:
         wrapped = QueuedDelayPolicy(EliminationRanker(n=3, delta=0.05),
                                     DelayModel(kind="uniform", tau_max=6),
                                     rng=substream(71, 0, 4))
-        trace = _episode(wrapped, seed=71, horizon=300)
+        trace, _ = _episode(wrapped, seed=71, horizon=300)
         assert trace.regret_at(300) >= 0.0
 
 
 class TestDelayedPayoffChecks:
-    @pytest.mark.parametrize("wrap", [
-        lambda base, delay: QueuedDelayPolicy(base(0), delay),
-        lambda base, delay: PooledDelayPolicy(base, delay),
-    ], ids=["queued", "pooled"])
-    def test_nonfinite_payoff_raises_at_feed(self, wrap):
-        wrapped = wrap(lambda i: EliminationRanker(3, 0.1), DelayModel.parse("fixed:2"))
+    @pytest.mark.parametrize("wrapper", ["qpmd", "bold"], ids=["queued", "pooled"])
+    def test_nonfinite_payoff_raises_at_feed(self, wrapper):
+        wrapped = _WRAPPERS[wrapper](lambda i: EliminationRanker(3, 0.1),
+                                     DelayModel.parse("fixed:2"))
         order = wrapped.act(1, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="trial 1: payoff nan for item 2 is not finite"):
             wrapped.feed(1, 2, math.nan)
-        assert not wrapped._inflight
+        # nothing is held, and the pooled instance still awaits its payoff
+        if wrapper == "qpmd":
+            assert wrapped.queues == {}
+        else:
+            assert wrapped._held == [extensions._AWAITING]
         wrapped.feed(1, 2, 0.5)
         assert wrapped.act(2, [1.0, 2.0, 3.0]) == order
 
@@ -286,19 +314,18 @@ class TestDelayedPayoffChecks:
             wrapped.feed(t, 0, 1e308)
         with pytest.raises(ValueError, match="payoff sum non-finite"):
             wrapped.act(3, [1.0, 2.0, 3.0])
-        assert (wrapped.dequeued, list(wrapped.queues[0]), wrapped.base_clock,
-                wrapped.pending) == (1, [1e308], 2, 0)
+        assert (wrapped.dequeued, wrapped.queues[0], wrapped.base_clock,
+                wrapped.pending) == (1, [(2, 2, 1e308)], 2, 0)
 
     def test_pooled_keeps_a_payoff_its_instance_rejects(self):
         pool = PooledDelayPolicy(lambda i: EliminationRanker(3, 0.1), DelayModel())
         for t in (1, 2):
             pool.act(t, [1.0, 2.0, 3.0])
             pool.feed(t, 0, 1e308)
-        inflight = list(pool._inflight)
+        held = list(pool._held)
         with pytest.raises(ValueError, match="payoff sum non-finite"):
             pool.act(3, [1.0, 2.0, 3.0])
-        assert pool._inflight == inflight == [(2, 2, 0, 0, 1e308)]
-        assert pool._busy == [True]
+        assert pool._held == held == [(2, 0, 1e308)]
 
 
 class _StubBase:
@@ -342,7 +369,7 @@ class TestPooledDelay:
             order = pool.act(t, [1.0, 2.0, 3.0])
             assert order == (2, 1, 0)
             pool.feed(t, t % 3, float(t))
-        pool._deliver(10 + 3)
+        pool.act(10 + 3, [1.0, 2.0, 3.0])  # every payoff is due by then
         assert sorted(stubs) == [0, 1, 2]
         # trial t goes to instance (t-1) % 3; its payoff comes back intact
         for i, stub in stubs.items():
@@ -355,6 +382,197 @@ class TestPooledDelay:
         pool.act(1, [1.0, 2.0, 3.0])
         with pytest.raises(AssertionError, match="pool grew"):
             pool.act(2, [1.0, 2.0, 3.0])
+
+    def test_feed_that_no_act_awaits_raises(self):
+        pool = PooledDelayPolicy(_StubBase, DelayModel())
+        with pytest.raises(RuntimeError, match="^trial 1: feed for item 0 follows no act$"):
+            pool.feed(1, 0, 0.5)
+        pool.act(1, [1.0, 2.0, 3.0])
+        pool.feed(1, 0, 0.5)
+        with pytest.raises(RuntimeError, match="^trial 1: feed for item 1 follows no act$"):
+            pool.feed(1, 1, 0.7)
+        pool.act(2, [1.0, 2.0, 3.0])
+        assert pool.instances[0].feeds == [(1, 0, 0.5)]
+
+
+class QueuedDelayOracle:
+    """The queued wrapper as it was: ``feed`` pushes every payoff onto one
+    in-flight heap, and each ``act`` first delivers the due ones into
+    per-item deques, from which the base takes its request's first."""
+
+    def __init__(self, base, delay: DelayModel, rng: np.random.Generator | None = None):
+        self.base = base
+        self._delays = delay.delays(rng)
+        self.queues: dict[int, deque] = {}
+        self._inflight: list[tuple[int, int, int, float]] = []
+        self.pending: int | None = None  # None while the base's request is open
+        self.base_clock = 1
+        self._order: Permutation | None = None
+        self.enqueued = 0
+        self.dequeued = 0
+
+    def _deliver(self, before: int) -> None:
+        while self._inflight and self._inflight[0][0] < before:
+            _, _, item, payoff = heapq.heappop(self._inflight)
+            self.queues.setdefault(item, deque()).append(payoff)
+            self.enqueued += 1
+
+    def act(self, t: int, utilities) -> Permutation:
+        self._deliver(t)
+        pending = self.pending
+        if pending is not None:
+            queue = self.queues.get(pending)
+            if not queue:
+                return self._order
+            self.base.feed(self.base_clock, pending, queue[0])
+            queue.popleft()
+            self.dequeued += 1
+            self.base_clock += 1
+            self.pending = None
+        self._order = self.base.act(self.base_clock, utilities)
+        return self._order
+
+    def feed(self, t: int, item: int, payoff: float) -> None:
+        _check_payoff(t, item, payoff)
+        tau = next(self._delays)
+        heapq.heappush(self._inflight, (t + tau, t, item, payoff))
+        if self.pending is None:
+            self.pending = item
+
+    @property
+    def backlog(self) -> int:
+        return sum(len(q) for q in self.queues.values()) + len(self._inflight)
+
+
+class PooledDelayOracle:
+    """The pooled wrapper as it was: busy flags, and one in-flight heap of
+    every payoff, delivered in ``(due, t)`` order at each ``act``."""
+
+    def __init__(self, base_factory: Callable[[int], object], delay: DelayModel,
+                 rng: np.random.Generator | None = None):
+        self.base_factory = base_factory
+        self.delay = delay
+        self._delays = delay.delays(rng)
+        self.instances: list = []
+        self._acts_done: list[int] = []
+        self._busy: list[bool] = []
+        self._inflight: list[tuple[int, int, int, int, float]] = []
+        self._active: int | None = None
+
+    def _deliver(self, before: int) -> None:
+        while self._inflight and self._inflight[0][0] < before:
+            _, _, inst_id, item, payoff = self._inflight[0]
+            self.instances[inst_id].feed(self._acts_done[inst_id], item, payoff)
+            heapq.heappop(self._inflight)
+            self._busy[inst_id] = False
+
+    def act(self, t: int, utilities) -> Permutation:
+        self._deliver(t)
+        try:
+            free = self._busy.index(False)
+        except ValueError:
+            free = len(self.instances)
+            self.instances.append(self.base_factory(free))
+            self._acts_done.append(0)
+            self._busy.append(False)
+            if self.delay.tau_max + 1 < len(self.instances):
+                raise AssertionError(
+                    f"pool grew to {len(self.instances)} > tau_max + 1")
+        self._acts_done[free] += 1
+        self._busy[free] = True
+        self._active = free
+        return self.instances[free].act(self._acts_done[free], utilities)
+
+    def feed(self, t: int, item: int, payoff: float) -> None:
+        _check_payoff(t, item, payoff)
+        tau = next(self._delays)
+        heapq.heappush(self._inflight, (t + tau, t, self._active, item, payoff))
+
+    @property
+    def pool_size(self) -> int:
+        return len(self.instances)
+
+
+class _FeedLog:
+    """Passes act and feed on to ``base`` and logs each feed it took."""
+
+    def __init__(self, base):
+        self.base = base
+        self.feeds = []
+
+    def act(self, t, utilities):
+        return self.base.act(t, utilities)
+
+    def feed(self, t, item, payoff):
+        self.base.feed(t, item, payoff)
+        self.feeds.append((t, item, payoff))
+
+
+_LOCKSTEP_HORIZON = 200
+
+
+def _lockstep_case(case):
+    """One seeded random case: the environment's generator, the item count,
+    a delay model and a factory of logged base rankers of one kind."""
+    rng = np.random.default_rng([2027, case])
+    n = int(rng.integers(2, 7))
+    kind = ["none", "fixed", "uniform"][case % 3]
+    delay = DelayModel(kind, 0 if kind == "none" else int(rng.integers(0, 7)))
+    ranker = ["elim", "eps-greedy", "osmd"][case // 3 % 3]
+    q = 1.0 / np.arange(1, n + 1)
+    q /= q.sum()
+
+    def base(index):
+        stream = np.random.default_rng([case, 1, index])
+        if ranker == "elim":
+            made = EliminationRanker(n, 0.1)
+        elif ranker == "eps-greedy":
+            made = EpsilonGreedyRanker(q, rng=stream, explore_constant=0.5)
+        else:
+            made = BLORanker(q, horizon=_LOCKSTEP_HORIZON, rng=stream)
+        return _FeedLog(made)
+
+    return rng, n, delay, base
+
+
+# per wrapper: the library's class, its oracle, what a constructor takes of
+# a base factory, the state compared after every trial and the feed logs
+_LOCKSTEP = {
+    "queued": (QueuedDelayPolicy, QueuedDelayOracle, lambda base: base(0),
+               lambda p: (p.backlog, p.dequeued, p.base_clock, p.pending),
+               lambda p: [p.base.feeds]),
+    "pooled": (PooledDelayPolicy, PooledDelayOracle, lambda base: base,
+               lambda p: p.pool_size,
+               lambda p: [instance.feeds for instance in p.instances]),
+}
+
+
+@pytest.mark.parametrize("wrapper", sorted(_LOCKSTEP))
+def test_wrappers_run_in_lockstep_with_the_heap_oracles(wrapper):
+    fast, oracle, take, state, logs = _LOCKSTEP[wrapper]
+    seen = set()
+    for case in range(120):
+        rng, n, delay, base = _lockstep_case(case)
+        seen.add((delay.kind, delay.tau_max > 0))
+        # each side gets its own bases and delay stream from the same seeds
+        sides = [cls(take(base), delay, np.random.default_rng([case, 2]))
+                 for cls in (fast, oracle)]
+
+        utilities = rng.permutation(n) + 1.0
+        means = rng.uniform(0.0, 1.0, n)
+        scan = utilities.tolist()
+        for t in range(1, _LOCKSTEP_HORIZON + 1):
+            order, want = (side.act(t, utilities) for side in sides)
+            assert order == want, (case, t)
+            pick = user_select(order, scan, int(rng.integers(1, n + 1)))
+            payoff = float(rng.normal(means[pick], 0.5))
+            for side in sides:
+                side.feed(t, pick, payoff)
+            assert state(sides[0]) == state(sides[1]), (case, t)
+        assert logs(sides[0]) == logs(sides[1]), case
+        assert sum(map(len, logs(sides[0]))) > 0
+    assert seen == {("none", False), ("fixed", False), ("fixed", True),
+                    ("uniform", False), ("uniform", True)}
 
 
 class TestGreedyUserEnv:

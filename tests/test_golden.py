@@ -14,9 +14,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import recorded_episode
 from rankbandit.core import Instance
 from rankbandit.elimination import EliminationRanker
-from rankbandit.environments import GaussianPayoffs, MultinomialWindows, run_episode
+from rankbandit.environments import GaussianPayoffs, MultinomialWindows
 from rankbandit.harness import ExperimentConfig, run_experiment
 
 LAZY_Q = [0.35, 0.25, 0.2, 0.12, 0.08]
@@ -263,15 +264,17 @@ def test_trace_matches_pinned_hashes(policy, tmp_path):
 
 
 def changing_utilities_episode():
-    """Elimination on a utility schedule that cycles through three orders."""
+    """Elimination on a utility schedule that cycles through three orders:
+    ``(trace, orders)``."""
     rows = np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 3.0, 2.0], [2.0, 4.0, 1.0, 3.0]])
     seq = rows[np.random.default_rng(3).integers(0, 3, size=600)]
     inst = Instance(utilities=rows[0], means=[0.2, 0.9, 0.5, 0.7], utility_sequence=seq)
-    return run_episode(EliminationRanker(4, 0.05), inst, GaussianPayoffs(inst.means, seed=9),
-                       MultinomialWindows([0.4, 0.3, 0.2, 0.1], seed=9), 600)
+    return recorded_episode(EliminationRanker(4, 0.05), inst,
+                            GaussianPayoffs(inst.means, seed=9),
+                            MultinomialWindows([0.4, 0.3, 0.2, 0.1], seed=9), 600)
 
 
 def test_changing_utilities_episode_matches_pinned_hashes():
-    trace = changing_utilities_episode()
-    got = {**trace_digests([trace]), "orders": _digest(trace.orders, "<i2")}
+    trace, orders = changing_utilities_episode()
+    got = {**trace_digests([trace]), "orders": _digest(orders, "<i2")}
     assert got == GOLDEN_CHANGING_UTILITIES

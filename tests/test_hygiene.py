@@ -114,11 +114,8 @@ ALLOWED = {
     "environments.py: AdaptiveWindows.observe",
     # counters that ROADMAP item 1's per-replication diagnostics will read
     "adversarial.py: EpsilonGreedyRanker.explorations",
-    "extensions.py: QueuedDelayPolicy.enqueued",
     "extensions.py: QueuedDelayPolicy.dequeued",
     "extensions.py: SortResult.comparisons",
-    # what run_episode's record_orders keeps; the golden orders digest pins it
-    "environments.py: RegretTrace.orders",
     # failure state: the rank suffix whose mass falls short, and both masses
     "polytope.py: InfeasibleTargetError.suffix_start",
     "polytope.py: InfeasibleTargetError.required",
