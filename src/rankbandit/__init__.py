@@ -31,8 +31,8 @@ from .elimination import (
     find_permutation, inversion_budget,
 )
 from .environments import (
-    AdaptiveWindows, GaussianPayoffs, LowerBoundBlockWindows, MultinomialWindows,
-    RegretTrace, ScheduleWindows, TapePayoffs, run_episode, substream,
+    AdaptiveWindows, GaussianPayoffs, MultinomialWindows, RegretTrace,
+    ScheduleWindows, TapePayoffs, run_episode, substream,
 )
 from .extensions import (
     DelayModel, PartialOrderError, PooledDelayPolicy, QueuedDelayPolicy,
@@ -56,7 +56,7 @@ __all__ = [
     "DegenerateInstanceError", "DelayModel", "EliminationRanker",
     "EpsilonGreedyRanker", "ExperimentConfig", "ExperimentReport",
     "GaussianPayoffs", "InadmissibleMatrixError", "InfeasibleTargetError",
-    "Instance", "LowerBoundBlockWindows", "MirrorDescent", "MultinomialWindows",
+    "Instance", "MirrorDescent", "MultinomialWindows",
     "OptimalFamily", "PartialOrderError", "Permutation", "PooledDelayPolicy",
     "ProjectionError", "QueuedDelayPolicy", "RegretTrace",
     "ScheduleWindows", "SocialLearningReport", "SortResult", "TapePayoffs",

@@ -180,13 +180,12 @@ def _see_utilities(ranker, utilities) -> None:
 class Instance:
     """A problem instance: item utilities plus (optionally) mean payoffs.
 
-    ``utility_sequence`` optionally replaces the fixed utilities with a
-    per-trial schedule (row ``t-1`` is used at trial ``t``).
+    The utilities hold for a whole episode, as the users' preferences do;
+    only windows and payoffs change from trial to trial.
     """
 
     utilities: np.ndarray
     means: np.ndarray | None = None
-    utility_sequence: np.ndarray | None = None
 
     def __post_init__(self):
         u = _float_array(self.utilities, "utilities")
@@ -201,24 +200,10 @@ class Instance:
             if not np.all(np.isfinite(m)):
                 raise ValueError("means: entries must be finite")
             object.__setattr__(self, "means", _frozen_array(m))
-        if self.utility_sequence is not None:
-            seq = _float_array(self.utility_sequence, "utility_sequence")
-            if seq.ndim != 2 or seq.shape[1] != u.size:
-                raise ValueError("utility_sequence: expected shape (T, n)")
-            for k, row in enumerate(seq.tolist()):
-                _distinct_finite(row, f"utility_sequence row {k}")
-            object.__setattr__(self, "utility_sequence", _frozen_array(seq))
 
     @property
     def n(self) -> int:
         return int(self.utilities.size)
-
-    def utilities_at(self, t: int) -> np.ndarray:
-        if self.utility_sequence is None:
-            return self.utilities
-        if not 1 <= t <= self.utility_sequence.shape[0]:
-            raise ValueError(f"trial {t} outside the utility schedule")
-        return self.utility_sequence[t - 1]
 
     def gap(self, i: int, j: int) -> float:
         """Mean-payoff gap ``means[i] - means[j]``."""
@@ -230,8 +215,6 @@ class Instance:
     def from_dict(cls, d: dict) -> "Instance":
         if "utilities" not in d:
             raise ValueError("instance.utilities: required")
-        if "utility_sequence" in d:
-            raise ValueError("instance.utility_sequence: not supported in configs")
         try:
             instance = cls(utilities=d["utilities"], means=d.get("means"))
         except ValueError as exc:

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Instance, _family_from_arrays, items_by_rank, probability_vector, user_select
+from .core import Instance, optimal_family, probability_vector, user_select
 
 STREAM_PAYOFF = 0
 STREAM_WINDOW = 1
@@ -145,6 +145,13 @@ class ScheduleWindows:
             raise ScheduleExhaustedError(f"trial {t} beyond schedule length {len(self.schedule)}")
         return self.schedule[t - 1]
 
+    @classmethod
+    def blocks(cls, n: int, horizon: int) -> "ScheduleWindows":
+        """Window ``i`` throughout the i-th of n equal blocks of the horizon."""
+        if horizon % n != 0:
+            raise ValueError("horizon must be divisible by n")
+        return cls([(t - 1) * n // horizon + 1 for t in range(1, horizon + 1)], n)
+
 
 class MultinomialWindows:
     """I.i.d. window lengths with distribution ``q`` over ``1..n``.
@@ -166,21 +173,6 @@ class MultinomialWindows:
 
     def draw(self, t: int) -> int:
         return next(self._windows)
-
-
-class LowerBoundBlockWindows:
-    """Deterministic block schedule: window ``i`` throughout the i-th of n blocks."""
-
-    def __init__(self, n: int, horizon: int):
-        if horizon % n != 0:
-            raise ValueError("horizon must be divisible by n")
-        self.n = n
-        self.horizon = horizon
-
-    def draw(self, t: int) -> int:
-        if not 1 <= t <= self.horizon:
-            raise ScheduleExhaustedError(f"trial {t} beyond horizon {self.horizon}")
-        return (t - 1) * self.n // self.horizon + 1
 
 
 class AdaptiveWindows:
@@ -231,55 +223,40 @@ class RegretTrace:
             fh.write(",".join(self.CSV_COLUMNS) + "\r\n" + "".join(rows))
 
 
-def _family_table(instance: Instance, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """The optimal family's item by (distinct utility row, window), and each
-    trial's row. Tied means raise here, so build the table before trial 1.
+def _means_regret(means, benchmark, windows, selected) -> np.ndarray:
+    """Per-trial ``means[s] - means[y]``, ``s = benchmark[w - 1]`` the optimal
+    family's item for the window (``OptimalFamily.benchmark_by_window``);
+    undisplayed trials (``w = 0``) score 0.
     """
-    if instance.utility_sequence is None:
-        distinct, rows = instance.utilities[None], np.zeros(horizon, dtype=np.intp)
-    else:
-        distinct, rows = np.unique(instance.utility_sequence[:horizon], axis=0,
-                                   return_inverse=True)
-    table = [_family_from_arrays(items_by_rank(u).tolist(), instance.means).benchmark_by_window
-             for u in distinct]
-    return np.array(table, dtype=np.intp).reshape(-1, instance.n), rows.reshape(-1)
-
-
-def _means_regret(means, table, rows, windows, selected) -> np.ndarray:
-    """Per-trial ``means[s] - means[y]``, ``s = table[rows, w - 1]`` the optimal
-    family's item for the window; undisplayed rows (``w = 0``) score 0.
-    """
-    regret = means[table[rows, windows - 1]] - means[selected]
+    regret = means[np.array(benchmark)[windows - 1]] - means[selected]
     regret[windows == 0] = 0.0
     return regret
 
 
 def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
                 benchmark: str = "means") -> RegretTrace:
-    """Run one episode of the display/select/feed loop and record a trace.
+    """Run one episode of the display/select/feed loop on the instance's
+    fixed utilities, the array every trial shows the policy, and record a trace.
 
     ``benchmark="means"`` scores each trial against the optimal family of the
-    instance (requires mean payoffs); ``benchmark="none"`` records zero
-    instantaneous regret (useful when the benchmark is computed afterwards,
-    e.g. in hindsight for tape payoffs).
+    instance (requires mean payoffs; tied means raise before trial 1);
+    ``benchmark="none"`` records zero instantaneous regret (useful when the
+    benchmark is computed afterwards, e.g. in hindsight for tape payoffs).
     """
     if benchmark not in ("means", "none"):
         raise ValueError(f"unknown benchmark mode {benchmark!r}")
     if benchmark == "means":
         if instance.means is None:
             raise ValueError("benchmark='means' requires instance means")
-        table, rows = _family_table(instance, horizon)
+        best = optimal_family(instance).benchmark_by_window
 
     ws, ys, pays = [], [], []
     observe = getattr(windows, "observe", None)
-    fixed_utilities = instance.utility_sequence is None
     utilities = instance.utilities
     # policies see the array; the user model indexes a list fastest
     scanned = utilities.tolist()
 
     for t in range(1, horizon + 1):
-        if not fixed_utilities:
-            utilities = scanned = instance.utilities_at(t)
         order = policy.act(t, utilities)
         w = windows.draw(t)
         y = user_select(order, scanned, w)
@@ -294,7 +271,7 @@ def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
     wcol = np.array(ws, dtype=np.int64)
     ycol = np.array(ys, dtype=np.int64)
     paycol = np.array(pays, dtype=np.float64)
-    regcol = (_means_regret(instance.means, table, rows, wcol, ycol)
+    regcol = (_means_regret(instance.means, best, wcol, ycol)
               if benchmark == "means" else np.zeros(horizon))
     return RegretTrace(
         trials=np.arange(1, horizon + 1, dtype=np.int64), windows=wcol, selected=ycol,

@@ -93,8 +93,9 @@ class QueuedDelayPolicy:
     from :meth:`DelayModel.delays`: ``uniform`` ones are drawn from ``rng``
     in blocks that grow from 32 to ``BLOCK`` values by
     ``environments._blocks``, the same numbers as one draw per payoff.
-    ``feed`` rejects a non-finite payoff before it draws a delay, and a
-    payoff leaves its heap only once the base has taken it.
+    ``feed`` rejects a non-finite payoff, or one that no ``act`` awaits,
+    before it draws a delay, and a payoff leaves its heap only once the base
+    has taken it.
 
     No inversion budget is stated for delayed feedback:
     :func:`~rankbandit.elimination.inversion_budget` holds only when every
@@ -109,9 +110,11 @@ class QueuedDelayPolicy:
         self.pending: int | None = None  # None while the base's request is open
         self.base_clock = 1
         self._order: Permutation | None = None
+        self._awaiting = False  # True from an act until its feed
         self.dequeued = 0
 
     def act(self, t: int, utilities) -> Permutation:
+        self._awaiting = True
         pending = self.pending
         if pending is not None:
             queue = self.queues.get(pending)
@@ -127,6 +130,9 @@ class QueuedDelayPolicy:
 
     def feed(self, t: int, item: int, payoff: float) -> None:
         _check_payoff(t, item, payoff)
+        if not self._awaiting:
+            raise RuntimeError(f"trial {t}: feed for item {item} follows no act")
+        self._awaiting = False
         tau = next(self._delays)
         heapq.heappush(self.queues.setdefault(item, []), (t + tau, t, payoff))
         if self.pending is None:

@@ -19,14 +19,13 @@ import numpy as np
 
 from .adversarial import BLORanker, EpsilonGreedyRanker, lazy_alpha
 from .core import (
-    Instance, Permutation, _frozen_array, probability_vector, regret_upper_bound,
-    utility_ranks,
+    Instance, Permutation, _frozen_array, optimal_family, probability_vector,
+    regret_upper_bound, utility_ranks,
 )
 from .elimination import EliminationRanker
 from .environments import (
-    STREAM_DELAY, STREAM_POLICY, GaussianPayoffs, LowerBoundBlockWindows,
-    MultinomialWindows, RegretTrace, ScheduleWindows, TapePayoffs, _family_table,
-    _means_regret, run_episode, substream,
+    STREAM_DELAY, STREAM_POLICY, GaussianPayoffs, MultinomialWindows, RegretTrace,
+    ScheduleWindows, TapePayoffs, _means_regret, run_episode, substream,
 )
 from .extensions import (
     DelayModel, GreedyUserEnv, PooledDelayPolicy, QueuedDelayPolicy,
@@ -36,6 +35,16 @@ from .extensions import (
 STREAM_ESTIMATE = 5
 
 POLICY_NAMES = ("elim", "eps-greedy", "osmd")
+
+# the fields a config may set, by section ("" is the top level)
+CONFIG_FIELDS = {
+    "": {"label", "instance", "window", "payoffs", "policy", "horizon", "replications",
+         "seed", "delay", "estimate", "estimate_budget", "output_dir"},
+    "instance": {"n", "utilities", "means"},
+    "window": {"type", "q", "schedule"},
+    "payoffs": {"type", "rates", "path"},
+    "policy": {"name", "delta", "eta", "explore_constant", "delay_wrapper"},
+}
 
 
 class ConfigError(ValueError):
@@ -105,6 +114,11 @@ class ExperimentConfig:
         for key in ("instance", "window", "payoffs", "policy"):
             _require(isinstance(raw.get(key, {}), dict), key,
                      f"must be a JSON object, got {raw.get(key)!r}")
+        unknown = [f"{section}.{key}" if section else key
+                   for section, known in CONFIG_FIELDS.items()
+                   for key in (raw.get(section, {}) if section else raw)
+                   if key not in known]
+        _require(not unknown, ", ".join(unknown), "unknown field" + "s" * (len(unknown) > 1))
         if "n" in raw["instance"]:
             _number(raw["instance"]["n"], "instance.n", int)
         try:
@@ -284,7 +298,7 @@ def _build_windows(cfg: ExperimentConfig, rep: int):
                                   cfg.seed, rep)
     if wtype == "schedule":
         return ScheduleWindows(cfg.window["schedule"], n)
-    return LowerBoundBlockWindows(n, cfg.horizon)
+    return ScheduleWindows.blocks(n, cfg.horizon)
 
 
 def _build_payoffs(cfg: ExperimentConfig, rep: int):
@@ -414,8 +428,8 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> tuple[dict, RegretTrace]
     payoffs = _build_payoffs(cfg, rep)
     tape = payoffs.values if isinstance(payoffs, TapePayoffs) else None
     # tied means fail here, before any trial
-    family = (_family_table(instance, cfg.horizon)
-              if cfg.payoffs["type"] == "gaussian" else None)
+    best = (optimal_family(instance).benchmark_by_window
+            if cfg.payoffs["type"] == "gaussian" else None)
 
     policy = _build_policy(cfg, rep)
     burn = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
@@ -444,8 +458,8 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> tuple[dict, RegretTrace]
                                      instance.utilities)
         inst = bench.marginals @ played - pay
         summary["hindsight_value"] = float(bench.value)
-    elif family is not None:
-        inst = _means_regret(instance.means, *family, w, y)
+    elif best is not None:
+        inst = _means_regret(instance.means, best, w, y)
     else:
         inst = np.zeros(cfg.horizon)
     trace = RegretTrace(

@@ -538,3 +538,36 @@ def recorded_episode(policy, instance, payoffs, windows, horizon, **kwargs):
     recorder = RecordingPolicy(policy, instance.n)
     trace = run_episode(recorder, instance, payoffs, windows, horizon, **kwargs)
     return trace, recorder.orders
+
+
+def utility_sequence_episode(policy, sequence, means, payoffs, windows):
+    """The display/select/feed loop of :func:`run_episode` with utilities that
+    change from trial to trial, which the library's episodes never do: row
+    ``t - 1`` of ``sequence`` is what the policy is shown and the user picks
+    by at trial ``t``, for ``len(sequence)`` trials. Each trial scores
+    ``means[s] - means[y]`` against the :func:`family_oracle` of its row,
+    built once per distinct row. Returns ``(trace, orders)``, the orders
+    recorded by :class:`RecordingPolicy`."""
+    means = [float(m) for m in means]
+    recorder = RecordingPolicy(policy, len(means))
+    best = {}
+    ws, ys, pays, regret = [], [], [], []
+    for t, utilities in enumerate(np.asarray(sequence, dtype=float), 1):
+        order = recorder.act(t, utilities)
+        w = windows.draw(t)
+        y = naive_select(order, utilities, w)
+        payoff = payoffs.draw(y, t)
+        recorder.feed(t, y, payoff)
+        row = tuple(utilities.tolist())
+        if row not in best:
+            best[row] = family_oracle(row, means).benchmark_by_window
+        ws.append(w)
+        ys.append(y)
+        pays.append(payoff)
+        regret.append(means[best[row][w - 1]] - means[y])
+    regret = np.array(regret)
+    trace = RegretTrace(
+        trials=np.arange(1, len(ws) + 1), windows=np.array(ws, dtype=np.int64),
+        selected=np.array(ys, dtype=np.int64), payoffs=np.array(pays),
+        inst_regret=regret, cum_regret=np.cumsum(regret))
+    return trace, recorder.orders

@@ -39,8 +39,8 @@ from rankbandit.elimination import (
 from rankbandit.environments import (
     STREAM_POLICY,
     GaussianPayoffs,
-    LowerBoundBlockWindows,
     MultinomialWindows,
+    ScheduleWindows,
     TapePayoffs,
     run_episode,
     substream,
@@ -214,7 +214,7 @@ def chain_runs():
         policy = EliminationRanker(5, DELTA)
         trace = run_episode(policy, CHAIN,
                             GaussianPayoffs(CHAIN.means, seed=0, replication=rep),
-                            LowerBoundBlockWindows(5, HORIZON), HORIZON)
+                            ScheduleWindows.blocks(5, HORIZON), HORIZON)
         traces.append(trace)
     return traces
 

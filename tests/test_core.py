@@ -121,22 +121,6 @@ class TestInstance:
         with pytest.raises(ValueError, match="instance.means"):
             Instance.from_dict({"utilities": [1, 2], "means": [1.0]})
 
-    def test_utility_schedule(self):
-        inst = Instance(utilities=[1, 2], utility_sequence=[[1, 2], [2, 1]])
-        assert inst.utilities_at(1).tolist() == [1, 2]
-        assert inst.utilities_at(2).tolist() == [2, 1]
-        with pytest.raises(ValueError):
-            inst.utilities_at(3)
-
-    @pytest.mark.parametrize("row, message", [
-        ([math.nan, 1.0], "utility_sequence row 1: entries must be finite"),
-        ([1.0, math.inf], "utility_sequence row 1: entries must be finite"),
-        ([2.0, 2.0], "utility_sequence row 1: must be pairwise distinct"),
-    ])
-    def test_schedule_rows_are_checked_at_construction(self, row, message):
-        with pytest.raises(ValueError, match=message):
-            Instance(utilities=[1.0, 2.0], utility_sequence=[[1.0, 2.0], row])
-
 
 class TestSeeUtilities:
     """A ranker's ``act`` skips the utilities check only for the same

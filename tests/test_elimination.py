@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import family_contains, recorded_episode
+from conftest import family_contains, recorded_episode, utility_sequence_episode
 from rankbandit import elimination
 from rankbandit.core import Instance, optimal_family
 from rankbandit.elimination import (
@@ -18,7 +18,7 @@ from rankbandit.elimination import (
     inversion_budget_value,
 )
 from rankbandit.environments import (
-    AdaptiveWindows, GaussianPayoffs, LowerBoundBlockWindows, MultinomialWindows, run_episode,
+    AdaptiveWindows, GaussianPayoffs, MultinomialWindows, ScheduleWindows, run_episode,
 )
 from rankbandit.extensions import DelayModel, PooledDelayPolicy, QueuedDelayPolicy
 
@@ -299,7 +299,7 @@ class TestFindPermutation:
 
         def episode(cls):
             return recorded_episode(cls(n, 0.01), inst, GaussianPayoffs(inst.means, 3, 0),
-                                    LowerBoundBlockWindows(n, horizon), horizon)
+                                    ScheduleWindows.blocks(n, horizon), horizon)
 
         (fast, fast_orders), (slow, slow_orders) = (episode(EliminationRanker),
                                                     episode(OracleEliminationRanker))
@@ -439,13 +439,12 @@ class TestCachedState:
         # runs of 1 to 8 trials on one of four orders
         seq = np.repeat(rows[rng.integers(0, 4, horizon)], rng.integers(1, 9, horizon),
                         axis=0)[:horizon]
-        inst = Instance(utilities=seq[0], means=rng.uniform(0.0, 1.0, n),
-                        utility_sequence=seq)
+        means = rng.uniform(0.0, 1.0, n)
 
         def episode(cls):
-            return recorded_episode(cls(n, 0.05), inst, GaussianPayoffs(inst.means, 11, 0),
-                                    MultinomialWindows([0.3, 0.2, 0.2, 0.1, 0.1, 0.1], 11, 0),
-                                    horizon)
+            return utility_sequence_episode(
+                cls(n, 0.05), seq, means, GaussianPayoffs(means, 11, 0),
+                MultinomialWindows([0.3, 0.2, 0.2, 0.1, 0.1, 0.1], 11, 0))
 
         (fast, fast_orders), (slow, slow_orders) = (episode(EliminationRanker),
                                                     episode(OracleEliminationRanker))

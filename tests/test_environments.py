@@ -11,7 +11,6 @@ from rankbandit.core import DegenerateInstanceError, Instance, optimal_family
 from rankbandit.environments import (
     AdaptiveWindows,
     GaussianPayoffs,
-    LowerBoundBlockWindows,
     MultinomialWindows,
     RegretTrace,
     ScheduleExhaustedError,
@@ -153,12 +152,12 @@ class TestWindows:
         assert [a.draw(t) for t in range(1, 50)] == [b.draw(t) for t in range(1, 50)]
 
     def test_block_schedule(self):
-        win = LowerBoundBlockWindows(n=3, horizon=6)
+        win = ScheduleWindows.blocks(n=3, horizon=6)
         assert [win.draw(t) for t in range(1, 7)] == [1, 1, 2, 2, 3, 3]
         with pytest.raises(ScheduleExhaustedError):
             win.draw(7)
         with pytest.raises(ValueError):
-            LowerBoundBlockWindows(n=3, horizon=7)
+            ScheduleWindows.blocks(n=3, horizon=7)
 
     def test_adaptive_sees_history(self):
         def fn(t, history):
@@ -371,25 +370,13 @@ class TestRunEpisode:
         assert [w for w, _, _ in win.history] == trace.windows.tolist()
         assert [y for _, y, _ in win.history] == trace.selected.tolist()
 
-    def test_changing_utilities(self):
-        seq = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]] * 3)
-        inst = Instance(utilities=[1.0, 2.0, 3.0], means=[1.0, 3.0, 2.0],
-                        utility_sequence=seq)
-        trace = run_episode(FixedPermutationPolicy((0, 1, 2)), inst,
-                            GaussianPayoffs(inst.means, seed=43),
-                            ScheduleWindows([2] * 6, n=3), 6)
-        # at odd trials utilities ascend (pick item 1); at even they descend
-        # (pick item 0)
-        assert trace.selected.tolist() == [1, 0, 1, 0, 1, 0]
-
-    @pytest.mark.parametrize("sequence", [None, [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]])
+    @pytest.mark.parametrize("sequence", [None])
     def test_tied_means_fail_before_trial_one(self, sequence):
         class NoTrials:
             def act(self, t, utilities):
                 raise AssertionError(f"trial {t} started")
 
-        inst = Instance(utilities=[1.0, 2.0, 3.0], means=[1.0, 2.0, 2.0],
-                        utility_sequence=sequence)
+        inst = Instance(utilities=[1.0, 2.0, 3.0], means=[1.0, 2.0, 2.0])
         with pytest.raises(DegenerateInstanceError):
             run_episode(NoTrials(), inst, GaussianPayoffs(inst.means, seed=1),
                         ScheduleWindows([1, 2], n=3), 2)

@@ -86,20 +86,19 @@ _WRAPPERS = {
 
 
 def _applied_delays(policy, count):
-    """Feed ``count`` payoffs and read each one's delay back from where it
-    waits. The queued wrapper, never acting, keeps them all on item 0's heap
-    as ``(due, t, payoff)``; the pooled one acts before each feed and holds
-    it in the acting instance's slot as ``(due, item, payoff)``."""
-    if isinstance(policy, QueuedDelayPolicy):
-        for t in range(1, count + 1):
-            policy.feed(t, 0, 0.0)
-        return [due - t for due, t, _ in sorted(policy.queues[0], key=lambda entry: entry[1])]
+    """Act and feed ``count`` times, reading each payoff's delay back from
+    where it waits right after its feed: on its item's heap as ``(due, t,
+    payoff)`` in the queued wrapper, in the acting instance's slot as
+    ``(due, item, payoff)`` in the pooled one."""
+    queued = isinstance(policy, QueuedDelayPolicy)
     delays = []
     for t in range(1, count + 1):
         policy.act(t, None)
-        slot = policy._active
+        slot = None if queued else policy._active
         policy.feed(t, 0, 0.0)
-        delays.append(policy._held[slot][0] - t)
+        due = (next(due for due, fed, _ in policy.queues[0] if fed == t) if queued
+               else policy._held[slot][0])
+        delays.append(due - t)
     return delays
 
 
@@ -282,6 +281,26 @@ class TestQueuedDelay:
             for k in range(1, len(orders)))
         # the proposal only moves when the base is stepped
         assert changes <= wrapped.base_clock
+
+    def test_feed_that_no_act_awaits_raises(self):
+        wrapped = QueuedDelayPolicy(EliminationRanker(3, 0.1), DelayModel.parse("fixed:3"))
+        u = np.array([1.0, 2.0, 3.0])
+
+        def state():
+            return ({item: list(queue) for item, queue in wrapped.queues.items()},
+                    wrapped.pending, wrapped.dequeued, wrapped.base_clock)
+
+        with pytest.raises(RuntimeError, match="^trial 1: feed for item 0 follows no act$"):
+            wrapped.feed(1, 0, 0.5)
+        assert state() == ({}, None, 0, 1)
+        order = wrapped.act(2, u)
+        assert sorted(order) == [0, 1, 2]
+        wrapped.feed(2, 1, 0.5)
+        before = state()
+        with pytest.raises(RuntimeError, match="^trial 2: feed for item 2 follows no act$"):
+            wrapped.feed(2, 2, 0.7)
+        assert state() == before == ({1: [(5, 2, 0.5)]}, 1, 0, 1)
+        assert wrapped.act(3, u) == order
 
     def test_uniform_delay_runs(self):
         wrapped = QueuedDelayPolicy(EliminationRanker(n=3, delta=0.05),

@@ -14,8 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import recorded_episode
-from rankbandit.core import Instance
+from conftest import utility_sequence_episode
 from rankbandit.elimination import EliminationRanker
 from rankbandit.environments import GaussianPayoffs, MultinomialWindows
 from rankbandit.harness import ExperimentConfig, run_experiment
@@ -268,10 +267,10 @@ def changing_utilities_episode():
     ``(trace, orders)``."""
     rows = np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 3.0, 2.0], [2.0, 4.0, 1.0, 3.0]])
     seq = rows[np.random.default_rng(3).integers(0, 3, size=600)]
-    inst = Instance(utilities=rows[0], means=[0.2, 0.9, 0.5, 0.7], utility_sequence=seq)
-    return recorded_episode(EliminationRanker(4, 0.05), inst,
-                            GaussianPayoffs(inst.means, seed=9),
-                            MultinomialWindows([0.4, 0.3, 0.2, 0.1], seed=9), 600)
+    means = [0.2, 0.9, 0.5, 0.7]
+    return utility_sequence_episode(EliminationRanker(4, 0.05), seq, means,
+                                    GaussianPayoffs(means, seed=9),
+                                    MultinomialWindows([0.4, 0.3, 0.2, 0.1], seed=9))
 
 
 def test_changing_utilities_episode_matches_pinned_hashes():

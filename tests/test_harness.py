@@ -194,12 +194,30 @@ class TestConfig:
                      "^policy.delta: ", id="osmd-delta-list"),
         pytest.param(lambda r: r.update(policy={"name": "eps-greedy", "delta": 0}),
                      "^policy.delta: ", id="eps-greedy-delta-zero"),
+        # a misspelt or unknown field fails instead of being ignored
+        pytest.param(lambda r: r.update(replication=5),
+                     "^replication: unknown field$", id="unknown-top-level"),
+        pytest.param(lambda r: r["instance"].update(mean=[1.0, 3.0, 2.0]),
+                     "^instance.mean: unknown field$", id="unknown-instance"),
+        pytest.param(lambda r: r["window"].update(qs=[0.5, 0.3, 0.2]),
+                     "^window.qs: unknown field$", id="unknown-window"),
+        pytest.param(lambda r: r["payoffs"].update(rate=[0.5, 0.5, 0.5]),
+                     "^payoffs.rate: unknown field$", id="unknown-payoffs"),
+        pytest.param(lambda r: r["policy"].update(delat=0.5),
+                     "^policy.delat: unknown field$", id="unknown-policy"),
+        pytest.param(lambda r: (r.update(replication=5), r["policy"].update(delat=0.5)),
+                     "^replication, policy.delat: unknown fields$", id="unknown-fields"),
     ])
     def test_field_errors_name_the_path(self, mutate, path_fragment):
         raw = base_config()
         mutate(raw)
         with pytest.raises(ConfigError, match=path_fragment.replace(".", r"\.")):
             ExperimentConfig.from_dict(raw)
+
+    def test_readme_config_example_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("### Config schema (JSON)")[1].split("```json")[1].split("```")[0]
+        ExperimentConfig.from_dict(json.loads(example))
 
     def test_schedule_window_validation(self):
         raw = base_config(window={"type": "schedule", "schedule": [1, 4]})
