@@ -316,7 +316,7 @@ class BLORanker:
         self.n = self.engine.n
         rng = rng if rng is not None else np.random.default_rng()
         self._uniforms = _blocks(rng.random)
-        self._sampler = CouplingSampler(self.engine.q.tolist())  # it reads lists fastest
+        self._sampler = CouplingSampler(self.engine.q)
         self._shown = None
         self._utilities: list | None = None
         self._maps: tuple[list[int], list[int]] | None = None

@@ -45,6 +45,13 @@ CONFIG_FIELDS = {
     "payoffs": {"type", "rates", "path"},
     "policy": {"name", "delta", "eta", "explore_constant", "delay_wrapper"},
 }
+# the fields only one type of their section reads, by section: the key that
+# picks the type, and for each such field the type that reads it
+TYPED_FIELDS = {
+    "window": ("type", {"q": "multinomial", "schedule": "schedule"}),
+    "payoffs": ("type", {"rates": "bernoulli", "path": "tape"}),
+    "policy": ("name", {"eta": "osmd", "explore_constant": "eps-greedy"}),
+}
 
 
 class ConfigError(ValueError):
@@ -68,6 +75,15 @@ def _number(value, path: str, kind: type = float):
     _require(kind is float or value == int(value), path,
              f"must be an integer, got {value!r}")
     return kind(value)
+
+
+def _require_read(section: str, fields: dict) -> None:
+    """A ConfigError names a field of ``section`` that its chosen type never reads."""
+    key, readers = TYPED_FIELDS[section]
+    kind = fields.get(key)
+    for name, reader in readers.items():
+        _require(name not in fields or kind == reader, f"{section}.{name}",
+                 f"only read when {section}.{key} is {reader!r}, got {kind!r}")
 
 
 def _require_positive(value, path: str) -> None:
@@ -131,6 +147,7 @@ class ExperimentConfig:
         wtype = window.get("type")
         _require(wtype in ("multinomial", "schedule", "blocks"),
                  "window.type", f"must be one of multinomial/schedule/blocks, got {wtype!r}")
+        _require_read("window", window)
         horizon = _number(raw["horizon"], "horizon", int)
         _require(horizon >= 1, "horizon", "must be >= 1")
         if wtype == "multinomial":
@@ -157,6 +174,7 @@ class ExperimentConfig:
         tape = None
         _require(ptype in ("gaussian", "bernoulli", "tape"),
                  "payoffs.type", f"must be one of gaussian/bernoulli/tape, got {ptype!r}")
+        _require_read("payoffs", payoffs)
         if ptype == "gaussian":
             _require(instance.means is not None, "instance.means",
                      "required for gaussian payoffs")
@@ -178,6 +196,7 @@ class ExperimentConfig:
         name = policy.get("name")
         _require(name in POLICY_NAMES, "policy.name",
                  f"must be one of {'/'.join(POLICY_NAMES)}, got {name!r}")
+        _require_read("policy", policy)
         if name == "elim" or "delta" in policy:  # every policy's elimination bound reads it
             delta = _number(policy.get("delta", 0.01), "policy.delta")
             _require(0 < delta <= 1, "policy.delta", "must lie in (0, 1]")
@@ -422,7 +441,18 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> tuple[dict, RegretTrace]
     """Run one replication and score its whole trace, burn-in included, by one rule:
     a tape with multinomial windows against the best fixed ranking in hindsight,
     Gaussian payoffs against the optimal family of the means, anything else as 0.
+
+    An exception raised on the way keeps its type, and its message names the
+    config's label, the seed and the replication, in a worker process too.
     """
+    try:
+        return _replication(cfg, rep)
+    except Exception as exc:
+        exc.args = (f"{cfg.label}: seed {cfg.seed}, replication {rep}: {exc}",)
+        raise
+
+
+def _replication(cfg: ExperimentConfig, rep: int) -> tuple[dict, RegretTrace]:
     instance = cfg.instance
     windows = _build_windows(cfg, rep)
     payoffs = _build_payoffs(cfg, rep)

@@ -19,11 +19,16 @@ nonzero entries. The peeling holds every column's picked cell in one array,
 peels a round's weight off all of them in one array step, moves down only the
 columns whose cell that step empties, sums the matrix only when every picked cell
 is dust (a float sum of non-negative cells is never below its largest cell),
-and builds the rankings from the recorded picks after the last round.
+and builds the rankings from the recorded picks after the last round, in one
+array pass for the rows that need no search. The check accepts an admissible
+matrix with four array reductions and scans for every violation only when one
+fails, so the work around the peel costs a fraction of the peel itself.
 
-The coupling of target marginals with a window law is laid out in one place,
-:class:`CouplingSampler`, which draws rankings from it; :func:`feasible_matrix`
-is its dense view.
+The coupling of target marginals with a window law is built from three
+helpers: the window columns of ``q``, the clamped cumulatives of the target
+and the rank of a degenerate column. :class:`CouplingSampler` draws rankings
+from it, and :func:`feasible_matrix` is its dense view; neither pays for what
+only the other reads.
 """
 
 from __future__ import annotations
@@ -85,11 +90,24 @@ class AdmissibilityReport:
 
 
 def admissibility_report(P, atol: float = 1e-9) -> AdmissibilityReport:
-    """Check C.1-C.4 and report every violation, scanned in constraint order."""
+    """Check C.1-C.4 and report every violation, scanned in constraint order.
+
+    An admissible matrix is accepted by four array reductions over the
+    scan's own expressions, C.1 through the smallest and largest entry (a
+    NaN fails both comparisons, so it always reaches the scan); only a
+    matrix that fails one of them is scanned for every violation.
+    """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {P.shape}")
-    n = P.shape[0]
+    col_sums = P.sum(axis=0)
+    upper = np.abs(np.triu(P, k=1))
+    suffix = np.cumsum(P[::-1], axis=0)[::-1]
+    if not P.size or (P.min() >= -atol and P.max() <= 1.0 + atol
+                      and not (np.abs(col_sums - 1.0) > atol).any()
+                      and not (upper > atol).any()
+                      and not (suffix[1:, :-1] > suffix[1:, 1:] + atol).any()):
+        return AdmissibilityReport(ok=True, violations=())
     bad: list[ConstraintViolation] = []
 
     # NaN fails both comparisons, so every non-finite entry is reported here
@@ -97,14 +115,12 @@ def admissibility_report(P, atol: float = 1e-9) -> AdmissibilityReport:
         excess = P[i, c] - 1.0 if P[i, c] > 1.0 else -P[i, c]
         bad.append(ConstraintViolation("C.1", (int(i), int(c) + 1), float(excess)))
 
-    col_sums = P.sum(axis=0)
     for c in np.where(np.abs(col_sums - 1.0) > atol)[0]:
         bad.append(ConstraintViolation("C.2", (int(c) + 1,), float(abs(col_sums[c] - 1.0))))
 
-    for i, c in zip(*np.where(np.abs(np.triu(P, k=1)) > atol)):
+    for i, c in zip(*np.where(upper > atol)):
         bad.append(ConstraintViolation("C.3", (int(i), int(c) + 1), float(abs(P[i, c]))))
 
-    suffix = np.cumsum(P[::-1], axis=0)[::-1]
     for j, c in zip(*np.where(suffix[1:, :-1] > suffix[1:, 1:] + atol)):
         j = int(j) + 1
         c = int(c)
@@ -173,20 +189,26 @@ def _rankings_from_picks(picks: np.ndarray) -> tuple[Permutation, ...]:
     needs no search: a repeated pick at position ``c`` is filled with the
     lowest unplaced rank, which is at most ``c <= pick[c]`` and so below
     every later new pick. Its ranking is then the picks at their first
-    occurrences and the unpicked ranks, ascending, everywhere else; all such
-    rows are built in one array pass, which is the whole answer when every
-    row is one. Any other row takes the list walk.
+    occurrences and the unpicked ranks, ascending, everywhere else. Both
+    tests run once over the whole array, and the simple rows are built in
+    one array pass: the unpicked ranks come from one flat mask indexed by
+    ``pick + row * n``, which is the whole answer when every row is simple,
+    as the peeling of an admissible matrix gives. Any other row takes the
+    list walk.
     """
     n = picks.shape[1]
-    simple = np.all(picks >= np.arange(n), axis=1)
-    simple[simple] = np.all(picks[simple, 1:] >= picks[simple, :-1], axis=1)
-    K = picks[simple]
+    ranks = np.arange(n)
+    K = picks.copy()
+    simple = None
+    if (K < ranks).any() or (K[:, 1:] < K[:, :-1]).any():
+        simple = (K >= ranks).all(axis=1) & (K[:, 1:] >= K[:, :-1]).all(axis=1)
+        K = K[simple]
+    unpicked = np.ones(K.size, dtype=bool)
+    unpicked[K + np.arange(0, K.size, n)[:, None]] = False
     repeat = np.zeros(K.shape, dtype=bool)
-    repeat[:, 1:] = K[:, 1:] == K[:, :-1]
-    unpicked = np.ones(K.shape, dtype=bool)
-    unpicked[np.arange(len(K))[:, None], K] = False
-    K[repeat] = np.nonzero(unpicked)[1]  # both walk the rows in order
-    if len(K) == len(picks):
+    np.equal(K[:, 1:], K[:, :-1], out=repeat[:, 1:])
+    K[repeat] = np.tile(ranks, len(K))[unpicked]  # both walk the rows in order
+    if simple is None:
         return tuple(map(tuple, K.tolist()))
     built = iter(K.tolist())
     return tuple(tuple(next(built)) if ok else _permutation_from_picks(row)
@@ -226,15 +248,21 @@ def rfsm_decompose(P, *, atol: float = 1e-9) -> Decomposition:
     stop on dust nor find the matrix empty; once that cell is dust, the
     argmax finds another. The matrix is summed before the first round, and
     after that rebuilt and summed only when every picked cell is dust (and
-    for an error report), giving the same floats as a scan every round. The
-    rankings are built from the recorded picks after the loop.
+    for an error report), giving the same floats as a scan every round.
+
+    The loop records, for each slot it leaves, the round it left it. After
+    the loop each slot is picked from the round its column left the slot
+    above to the round it was left itself (or the last round), so the picks
+    are the slots' rows repeated that many rounds, and
+    :func:`_rankings_from_picks` builds the rankings from them.
     """
     P = np.asarray(P, dtype=float)
     report = admissibility_report(P, atol)
     if not report.ok:
         raise InadmissibleMatrixError(report)
     n = P.shape[0]
-    C = np.where(np.abs(P) < ZERO_SNAP, 0.0, np.clip(P, 0.0, 1.0))
+    C = np.clip(P, 0.0, 1.0)
+    C[C < ZERO_SNAP] = 0.0  # what the clip leaves below the snap, -0.0 too
     columns = np.arange(n)
     dust = n * n * ZERO_SNAP
     # the nonzero cells column by column, top-down: column c owns the slots
@@ -259,19 +287,11 @@ def rfsm_decompose(P, *, atol: float = 1e-9) -> Decomposition:
         C[pick, columns] = cur
         return C
 
-    def mass():
-        """``C.sum()``, or None while a picked cell proves it above the dust."""
-        nonlocal above
-        if cur[above] > dust:
-            return None
-        above = int(cur.argmax())
-        if cur[above] > dust:
-            return None
-        return matrix().sum()
-
     weights: list[float] = []
-    remaining = matrix().sum()
-    c = int(cur.argmin()) if n else 0  # the column whose cell is peeled
+    remaining = C.sum()
+    argmin = cur.argmin
+    value = cur.item  # a Python float: the same float, read faster
+    c = int(argmin()) if n else 0  # the column whose cell is peeled
     for t in range(max(len(rows) - n + 1, 1)):
         if remaining is not None and remaining <= dust:
             remaining = 0.0
@@ -283,15 +303,16 @@ def rfsm_decompose(P, *, atol: float = 1e-9) -> Decomposition:
             held = float(matrix().sum(axis=0).max())
             raise InadmissibleMatrixError(AdmissibilityReport(
                 ok=False, violations=(ConstraintViolation("C.2", (empty + 1,), held),)))
-        peel = cur[c]
+        peel = value(c)
         weights.append(peel)
         np.subtract(cur, peel, out=cur)
         # the columns that fall below the snap, lowest value first: each one
         # steps to its next cell, and the last argmin is the next round's pick
+        after = t + 1
         while True:
             k = pos[c]
             gone.append(k)
-            moves.append(t + 1)
+            moves.append(after)
             k += 1
             if k < end[c]:
                 pos[c] = k
@@ -299,13 +320,22 @@ def rfsm_decompose(P, *, atol: float = 1e-9) -> Decomposition:
                 cur[c] = vals[k]
             else:
                 cur[c] = math.inf  # out of the argmin until the round ends
-                empty = min(empty, c)
-            c = int(cur.argmin())
-            if cur[c] >= ZERO_SNAP:
+                if c < empty:
+                    empty = c
+            c = int(argmin())
+            if value(c) >= ZERO_SNAP:
                 break
         if empty < n:
             cur[cur == math.inf] = 0.0
-        remaining = mass()
+        # the sum, or None while a picked cell proves it above the dust
+        if value(above) > dust:
+            remaining = None
+            continue
+        above = int(cur.argmax())
+        if value(above) > dust:
+            remaining = None
+            continue
+        remaining = matrix().sum()
         if remaining == 0.0:
             break
     if remaining is None:
@@ -314,13 +344,16 @@ def rfsm_decompose(P, *, atol: float = 1e-9) -> Decomposition:
         raise RuntimeError("peeling failed to terminate; residual mass remains")
     if not weights:
         raise ValueError("matrix carries no mass to decompose")
-    # each round's slot in each column: its first slot plus its earlier moves
-    step = np.zeros((len(weights) + 1, n), dtype=np.intp)
-    step[0] = start
-    step[moves, col_of[gone]] = 1
-    slots = np.cumsum(step, axis=0)[:-1]
+    # the picks column by column: each slot's row, repeated for its rounds
+    rounds = len(weights)
+    leave = np.full(len(rows), rounds)
+    leave[gone] = moves
+    enter = np.empty_like(leave)
+    enter[1:] = leave[:-1]
+    enter[start] = 0
+    picks = np.repeat(row_of, leave - enter).reshape(n, rounds).T
     w = np.asarray(weights)
-    return Decomposition(w / w.sum(), _rankings_from_picks(row_of[slots]))
+    return Decomposition(w / w.sum(), _rankings_from_picks(picks))
 
 
 def window_suffix_bounds(q) -> np.ndarray:
@@ -350,11 +383,57 @@ def marginal_deficit(p, q) -> tuple[int, float]:
     return j + 1, float(gaps[j])
 
 
+def _window_columns(q: np.ndarray):
+    """The window side of the coupling of :func:`feasible_matrix` and
+    :class:`CouplingSampler`: the raw running sums ``S`` of ``q`` and each
+    column's segment ``(low, end]`` of [0, 1], where ``end`` is ``S`` with the
+    last sum forced to 1 and ``low`` the previous column's ``end`` (or 0).
+    A column of width at most ``ZERO_SNAP``, or whose low end is at least 1
+    (``q`` rounds past 1), is degenerate (the returned mask): it overlaps no
+    rank segment and takes :func:`_degenerate_rank` instead.
+    """
+    sums = np.cumsum(q)  # sequential, so the floats of a running sum
+    end = sums.copy()
+    end[-1] = 1.0
+    low = np.concatenate(([0.0], end[:-1]))
+    return sums, low, end, (end - low <= ZERO_SNAP) | (low >= 1.0)
+
+
+def _clamped_cumulatives(p: Sequence[float], sums: Sequence[float]) -> list[float]:
+    """The cumulative masses ``F`` of the target ``p`` over ranks, beside the
+    raw running sums ``sums`` of ``q``.
+
+    ``F`` is clamped under ``sums`` and kept non-decreasing in [0, 1], and its
+    last entry is exactly 1, so the coupling is exact for ``p`` feasible up
+    to a tolerance.
+    """
+    F = []
+    run = 0.0
+    acc = 0.0
+    for x, s in zip(p, sums):
+        acc += x
+        v = acc if acc < s else s
+        if v > run:
+            run = v if v < 1.0 else 1.0
+        F.append(run)
+    F[-1] = 1.0
+    return F
+
+
+def _degenerate_rank(F: list[float], end: float, c: int) -> int:
+    """The rank a degenerate column ``c`` takes: the one the coupling sits on
+    at the column's end, and at least ``c``, which keeps suffix masses
+    monotone across neighbouring columns."""
+    i = bisect_right(F, end, 0, len(F) - 1)
+    return i if i > c else c
+
+
 def feasible_matrix(p, q) -> np.ndarray:
     """An admissible matrix ``P`` with ``P q = p``, or raise if none exists.
 
     The dense view of :class:`CouplingSampler`, the order-preserving coupling
-    of the two distributions: it lays the cumulative masses ``F`` of ``p``
+    of the two distributions, from the same window columns, clamp and
+    degenerate ranks: it lays the cumulative masses ``F`` of ``p``
     (over ranks) and ``G`` of ``q`` (over windows) side by side on [0, 1];
     cell ``(i, c)`` is the overlap of rank segment ``(F[i-1], F[i]]`` with
     window segment ``(G[c-1], G[c]]``, ``max(min(F[i], G[c]) - max(F[i-1],
@@ -373,19 +452,17 @@ def feasible_matrix(p, q) -> np.ndarray:
         Q = window_suffix_bounds(q)
         raise InfeasibleTargetError(start, float(Q[start]),
                                     float(Q[start] - deficit))
-    sampler = CouplingSampler(q.tolist())
-    sampler.couple(p.tolist())
-    F = np.asarray(sampler._F)
-    F_lo = np.concatenate(([0.0], F[:-1]))
-    low, width, end, fixed = zip(*sampler._columns)
-    low, width, end = np.array((low, width, end))
-    # a degenerate column lies at infinity with width 0: it overlaps no rank
-    # segment and takes its fixed rank instead
-    overlap = np.minimum(F[:, None], end) - np.maximum(F_lo[:, None], low)
-    P = np.maximum(overlap, 0.0) / np.where(width > 0.0, width, 1.0)
-    for c, i in enumerate(fixed):
-        if i is not None:
-            P[i, c] = 1.0
+    sums, low, end, degenerate = _window_columns(q)
+    F = _clamped_cumulatives(p.tolist(), sums.tolist())
+    Fa = np.array(F)
+    F_lo = np.concatenate(([0.0], Fa[:-1]))
+    width = np.where(degenerate, 0.0, end - low)
+    overlap = np.minimum(Fa[:, None], end) - np.maximum(F_lo[:, None], low)
+    P = np.maximum(overlap, 0.0) / np.where(degenerate, 1.0, width)
+    # a degenerate column overlaps no rank segment: it is 1 on its rank
+    for c, e in zip(np.flatnonzero(degenerate).tolist(), end[degenerate].tolist()):
+        P[:, c] = 0.0
+        P[_degenerate_rank(F, e, c), c] = 1.0
 
     # shares carry rounding of order eps / width; judge the shortfall as
     # window mass, so a narrow (rare) window is not rejected for it
@@ -408,16 +485,18 @@ class CouplingSampler:
     draw rankings for one target after another; :func:`feasible_matrix` is
     its dense view.
 
-    The window side depends on ``q`` only and is laid out here: the running
-    sums of ``q``, and each column's segment ``(G[c-1], G[c]]`` of [0, 1],
-    where ``G`` is those sums with the last one forced to 1. A column of
-    width at most ``ZERO_SNAP``, or whose low end is at least 1 (``q``
-    rounds past 1), is degenerate: it takes the rank the coupling sits on at
-    its end. :meth:`couple` lays a target ``p`` beside it. It sets
-    ``realized[i] = F[i] - F[i-1]``, which equals the dense ``P q`` up to
-    rounding, and ``residual``, its largest distance from ``p``. ``p`` must
-    be feasible for ``q``: the checks of :func:`feasible_matrix` do not run
-    here. Both are read by index, so plain lists of floats are the fast input.
+    The window side depends on ``q`` only and is laid out here, by
+    :func:`_window_columns`: the running sums of ``q``, and each column's
+    segment ``(G[c-1], G[c]]`` of [0, 1], where ``G`` is those sums with the
+    last one forced to 1. A degenerate column takes the rank the coupling
+    sits on at its end (:func:`_degenerate_rank`). :meth:`couple` lays a
+    target ``p`` beside it, through the clamp :func:`feasible_matrix` uses
+    too (:func:`_clamped_cumulatives`). It sets ``realized[i] = F[i] -
+    F[i-1]``, which equals the dense ``P q`` up to rounding, and
+    ``residual``, its largest distance from ``p``; the dense view needs
+    neither. ``p`` must be feasible for ``q``: the checks of
+    :func:`feasible_matrix` do not run here. ``p`` is read by index, so a
+    plain list of floats is the fast input.
 
     :meth:`draw` maps a uniform ``u`` to the term of the mixture
     ``rfsm_decompose(feasible_matrix(p, q))`` whose cumulative weight covers
@@ -428,49 +507,24 @@ class CouplingSampler:
     """
 
     def __init__(self, q: Sequence[float]):
-        sums = []
-        acc = 0.0
-        for x in q:
-            acc += x
-            sums.append(acc)
-        self._sums = sums
-        self._last = len(sums) - 1
+        sums, low, end, degenerate = _window_columns(np.asarray(q, dtype=float))
+        self._sums = sums.tolist()
+        self._last = len(self._sums) - 1
         # (low, width, end, fixed rank) per column; a degenerate column gets
-        # its fixed rank from couple: it depends on p, and it keeps suffix
-        # masses monotone across neighbouring columns
-        self._columns = []
-        self._degenerate = []
-        low = 0.0
-        for c, end in enumerate(sums[:-1] + [1.0]):
-            if end - low <= ZERO_SNAP or low >= 1.0:
-                self._degenerate.append((c, end))
-                self._columns.append(None)
-            else:
-                self._columns.append((low, end - low, end, None))
-            low = end
+        # its fixed rank from couple: it depends on p
+        ends = end.tolist()
+        self._columns = [None if d else (lo, e - lo, e, None)
+                         for lo, e, d in zip(low.tolist(), ends, degenerate.tolist())]
+        self._degenerate = [(c, ends[c]) for c in np.flatnonzero(degenerate).tolist()]
 
     def couple(self, p: Sequence[float]) -> None:
         """Lay the target ``p`` beside the windows for the draws that follow."""
-        # F is clamped under the raw running sum of q and kept non-decreasing
-        # in [0, 1], so the coupling is exact for p feasible up to a tolerance
-        F = []
-        run = 0.0
-        acc = 0.0
-        for x, s in zip(p, self._sums):
-            acc += x
-            v = acc if acc < s else s
-            if v > run:
-                run = v if v < 1.0 else 1.0
-            F.append(run)
-        F[-1] = 1.0
-        self._F = F
+        F = self._F = _clamped_cumulatives(p, self._sums)
         self.realized = list(map(sub, F, [0.0] + F[:-1]))
         self.residual = max(map(abs, map(sub, self.realized, p)))
         for c, end in self._degenerate:
-            # the rank the coupling sits on at the column's end; the
-            # infinite target never falls inside the column
-            i = bisect_right(F, end, 0, self._last)
-            self._columns[c] = (math.inf, 0.0, math.inf, i if i > c else c)
+            # the infinite target never falls inside the column
+            self._columns[c] = (math.inf, 0.0, math.inf, _degenerate_rank(F, end, c))
 
     def draw(self, u: float, labels: Sequence) -> tuple:
         """The ranking the uniform ``u`` picks, shown as ``labels[rank]``.

@@ -7,9 +7,11 @@ results can be checked against them without circularity. The exceptions
 are :func:`feasible_matrix_oracle`, the list form of the array coupling, and
 :func:`coupling_sample`, the one-call form of the ranking sampler, which lay
 out their cumulative masses with :func:`_coupling_cumulatives`, written as
-the library's sampler computes them, and :func:`rfsm_decompose_oracle`, the
+the library's sampler computes them, :func:`rfsm_decompose_oracle`, the
 peeling as plain list scans, which can also check every intermediate
-residual for admissibility.
+residual for admissibility, and :func:`admissibility_report_oracle`, the
+scan for every violation that the library runs only once its reductions
+reject a matrix.
 """
 
 from __future__ import annotations
@@ -369,6 +371,37 @@ def coupling_sample(p, q, u):
         lo = hi
     realized = [F[0]] + [F[i] - F[i - 1] for i in range(1, n)]
     return _permutation_from_picks(picks), realized
+
+
+def admissibility_report_oracle(P, atol=1e-9):
+    """C.1-C.4 scanned for every violation, in constraint order, on every matrix:
+    :func:`~rankbandit.polytope.admissibility_report` without its array
+    reductions that accept an admissible matrix first."""
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {P.shape}")
+    bad: list[ConstraintViolation] = []
+
+    # NaN fails both comparisons, so every non-finite entry is reported here
+    for i, c in zip(*np.where(~((P >= -atol) & (P <= 1.0 + atol)))):
+        excess = P[i, c] - 1.0 if P[i, c] > 1.0 else -P[i, c]
+        bad.append(ConstraintViolation("C.1", (int(i), int(c) + 1), float(excess)))
+
+    col_sums = P.sum(axis=0)
+    for c in np.where(np.abs(col_sums - 1.0) > atol)[0]:
+        bad.append(ConstraintViolation("C.2", (int(c) + 1,), float(abs(col_sums[c] - 1.0))))
+
+    for i, c in zip(*np.where(np.abs(np.triu(P, k=1)) > atol)):
+        bad.append(ConstraintViolation("C.3", (int(i), int(c) + 1), float(abs(P[i, c]))))
+
+    suffix = np.cumsum(P[::-1], axis=0)[::-1]
+    for j, c in zip(*np.where(suffix[1:, :-1] > suffix[1:, 1:] + atol)):
+        j = int(j) + 1
+        c = int(c)
+        bad.append(ConstraintViolation(
+            "C.4", (j, c + 1, c + 2), float(suffix[j, c] - suffix[j, c + 1])))
+
+    return AdmissibilityReport(ok=not bad, violations=tuple(bad))
 
 
 def rfsm_decompose_oracle(P, *, atol=1e-9, check_residuals=False):

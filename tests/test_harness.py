@@ -194,6 +194,39 @@ class TestConfig:
                      "^policy.delta: ", id="osmd-delta-list"),
         pytest.param(lambda r: r.update(policy={"name": "eps-greedy", "delta": 0}),
                      "^policy.delta: ", id="eps-greedy-delta-zero"),
+        # a known field that the chosen type never reads fails too
+        pytest.param(lambda r: r["window"].update(schedule=[1, 2] * 100),
+                     "^window.schedule: only read when window.type is 'schedule', "
+                     "got 'multinomial'$", id="schedule-under-multinomial"),
+        pytest.param(lambda r: r.update(window={"type": "schedule", "schedule": [1] * 200,
+                                                "q": [0.5, 0.3, 0.2]}),
+                     "^window.q: only read when window.type is 'multinomial'",
+                     id="q-under-schedule"),
+        pytest.param(lambda r: r.update(window={"type": "blocks", "q": [0.5, 0.3, 0.2]},
+                                        horizon=201),
+                     "^window.q: ", id="q-under-blocks"),
+        pytest.param(lambda r: r["payoffs"].update(rates=[0.5, 0.5, 0.5]),
+                     "^payoffs.rates: only read when payoffs.type is 'bernoulli', "
+                     "got 'gaussian'$", id="rates-under-gaussian"),
+        pytest.param(lambda r: r["payoffs"].update(path="nope.csv"),
+                     "^payoffs.path: only read when payoffs.type is 'tape'",
+                     id="path-under-gaussian"),
+        pytest.param(lambda r: r.update(payoffs={"type": "bernoulli", "rates": [0.5] * 3,
+                                                 "path": "nope.csv"}),
+                     "^payoffs.path: ", id="path-under-bernoulli"),
+        pytest.param(lambda r: r.update(payoffs={"type": "tape", "path": "nope.csv",
+                                                 "rates": [0.5] * 3}),
+                     "^payoffs.rates: ", id="rates-under-tape"),
+        pytest.param(lambda r: r["policy"].update(eta=5.0),
+                     "^policy.eta: only read when policy.name is 'osmd', got 'elim'$",
+                     id="eta-under-elim"),
+        pytest.param(lambda r: r.update(policy={"name": "eps-greedy", "eta": 0.1}),
+                     "^policy.eta: ", id="eta-under-eps-greedy"),
+        pytest.param(lambda r: r.update(policy={"name": "osmd", "explore_constant": 2}),
+                     "^policy.explore_constant: only read when policy.name is 'eps-greedy'",
+                     id="explore-constant-under-osmd"),
+        pytest.param(lambda r: r["policy"].update(explore_constant=None),
+                     "^policy.explore_constant: ", id="explore-constant-null-under-elim"),
         # a misspelt or unknown field fails instead of being ignored
         pytest.param(lambda r: r.update(replication=5),
                      "^replication: unknown field$", id="unknown-top-level"),
@@ -266,6 +299,8 @@ class TestConfig:
         {"name": "osmd", "eta": 0.05},
         {"name": "eps-greedy", "explore_constant": 2},
         {"name": "elim", "delay_wrapper": "bold"},
+        {"name": "osmd", "delta": 0.05},
+        {"name": "eps-greedy", "delta": 0.05},
     ])
     def test_valid_policy_numbers_accepted(self, policy):
         cfg = ExperimentConfig.from_dict(base_config(policy=policy))
@@ -671,6 +706,20 @@ class TestRunExperiment:
         assert report.mean_regret == pytest.approx(curves.mean(axis=0))
         assert report.se_regret == pytest.approx(
             curves.std(axis=0, ddof=1) / math.sqrt(2))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_names_its_replication(self, workers):
+        # the social burn-in separates within 100 trials in replication 0 of
+        # seed 5, but not in replication 1
+        cfg = ExperimentConfig.from_dict(base_config(
+            label="tight-burn-in", seed=5, horizon=1000, estimate="social",
+            estimate_budget=100))
+        with pytest.raises(RuntimeError) as raised:
+            run_experiment(cfg, workers=workers)
+        assert raised.type is RuntimeError
+        assert str(raised.value) == (
+            "tight-burn-in: seed 5, replication 1: social-learning burn-in did not "
+            "separate within 100 trials")
 
     def test_parallel_matches_serial(self, tmp_path):
         path = tmp_path / "tape.npy"

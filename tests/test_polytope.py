@@ -5,8 +5,8 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import (
-    admissible_lp, coupling_sample, feasible_matrix_oracle, random_mixture,
-    rfsm_decompose_oracle, sample_decomposition, selection_matrix_oracle,
+    admissibility_report_oracle, admissible_lp, coupling_sample, feasible_matrix_oracle,
+    random_mixture, rfsm_decompose_oracle, sample_decomposition, selection_matrix_oracle,
 )
 from rankbandit.adversarial import MirrorDescent
 from rankbandit.core import selection_matrix
@@ -99,6 +99,67 @@ class TestAdmissibility:
             n = int(rng.integers(2, 8))
             order = tuple(int(x) for x in rng.permutation(n))
             assert is_admissible(rank_selection_matrix(order))
+
+
+def _near_tolerance(rng, n, atol):
+    """A random admissible mixture with one constraint pushed by about
+    ``+-atol``: a cell below 0 or above 1 (C.1), a column's mass (C.2), a
+    cell above the diagonal, taken from the column's largest (C.3), or mass
+    moved one rank down a column (C.4). Pushes of 0.5 to 2 ``atol`` land on
+    both sides of the bound."""
+    M, _, _ = random_mixture(rng, n, int(rng.integers(1, 2 * n + 1)))
+    d = atol * float(rng.choice([0.5, 0.99, 1.0, 1.01, 2.0]))
+    kind = int(rng.integers(4))
+    c = int(rng.integers(n))
+    i = int(rng.integers(c, n))  # a cell on or below the diagonal
+    if kind == 0:
+        M[i, c] = 1.0 + d if rng.random() < 0.5 else -d
+    elif kind == 1:
+        M[i, c] += d if rng.random() < 0.5 else -d
+    elif kind == 2 and c > 0:
+        d = d if rng.random() < 0.5 else -d
+        M[int(rng.integers(c)), c] = d
+        M[int(np.argmax(M[:, c])), c] -= d  # the column keeps its mass
+    elif i > c:
+        M[i, c] -= d
+        M[i - 1, c] += d
+    return M
+
+
+class TestReportMatchesScanOracle:
+    """The reductions that accept an admissible matrix never hide a violation:
+    the report equals the full scan's, violation by violation."""
+
+    @staticmethod
+    def assert_same_report(P, atol=1e-9):
+        got = admissibility_report(P, atol)
+        want = admissibility_report_oracle(P, atol)
+        assert got.ok == want.ok
+        assert list(map(str, got.violations)) == list(map(str, want.violations))
+        return got.ok
+
+    def test_near_tolerance_pushes(self):
+        rng = np.random.default_rng(101)
+        verdicts = []
+        for _ in range(3000):
+            n = int(rng.integers(1, 13))
+            atol = float(rng.choice([1e-9, 1e-6]))
+            verdicts.append(self.assert_same_report(_near_tolerance(rng, n, atol), atol))
+        assert 600 < sum(verdicts) < 2400, sum(verdicts)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cells(self, value):
+        rng = np.random.default_rng(103)
+        for _ in range(50):
+            n = int(rng.integers(1, 13))
+            M, _, _ = random_mixture(rng, n, n)
+            M[tuple(rng.integers(n, size=2))] = value
+            assert not self.assert_same_report(M)
+
+    @pytest.mark.parametrize("P", [np.zeros((0, 0)), [[1.0]], [[1.0 + 1e-9]],
+                                   [[1.0 + 2e-9]], [[0.5]], [[-1e-9]], [[np.nan]]])
+    def test_smallest_matrices(self, P):
+        self.assert_same_report(P)
 
 
 class TestRankSelectionMatrix:
@@ -713,7 +774,8 @@ class TestSumCertificate:
 def _pick_row(rng, n, kind):
     """Column picks of one round: kind 0 never steps down and picks
     ``pick[c] >= c``, as peeling an admissible matrix does; kind 1 steps
-    down somewhere; kind 2 never steps down but has ``pick[c] < c``."""
+    down somewhere; kind 2 never steps down but has ``pick[c] < c``; kind 3
+    picks ``pick[c] >= c`` everywhere but steps down once (``n >= 3``)."""
     if kind == 0:
         if rng.random() < 0.5:
             return np.maximum.accumulate(rng.permutation(n))
@@ -723,19 +785,49 @@ def _pick_row(rng, n, kind):
         c = int(rng.integers(1, n))
         row[c], row[c - 1] = np.sort(rng.choice(n, 2, replace=False))
         return row
-    return np.sort(rng.integers(0, n - 1, n))  # pick[n-1] <= n - 2
+    if kind == 2:
+        return np.sort(rng.integers(0, n - 1, n))  # pick[n-1] <= n - 2
+    row = np.maximum.accumulate(np.maximum(rng.integers(0, n, n), np.arange(n)))
+    c = int(rng.integers(1, n - 1))
+    row[c - 1] = n - 1
+    row[c] = c
+    return row
 
 
 class TestRankingsFromPicks:
+    @staticmethod
+    def assert_matches_list_walk(picks):
+        before = picks.copy()
+        got = _rankings_from_picks(picks)
+        assert got == tuple(_permutation_from_picks(row) for row in picks.tolist())
+        assert all(type(i) is int for order in got for i in order)
+        assert np.array_equal(picks, before)
+
     def test_matches_list_walk_row_by_row(self):
         rng = np.random.default_rng(97)
-        seen = np.zeros(3, dtype=int)
+        seen = np.zeros(4, dtype=int)
         for _ in range(40):
             n = int(rng.integers(1, 61))
-            kinds = rng.integers(3 if n > 1 else 1, size=int(rng.integers(1, 201)))
-            picks = np.array([_pick_row(rng, n, k) for k in kinds])
-            got = _rankings_from_picks(picks)
-            assert got == tuple(_permutation_from_picks(row) for row in picks.tolist())
-            assert all(type(i) is int for order in got for i in order)
-            seen += np.bincount(kinds, minlength=3)
+            kinds = rng.integers(4 if n > 2 else 3 if n > 1 else 1,
+                                 size=int(rng.integers(1, 201)))
+            self.assert_matches_list_walk(np.array([_pick_row(rng, n, k) for k in kinds]))
+            seen += np.bincount(kinds, minlength=4)
         assert seen.min() >= 500
+
+    @pytest.mark.parametrize("kind", [2, 3])
+    def test_rows_failing_one_test(self, kind):
+        """Every row fails only the ``>= c`` test (kind 2) or only the
+        monotone test (kind 3), alone and among simple rows."""
+        rng = np.random.default_rng(113 + kind)
+        for _ in range(100):
+            n = int(rng.integers(3, 31))
+            only = np.array([_pick_row(rng, n, kind) for _ in range(int(rng.integers(1, 6)))])
+            self.assert_matches_list_walk(only)
+            kinds = rng.choice([0, kind], size=int(rng.integers(2, 40)))
+            self.assert_matches_list_walk(np.array([_pick_row(rng, n, k) for k in kinds]))
+
+    @pytest.mark.parametrize("rounds", [1, 7])
+    def test_single_rank(self, rounds):
+        picks = np.zeros((rounds, 1), dtype=np.intp)
+        assert _rankings_from_picks(picks) == ((0,),) * rounds
+        self.assert_matches_list_walk(picks)
