@@ -14,21 +14,25 @@ sorted by ascending utility. The ranker therefore keeps its statistics by
 position in that order, with a list of the positions sorted least-played
 first and then by item index; ``feed`` updates them in place and ``act``
 rebuilds them only when the utilities change. A pick at position ``k`` from
-start ``s`` places the blocked set ``asc[s:k]`` sorted by item index. The
-ranker sorts each such set once, at the first pass that needs it, and keeps
-it until the utilities change: at most ``n (n - 1) / 2`` of them.
+start ``s`` places ``asc[k]`` and then the blocked set ``asc[s:k]`` sorted by
+item index. The ranker builds each such list once, at the first pass that
+needs it, and keeps it until the utilities change: at most
+``n (n + 1) / 2`` of them.
 
 No lower bound exceeds one ceiling, the largest mean less the radius at the
 largest count, since a smaller count has a larger radius. The ranker keeps
-the largest mean between passes: ``feed`` changes one mean, so it raises the
-kept value or, when the fed position held it, takes the maximum again. A
-pass therefore walks the least-played-first order once: while the first
-unplaced position in it is unseen or has an upper bound above the ceiling,
-that position is the pick, at the cost of one radius. At the first position
-that is not certified so, the pass computes every remaining bound and
-finishes by the rule itself. Each blocked set is sorted by item index. The
-utilities must be pairwise distinct, as :func:`rankbandit.core.user_select`
-requires; ``act`` checks them, as :class:`rankbandit.core.Instance` does.
+the largest and the smallest mean between passes: ``feed`` changes one mean,
+so a new mean beyond a kept one replaces it, and a kept one that the fed
+position held and left is taken again. A first unplaced position that is
+unseen or has an upper bound above the ceiling is the pick. When the
+smallest mean plus the radius at the largest count beats the ceiling,
+every upper bound does (rounding is monotone), and the pass walks the
+least-played-first order once, taking each position not yet placed, at the
+cost of one radius in all. Otherwise the walk checks each pick at the cost
+of one radius; at the first position that is not certified so, the pass
+computes every remaining bound and finishes by the rule itself. The utilities must be pairwise distinct, as
+:func:`rankbandit.core.user_select` requires; ``act`` checks them, as
+:class:`rankbandit.core.Instance` does.
 """
 
 from __future__ import annotations
@@ -53,18 +57,26 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
     or after ``s``, least-played first and then lowest item index, whose
     upper bound beats the largest lower bound over the suffix.
 
-    With ``L = log(4 n t^2 / delta)``, every lower bound is at most the
-    ceiling ``max(means) - sqrt(L / most)``, ``most`` the largest count,
-    read at the last of the positions ``_ks`` sorted least-played first: a
-    seen position's count is at most ``most``, and division, ``sqrt`` and
-    subtraction round monotonically. ``max(means)`` is the ranker's kept
-    ``_top``, the same float as the maximum taken afresh. So a first
-    unplaced position that is unseen, or whose upper bound beats the
-    ceiling, is the pick, and while every pick is certified so, the picks
-    come from one forward walk over ``_ks``. From the first position that is not certified, the pass
-    computes the bounds of the positions left and finishes by the rule
-    itself. Both paths append each blocked set from the ranker's store of
-    sets sorted by item index, so the output is a deterministic function of
+    With ``L = log(4 n t^2 / delta)`` and ``radius = sqrt(L / most)``,
+    ``most`` the largest count, read at the last of the positions ``_ks``
+    sorted least-played first, every lower bound is at most the ceiling
+    ``max(means) - radius``: a seen position's count is at most ``most``, and
+    division, ``sqrt`` and subtraction round monotonically. ``max(means)`` is
+    the ranker's kept ``_top``, the same float as the maximum taken afresh.
+    So a first unplaced position that is unseen, or whose upper bound beats
+    the ceiling, is the pick, and while every pick is certified so, the
+    picks come from one forward walk over ``_ks``.
+
+    One comparison certifies the whole walk: if ``min(means) + radius`` beats
+    the ceiling, so does every upper bound, since a seen position has a mean
+    at least ``min(means)`` (the kept ``_bottom``) and a count at most
+    ``most``, and division, ``sqrt`` and addition round monotonically. The
+    walk then takes every position not yet placed without computing its
+    bound. Otherwise it checks each pick's bound against the ceiling, and
+    from the first position that is not certified, the pass computes the
+    bounds of the positions left and finishes by the rule itself. Both paths
+    append, per pick, the ranker's stored list of the pick and its blocked
+    set sorted by item index, so the output is a deterministic function of
     the statistics.
     """
     asc = ranker._asc
@@ -78,18 +90,23 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
     blocked = ranker._blocked
     log_term = math.log(4.0 * n * t * t / ranker.delta)
     most = counts[ks[-1]]
-    ceiling = ranker._top - math.sqrt(log_term / most) if most else -math.inf
+    if most:
+        radius = math.sqrt(log_term / most)
+        ceiling = ranker._top - radius
+        certified = ranker._bottom + radius > ceiling
+    else:
+        ceiling = -math.inf
+        certified = True
     out: list[int] = []
     s = 0
     for k in ks:
         if k < s:
             continue
-        c = counts[k]
-        if c and means[k] + math.sqrt(log_term / c) <= ceiling:
-            break
-        out.append(asc[k])
-        if k > s:
-            out += blocked[s, k]
+        if not certified:
+            c = counts[k]
+            if c and means[k] + math.sqrt(log_term / c) <= ceiling:
+                break
+        out += blocked[s, k]
         s = k + 1
         if s == n:
             return tuple(out)
@@ -118,15 +135,14 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
         else:
             raise ValueError(f"no contender among {n - s} unplaced items at t={t}: "
                              "confidence radii vanish against the means")
-        out.append(asc[k])
-        if k > s:
-            out += blocked[s, k]
+        out += blocked[s, k]
         s = k + 1
     return tuple(out)
 
 
 class _BlockedSets(dict):
-    """``sorted(asc[s:k])`` by ``(s, k)``, each sorted at its first lookup."""
+    """``[asc[k]] + sorted(asc[s:k])`` by ``(s, k)``: the pick at position
+    ``k`` from start ``s`` and its blocked set, built at the first lookup."""
 
     def __init__(self, asc: list[int]):
         super().__init__()
@@ -134,8 +150,9 @@ class _BlockedSets(dict):
 
     def __missing__(self, key: tuple[int, int]) -> list[int]:
         s, k = key
-        block = self[key] = sorted(self.asc[s:k])
-        return block
+        asc = self.asc
+        placed = self[key] = [asc[k]] + sorted(asc[s:k])
+        return placed
 
 
 class EliminationRanker:
@@ -148,15 +165,19 @@ class EliminationRanker:
     item index. ``_first[c]`` is how many positions have a count below
     ``c``, so the positions of count ``c`` are ``_ks[_first[c]:_first[c + 1]]``;
     the list has the largest count plus two entries. ``_blocked`` holds
-    ``sorted(asc[s:k])`` for each ``(s, k)`` a pass has needed, and ``_top``
-    is ``max(_means)``.
+    ``[asc[k]] + sorted(asc[s:k])``, a pick and its blocked set, for each
+    ``(s, k)`` a pass has needed, ``k == s`` included. ``_top`` is
+    ``max(_means)`` and ``_bottom`` is ``min(_means)``, which the pass
+    compares to certify every pick at once.
 
     ``feed`` updates the fed item's entries in place. Its count grows by
     one, so its position leaves the block of count ``c - 1`` for the block of
     count ``c``, where one bisection by item places it, and ``_first[c]``
     falls by one. A new mean above ``_top`` replaces it; ``_top`` is taken
     again with ``max`` only when the fed position held it and its mean
-    fell, so it keeps ``max``'s result. Every mean is finite: a payoff that
+    fell, so it keeps ``max``'s result. ``_bottom`` mirrors it: a new mean
+    below it replaces it, and ``min`` runs again only when the fed position
+    held it and its mean rose. Every mean is finite: a payoff that
     makes the item's payoff sum non-finite raises before anything changes.
     ``act`` rebuilds all of it from ``rewards`` and ``counts``, with an
     empty ``_blocked``, when the utilities differ by value from the last
@@ -180,6 +201,7 @@ class EliminationRanker:
         self._counts: list[int] = []
         self._means: list[float] = []
         self._top = -math.inf  # max(_means)
+        self._bottom = math.inf  # min(_means)
         self._ks: list[int] = []  # positions, least-played first, then by item
         self._first: list[int] = []  # how many positions have a count below c
         self._blocked = _BlockedSets([])
@@ -197,6 +219,7 @@ class EliminationRanker:
         self._means = means = [self.rewards[i] / c if c else 0.0
                                for i, c in zip(asc, counts)]
         self._top = max(means)
+        self._bottom = min(means)
         self._ks = sorted(range(self.n), key=lambda k: (counts[k], asc[k]))
         first = [0] * (max(counts) + 2)
         for c in counts:
@@ -224,6 +247,11 @@ class EliminationRanker:
             self._top = mean
         elif old == top and mean < old:  # the fed position held the largest mean
             self._top = max(means)
+        bottom = self._bottom
+        if mean < bottom:
+            self._bottom = mean
+        elif old == bottom and mean > old:  # the fed position held the smallest mean
+            self._bottom = min(means)
         ks = self._ks
         del ks[ks.index(k)]
         first = self._first

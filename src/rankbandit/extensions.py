@@ -259,7 +259,9 @@ def estimate_order_sorting(show: Callable[[Sequence[int]], int], n: int,
         """Return whichever of a, b has the higher utility."""
         nonlocal trials, comparisons
         comparisons += 1
-        rest = [c for c in range(n) if c != a and c != b]
+        rest = list(range(n))
+        rest.remove(a)
+        rest.remove(b)
         display, swapped = (a, b, *rest), (b, a, *rest)
         while True:
             if trials >= budget:

@@ -33,6 +33,7 @@ only the other reads.
 
 from __future__ import annotations
 
+import copyreg
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -50,13 +51,25 @@ FEASIBILITY_TOL = 1e-9
 COUPLING_RESIDUAL_TOL = 1e-8
 
 
-class InadmissibleMatrixError(ValueError):
+class _StatefulError(ValueError):
+    """An error whose ``__init__`` builds its message from its attributes.
+
+    Unpickling rebuilds it from its ``args`` and attributes as they are,
+    without calling ``__init__`` again, so the type, the message (also one
+    rewritten into ``args``) and the attributes cross a process boundary.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
+
+
+class InadmissibleMatrixError(_StatefulError):
     def __init__(self, report: "AdmissibilityReport"):
         self.report = report
         super().__init__(f"matrix is not admissible: {report.first}")
 
 
-class InfeasibleTargetError(ValueError):
+class InfeasibleTargetError(_StatefulError):
     """Target selection marginals cannot be realized by any admissible matrix."""
 
     def __init__(self, suffix_start: int, required: float, actual: float):

@@ -208,17 +208,22 @@ def test_criterion_04_lazy_uniform_exploration():
 
 # ------------------------------------------------------- criteria 5 and 6
 
+def _chain_run(rep: int):
+    """Replication ``rep`` of the elimination episodes of criteria 5 and 6; a
+    module-level function, so a worker process can run it."""
+    policy = EliminationRanker(5, DELTA)
+    return run_episode(policy, CHAIN,
+                       GaussianPayoffs(CHAIN.means, seed=0, replication=rep),
+                       ScheduleWindows.blocks(5, HORIZON), HORIZON)
+
+
 @pytest.fixture(scope="module")
 def chain_runs():
     """20 elimination episodes on the 5-item chain under block windows."""
-    traces = []
-    for rep in range(20):
-        policy = EliminationRanker(5, DELTA)
-        trace = run_episode(policy, CHAIN,
-                            GaussianPayoffs(CHAIN.means, seed=0, replication=rep),
-                            ScheduleWindows.blocks(5, HORIZON), HORIZON)
-        traces.append(trace)
-    return traces
+    # the replications are independent: two processes run them, each one on
+    # its own seeds, so every trace is the one a serial run gives
+    with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
+        return list(pool.map(_chain_run, range(20)))
 
 
 def test_criterion_05_stochastic_regret_scaling(chain_runs):
@@ -373,32 +378,45 @@ def test_criterion_10_delayed_feedback():
 
 # --------------------------------------------------------------- criterion 11
 
+UTILITY_GRID = np.array([1.0, 1.2, 1.4, 1.6, 1.8])  # min gap 0.2
+
+
+def _criterion_11_sorting(rep: int) -> tuple[bool, int]:
+    """Whether criterion 11's sorting replication ``rep`` recovers the exact
+    order, and its display count; module-level, so a worker can run it."""
+    shuffled = UTILITY_GRID[substream(1, rep, 7).permutation(5)]
+    env = GreedyUserEnv(shuffled, MultinomialWindows(LAZY_Q, seed=1,
+                                                     replication=rep))
+    result = estimate_order_sorting(env.show, 5, budget=2000)
+    return result.order == tuple(np.argsort(shuffled)), result.trials
+
+
+def _criterion_11_social(rep: int) -> tuple[int, bool] | None:
+    """The trial count of criterion 11's social-learning replication ``rep``
+    and whether its order is wrong, or None if it did not separate;
+    module-level, so a worker can run it."""
+    rng = substream(2, rep, 9)
+    shuffled = UTILITY_GRID[rng.permutation(5)]
+    report = estimate_social_learning(
+        shuffled, MultinomialWindows(LAZY_Q, seed=2, replication=rep),
+        rng=rng, budget=40_000)
+    if not report.separated:
+        return None
+    return report.trials, report.order_by_mean() != tuple(np.argsort(shuffled))
+
+
 def test_criterion_11_utility_estimation():
-    base_utilities = np.array([1.0, 1.2, 1.4, 1.6, 1.8])  # min gap 0.2
+    # the replications are independent: two processes run them, each one on
+    # its own seeds, so every result is the one a serial run gives
+    with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
+        sorts = list(pool.map(_criterion_11_sorting, range(100)))
+        socials = [r for r in pool.map(_criterion_11_social, range(100)) if r is not None]
 
-    exact = 0
-    max_trials = 0
-    for rep in range(100):
-        shuffled = base_utilities[substream(1, rep, 7).permutation(5)]
-        env = GreedyUserEnv(shuffled, MultinomialWindows(LAZY_Q, seed=1,
-                                                         replication=rep))
-        result = estimate_order_sorting(env.show, 5, budget=2000)
-        exact += result.order == tuple(np.argsort(shuffled))
-        max_trials = max(max_trials, result.trials)
-
-    separated = 0
-    wrong = 0
-    trials = []
-    for rep in range(100):
-        rng = substream(2, rep, 9)
-        shuffled = base_utilities[rng.permutation(5)]
-        report = estimate_social_learning(
-            shuffled, MultinomialWindows(LAZY_Q, seed=2, replication=rep),
-            rng=rng, budget=40_000)
-        if report.separated:
-            separated += 1
-            trials.append(report.trials)
-            wrong += report.order_by_mean() != tuple(np.argsort(shuffled))
+    exact = sum(found for found, _ in sorts)
+    max_trials = max(trials for _, trials in sorts)
+    separated = len(socials)
+    trials = [trials for trials, _ in socials]
+    wrong = sum(bad for _, bad in socials)
     ok = exact == 100 and separated >= 95 and wrong == 0
     _line(11, ok, f"sorting: {exact}/100 exact orders (max {max_trials} "
                   f"displays, budget 2000); social: {separated}/100 separated "

@@ -130,6 +130,18 @@ def certified_count(rewards, counts, t, delta, utilities):
     return n - len(remaining)
 
 
+def certified_whole(rewards, counts, t, delta):
+    """Whether the smallest mean plus the radius at the largest count beats
+    the ceiling ``max(means) - sqrt(L / max(counts))``, which certifies every
+    pick of the pass at once. True when every item is unseen."""
+    most = max(counts)
+    if not most:
+        return True
+    means = [r / c if c else 0.0 for r, c in zip(rewards, counts)]
+    radius = math.sqrt(math.log(4.0 * len(counts) * t * t / delta) / most)
+    return min(means) + radius > max(means) - radius
+
+
 def find_permutation_of(rewards, counts, t, delta, utilities):
     """The pass of a fresh ranker that holds these statistics."""
     ranker = EliminationRanker(len(counts), delta)
@@ -228,6 +240,7 @@ class TestFindPermutation:
         rng = np.random.default_rng(2024)
         kinds = {"unseen": 0, "tied": 0, "t=1": 0,
                  "ceiling-1ulp": 0, "ceiling": 0, "ceiling+1ulp": 0}
+        whole = {True: 0, False: 0}  # passes certified whole, and the others
         for case in range(4000):
             # every fourth case puts the first key's upper bound on the
             # ceiling that certifies picks, or one ulp either side of it
@@ -257,8 +270,13 @@ class TestFindPermutation:
             got = find_permutation_of(rewards, counts, t, delta, utilities)
             assert got == find_permutation_oracle(rewards, counts, t, delta, utilities), case
             assert all(type(i) is int for i in got)
+            certified = certified_whole(rewards, counts, t, delta)
+            whole[certified] += 1
+            if certified:  # then the ceiling certifies each pick on its own too
+                assert certified_count(rewards, counts, t, delta, utilities) == n, case
         assert min(kinds["unseen"], kinds["tied"], kinds["t=1"]) >= 500, kinds
         assert min(kinds["ceiling-1ulp"], kinds["ceiling"], kinds["ceiling+1ulp"]) >= 250, kinds
+        assert min(whole.values()) >= 300, whole
 
     def test_episode_matches_oracle(self):
         n, horizon, seed = 50, 3000, 5
@@ -314,19 +332,60 @@ class TestFindPermutation:
         assert sum(0 < c < n for c in certified) >= 5, certified
 
     def test_certified_pass_computes_one_radius_per_pick(self, monkeypatch):
-        # wide radii against equal means certify every pick, so the pass
-        # walks the order once and computes no other bound
+        # wide radii against equal means certify the whole pass at once, so
+        # it walks the order and computes only the ceiling's radius
         n = 50
         counts = [150] * n
         counts[24], counts[49] = 100, 101
         rewards = [c * 0.5 for c in counts]
+        state = (10**6, 0.01, np.arange(n) + 1.0)
         radii = []
         shim = types.SimpleNamespace(log=math.log, inf=math.inf,
                                      sqrt=lambda x: radii.append(x) or math.sqrt(x))
         monkeypatch.setattr(elimination, "math", shim)
-        order = find_permutation_of(rewards, counts, 10**6, 0.01, np.arange(n) + 1.0)
-        assert order == (24, *range(24), 49, *range(25, 49))
+        order = (24, *range(24), 49, *range(25, 49))
+        assert find_permutation_of(rewards, counts, *state) == order
+        assert len(radii) == 1  # the ceiling's
+        # the ceiling is now about -2e-4, and item 10's mean -0.6 plus the
+        # radius about 0.5 is below it: the pass checks each pick, and item
+        # 10 is only ever blocked
+        rewards[10] = -0.6 * counts[10]
+        radii.clear()
+        assert find_permutation_of(rewards, counts, *state) == order
+        assert find_permutation_oracle(rewards, counts, *state) == order
         assert len(radii) == 3  # the ceiling's, then one per pick
+
+    def test_smallest_mean_on_the_ceiling_certifies_no_pass(self):
+        # every count equal, so the first key's radius is the one at the
+        # largest count, and every other mean above the first key's: with
+        # the first key's upper bound exactly on the ceiling, the smallest
+        # mean plus that radius equals the ceiling. The first key is then no
+        # contender, so a pass certified whole would place it first
+        rng = np.random.default_rng(31)
+        landed = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 30))
+            c = int(rng.integers(1, 20))
+            t = int(rng.integers(1000, 10**9))
+            delta = float(rng.choice([1.0, 0.1, 1e-3]))
+            radius = math.sqrt(math.log(4.0 * n * t * t / delta) / c)
+            # on_ceiling puts the first key's mean 2 * radius - 1 below the
+            # largest of these, so below all of them
+            means = rng.uniform(50.0, 50.0 + 0.9 * (2.0 * radius - 1.0), n)
+            counts = [c] * n
+            rewards = on_ceiling((c * means).tolist(), counts, t, delta, 0)
+            if rewards is None:
+                continue
+            landed += 1
+            utilities = rng.permutation(n) + 0.5
+            ranker = EliminationRanker(n, delta)
+            ranker.rewards, ranker.counts = rewards, list(counts)
+            order = ranker.act(t, utilities)
+            assert ranker._bottom == rewards[0] / c == min(ranker._means)
+            assert ranker._bottom + radius == ranker._top - radius
+            assert order == find_permutation_oracle(rewards, counts, t, delta, utilities)
+            assert order[0] != 0
+        assert landed >= 250, landed
 
     def test_rejects_trial_index_below_one(self):
         u = (0.3, 0.8, 0.1)
@@ -352,11 +411,13 @@ class TestCachedState:
     def test_positions_and_blocked_sets_follow_every_step(self):
         # random interleavings of feed, act and new utilities; after each
         # step the positions are in (count, item) order, each count's block
-        # of them starts where _first says, every stored blocked set is the
-        # current one, and the kept largest mean is max(_means)
+        # of them starts where _first says, every stored pick and blocked set
+        # is the current one, and the kept largest and smallest means are
+        # max(_means) and min(_means)
         rng = np.random.default_rng(19)
         kinds = {"unseen": 0, "tied": 0, "rebuilt": 0, "blocked": 0}
         top = {"raised": 0, "lowered": 0}
+        bottom = {"raised": 0, "lowered": 0}
         for _ in range(200):
             n = int(rng.integers(1, 61))
             # means far apart separate the intervals within a few feeds, so
@@ -370,10 +431,12 @@ class TestCachedState:
                 if step < 0.5:
                     item = int(rng.integers(0, n))
                     kinds["unseen"] += ranker.counts[item] == 0
-                    before = ranker._top
+                    before = ranker._top, ranker._bottom
                     ranker.feed(t, item, float(rng.normal(means[item], 1.0)))
-                    top["raised"] += ranker._top > before
-                    top["lowered"] += ranker._top < before
+                    top["raised"] += ranker._top > before[0]
+                    top["lowered"] += ranker._top < before[0]
+                    bottom["raised"] += ranker._bottom > before[1]
+                    bottom["lowered"] += ranker._bottom < before[1]
                 else:
                     if step > 0.9:
                         u = rng.permutation(n) + rng.uniform(0.0, 0.5)
@@ -389,13 +452,15 @@ class TestCachedState:
                                             key=lambda k: (ranker.counts[asc[k]], asc[k]))
                 assert ranker._first == [sum(c < x for c in ranker.counts)
                                          for x in range(max(ranker.counts) + 2)]
-                for (s, k), block in ranker._blocked.items():
-                    assert block == sorted(asc[s:k]), (s, k)
+                for (s, k), placed in ranker._blocked.items():
+                    assert placed == [asc[k]] + sorted(asc[s:k]), (s, k)
                 assert ranker._top == max(ranker._means)
+                assert ranker._bottom == min(ranker._means)
                 kinds["blocked"] += len(ranker._blocked)
                 kinds["tied"] += len(set(ranker.counts)) < n
         assert min(kinds.values()) >= 300, kinds
         assert min(top.values()) >= 100, top
+        assert min(bottom.values()) >= 100, bottom
 
     def test_nonfinite_payoff_sums_are_rejected(self):
         # a NaN, inf or -inf payoff, and a second 1e308 on one item, whose sum
@@ -419,13 +484,13 @@ class TestCachedState:
                 if payoff == 1e308:
                     ranker.feed(30, item, payoff)  # a finite sum: the next one overflows
                 state = (list(ranker.rewards), list(ranker.counts), list(ranker._means),
-                         ranker._top, list(ranker._ks))
+                         ranker._top, ranker._bottom, list(ranker._ks))
                 with pytest.raises(ValueError, match=re.escape(
                         f"trial 31: payoff {payoff!r} for item {item} ")):
                     ranker.feed(31, item, payoff)
                 raised += 1
                 assert (ranker.rewards, ranker.counts, ranker._means, ranker._top,
-                        ranker._ks) == state
+                        ranker._bottom, ranker._ks) == state
                 want = _pass_or_error(find_permutation_oracle, ranker.rewards,
                                       ranker.counts, 31, 0.1, u)
                 assert _pass_or_error(ranker.act, 31, u) == want

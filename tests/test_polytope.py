@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import (
     admissibility_report_oracle, admissible_lp, coupling_sample, feasible_matrix_oracle,
     random_mixture, rfsm_decompose_oracle, sample_decomposition, selection_matrix_oracle,
 )
+from rankbandit import harness
 from rankbandit.adversarial import MirrorDescent
 from rankbandit.core import selection_matrix
 from rankbandit.polytope import (
@@ -293,6 +295,44 @@ class TestPeeling:
             with pytest.raises(InadmissibleMatrixError,
                                match=r"C\.1 violated at \(1, 2\) by nan"):
                 rfsm_decompose([[1.0, 0.0], [0.0, np.nan]], atol=atol)
+
+
+def _error_of(fn, *args):
+    """The ``ValueError`` that ``fn(*args)`` raises."""
+    with pytest.raises(ValueError) as raised:
+        fn(*args)
+    return raised.value
+
+
+class TestErrorsCrossProcesses:
+    """A worker process hands its error to the parent pickled: the round trip
+    keeps the type, the message and the state, also once
+    :func:`rankbandit.harness.run_replication` has rewritten the message."""
+
+    @pytest.mark.parametrize("make, state", [
+        (lambda: _error_of(feasible_matrix, [0.7, 0.3], [0.6, 0.4]),
+         ("suffix_start", "required", "actual")),
+        (lambda: _error_of(rfsm_decompose, [[0.4, 0.0], [0.4, 1.0]]), ("report",)),
+    ], ids=["infeasible-target", "inadmissible-matrix"])
+    def test_pickle_round_trip(self, make, state, monkeypatch):
+        def replication(cfg, rep):
+            raise make()
+
+        monkeypatch.setattr(harness, "_replication", replication)
+        cfg = harness.ExperimentConfig.from_dict({
+            "label": "failing", "seed": 4, "horizon": 10,
+            "instance": {"utilities": [1.0, 2.0], "means": [1.0, 2.0]},
+            "window": {"type": "multinomial", "q": [0.5, 0.5]},
+            "payoffs": {"type": "gaussian"}, "policy": {"name": "elim"}})
+        plain = make()
+        named = _error_of(harness.run_replication, cfg, 3)
+        assert str(named) == f"failing: seed 4, replication 3: {plain}"
+        for exc in (plain, named):
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is type(exc)
+            assert str(back) == str(exc) and back.args == exc.args
+            for name in state:
+                assert getattr(back, name) == getattr(exc, name), name
 
 
 class TestSuffixBounds:
