@@ -31,8 +31,8 @@ from .elimination import (
     find_permutation, inversion_budget,
 )
 from .environments import (
-    AdaptiveWindows, GaussianPayoffs, MultinomialWindows, RegretTrace,
-    ScheduleWindows, TapePayoffs, run_episode, substream,
+    GaussianPayoffs, MultinomialWindows, RegretTrace, ScheduleWindows,
+    TapePayoffs, run_episode, substream,
 )
 from .extensions import (
     DelayModel, PartialOrderError, PooledDelayPolicy, QueuedDelayPolicy,
@@ -52,7 +52,7 @@ from .polytope import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveWindows", "BLORanker", "ConfigError", "Decomposition",
+    "BLORanker", "ConfigError", "Decomposition",
     "DegenerateInstanceError", "DelayModel", "EliminationRanker",
     "EpsilonGreedyRanker", "ExperimentConfig", "ExperimentReport",
     "GaussianPayoffs", "InadmissibleMatrixError", "InfeasibleTargetError",

@@ -311,10 +311,9 @@ class BLORanker:
     """
 
     def __init__(self, q: Sequence[float], *, horizon: int | None = None,
-                 eta: float | None = None, rng: np.random.Generator | None = None):
+                 eta: float | None = None, rng: np.random.Generator):
         self.engine = MirrorDescent(q, horizon=horizon, eta=eta)
         self.n = self.engine.n
-        rng = rng if rng is not None else np.random.default_rng()
         self._uniforms = _blocks(rng.random)
         self._sampler = CouplingSampler(self.engine.q)
         self._shown = None
@@ -388,7 +387,7 @@ class EpsilonGreedyRanker:
     one or two draws further on: it is the end of the last block read.
     """
 
-    def __init__(self, q: Sequence[float], *, rng: np.random.Generator | None = None,
+    def __init__(self, q: Sequence[float], *, rng: np.random.Generator,
                  explore_constant: float = 1.0):
         q = np.asarray(q, dtype=float)
         self.n = int(q.size)
@@ -396,7 +395,6 @@ class EpsilonGreedyRanker:
         cdf = np.cumsum(alpha / alpha.sum())
         cdf /= cdf[-1]
         self._cdf = cdf.tolist()
-        rng = rng if rng is not None else np.random.default_rng()
         self._uniforms = _blocks(rng.random)
         self.explore_constant = explore_constant
         self.rewards = [0.0] * self.n

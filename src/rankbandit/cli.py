@@ -41,6 +41,8 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_config(args)
     report = run_experiment(cfg, workers=args.workers)
     final_mean = report.mean_regret[-1]

@@ -175,24 +175,6 @@ class MultinomialWindows:
         return next(self._windows)
 
 
-class AdaptiveWindows:
-    """Scripted window adversary: sees past (window, pick, payoff), never the ranking."""
-
-    def __init__(self, fn: Callable[[int, list[tuple[int, int, float]]], int], n: int):
-        self.fn = fn
-        self.n = n
-        self.history: list[tuple[int, int, float]] = []
-
-    def draw(self, t: int) -> int:
-        w = int(self.fn(t, self.history))
-        if not 1 <= w <= self.n:
-            raise ValueError(f"adaptive window {w} outside 1..{self.n}")
-        return w
-
-    def observe(self, w: int, item: int, payoff: float) -> None:
-        self.history.append((w, item, payoff))
-
-
 @dataclass
 class RegretTrace:
     """Per-trial record of one episode."""
@@ -210,7 +192,9 @@ class RegretTrace:
         return int(self.trials.size)
 
     def regret_at(self, t: int) -> float:
-        """Cumulative regret after trial ``t``."""
+        """Cumulative regret after trial ``t``, for ``t`` in ``1..len(self)``."""
+        if not 1 <= t <= len(self):
+            raise ValueError(f"trial {t} outside 1..{len(self)}, the trials of this trace")
         return float(self.cum_regret[t - 1])
 
     def to_csv(self, path) -> None:
@@ -238,6 +222,11 @@ def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
     """Run one episode of the display/select/feed loop on the instance's
     fixed utilities, the array every trial shows the policy, and record a trace.
 
+    Each trial the policy acts, the windows draw, the user selects, the
+    payoffs draw and the policy is fed. The window and payoff sources learn
+    nothing from the policy: a window source is given the trial alone, a
+    payoff source the trial and the picked item.
+
     ``benchmark="means"`` scores each trial against the optimal family of the
     instance (requires mean payoffs; tied means raise before trial 1);
     ``benchmark="none"`` records zero instantaneous regret (useful when the
@@ -251,7 +240,6 @@ def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
         best = optimal_family(instance).benchmark_by_window
 
     ws, ys, pays = [], [], []
-    observe = getattr(windows, "observe", None)
     utilities = instance.utilities
     # policies see the array; the user model indexes a list fastest
     scanned = utilities.tolist()
@@ -262,8 +250,6 @@ def run_episode(policy, instance: Instance, payoffs, windows, horizon: int, *,
         y = user_select(order, scanned, w)
         payoff = payoffs.draw(y, t)
         policy.feed(t, y, payoff)
-        if observe is not None:
-            observe(w, y, payoff)
         ws.append(w)
         ys.append(y)
         pays.append(payoff)

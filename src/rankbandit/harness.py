@@ -562,7 +562,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     if workers > 1 and cfg.replications > 1:
         # imported here so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # no more processes than replications: a forking pool starts them all
+        with ProcessPoolExecutor(max_workers=min(workers, cfg.replications)) as pool:
             results = dict(zip(reps, pool.map(run_replication, [cfg] * cfg.replications,
                                                reps)))
     else:

@@ -573,6 +573,44 @@ def recorded_episode(policy, instance, payoffs, windows, horizon, **kwargs):
     return trace, recorder.orders
 
 
+class AdaptiveWindows:
+    """Scripted window adversary: ``fn(t, history)`` picks trial ``t``'s
+    window from the past ``(window, pick, payoff)`` triples, never from the
+    ranking. The episode loop tells a window source nothing, so the history
+    comes from an :class:`InformingPolicy` around the episode's policy."""
+
+    def __init__(self, fn, n):
+        self.fn = fn
+        self.n = n
+        self.history = []
+        self.last = None  # the window drawn last
+
+    def draw(self, t):
+        w = int(self.fn(t, self.history))
+        if not 1 <= w <= self.n:
+            raise ValueError(f"adaptive window {w} outside 1..{self.n}")
+        self.last = w
+        return w
+
+
+class InformingPolicy:
+    """Hands act and feed on to ``policy``, then appends each feed's
+    ``(window, item, payoff)`` to the history of ``windows``, an
+    :class:`AdaptiveWindows`. The loop feeds after the same trial's draw, so
+    the window drawn last is the trial's window."""
+
+    def __init__(self, policy, windows):
+        self.policy = policy
+        self.windows = windows
+
+    def act(self, t, utilities):
+        return self.policy.act(t, utilities)
+
+    def feed(self, t, item, payoff):
+        self.policy.feed(t, item, payoff)
+        self.windows.history.append((self.windows.last, item, payoff))
+
+
 def utility_sequence_episode(policy, sequence, means, payoffs, windows):
     """The display/select/feed loop of :func:`run_episode` with utilities that
     change from trial to trial, which the library's episodes never do: row

@@ -326,18 +326,27 @@ def test_criterion_08_unbiased_loss_estimates():
 
 # ---------------------------------------------------------------- criterion 9
 
+GREEDY_CHECKPOINTS = [1_000, 10_000, 100_000]
+
+
+def _criterion_09_curve(rep: int) -> list[float]:
+    """Regret at criterion 9's checkpoints in replication ``rep``; a
+    module-level function, so a worker process can run it."""
+    policy = EpsilonGreedyRanker(LAZY_Q, rng=substream(0, rep, STREAM_POLICY))
+    trace = run_episode(policy, CHAIN,
+                        GaussianPayoffs(CHAIN.means, seed=0, replication=rep),
+                        MultinomialWindows(LAZY_Q, seed=0, replication=rep),
+                        HORIZON)
+    return [trace.regret_at(c) for c in GREEDY_CHECKPOINTS]
+
+
 def test_criterion_09_epsilon_greedy_scaling():
-    checkpoints = [1_000, 10_000, 100_000]
-    curves = []
-    for rep in range(20):
-        policy = EpsilonGreedyRanker(LAZY_Q, rng=substream(0, rep, STREAM_POLICY))
-        trace = run_episode(policy, CHAIN,
-                            GaussianPayoffs(CHAIN.means, seed=0, replication=rep),
-                            MultinomialWindows(LAZY_Q, seed=0, replication=rep),
-                            HORIZON)
-        curves.append([trace.regret_at(c) for c in checkpoints])
+    # the replications are independent: two processes run them, each one on
+    # its own seeds, so every curve is the one a serial run gives
+    with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
+        curves = list(pool.map(_criterion_09_curve, range(20)))
     mean = np.mean(curves, axis=0)
-    slope = float(np.polyfit(np.log(checkpoints), np.log(mean), 1)[0])
+    slope = float(np.polyfit(np.log(GREEDY_CHECKPOINTS), np.log(mean), 1)[0])
     ok = 0.5 <= slope <= 0.8
     _line(9, ok, f"mean regret at 1e3/1e4/1e5 = "
                  f"{mean[0]:.1f}/{mean[1]:.1f}/{mean[2]:.1f}; log-log slope "
@@ -347,30 +356,45 @@ def test_criterion_09_epsilon_greedy_scaling():
 
 # --------------------------------------------------------------- criterion 10
 
-def test_criterion_10_delayed_feedback():
-    T, n, tau = 20_000, 5, 10
+DELAY_TAU = 10
+
+
+def _criterion_10_run(rep: int) -> tuple[float, int]:
+    """The queued wrapper's regret excess over the undelayed ranker in
+    criterion 10's replication ``rep``, and the pooled wrapper's instance
+    count; a module-level function, so a worker process can run it."""
+    T, n, tau = 20_000, 5, DELAY_TAU
     q = [0.2] * 5
+
+    def episode(policy):
+        return run_episode(policy, CHAIN,
+                           GaussianPayoffs(CHAIN.means, seed=0, replication=rep),
+                           MultinomialWindows(q, seed=0, replication=rep),
+                           T)
+
+    base = episode(EliminationRanker(n, DELTA))
+    wrapped = episode(QueuedDelayPolicy(EliminationRanker(n, DELTA),
+                                        DelayModel(kind="fixed", tau_max=tau)))
+    pool = PooledDelayPolicy(lambda k: EliminationRanker(n, DELTA),
+                             DelayModel(kind="fixed", tau_max=tau))
+    episode(pool)
+    return wrapped.regret_at(T) - base.regret_at(T), pool.pool_size
+
+
+def test_criterion_10_delayed_feedback():
+    n, tau = 5, DELAY_TAU
     slack = 2.0 * n * tau * 2.0  # 2 n tau Delta_max, Delta_max = 2.0
     worst_diff = -math.inf
     max_pool = 0
-    for rep in range(10):
-        def episode(policy):
-            return run_episode(policy, CHAIN,
-                               GaussianPayoffs(CHAIN.means, seed=0, replication=rep),
-                               MultinomialWindows(q, seed=0, replication=rep),
-                               T)
-
-        base = episode(EliminationRanker(n, DELTA))
-        wrapped = episode(QueuedDelayPolicy(EliminationRanker(n, DELTA),
-                                            DelayModel(kind="fixed", tau_max=tau)))
-        pool = PooledDelayPolicy(lambda k: EliminationRanker(n, DELTA),
-                                 DelayModel(kind="fixed", tau_max=tau))
-        episode(pool)
-        diff = wrapped.regret_at(T) - base.regret_at(T)
+    # the replications are independent: two processes run them, each one on
+    # its own seeds, so every result is the one a serial run gives
+    with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
+        results = list(pool.map(_criterion_10_run, range(10)))
+    for rep, (diff, pool_size) in enumerate(results):
         worst_diff = max(worst_diff, diff)
-        max_pool = max(max_pool, pool.pool_size)
+        max_pool = max(max_pool, pool_size)
         assert diff <= slack, (rep, diff)
-        assert pool.pool_size <= tau + 1, (rep, pool.pool_size)
+        assert pool_size <= tau + 1, (rep, pool_size)
     _line(10, True, f"10 matched seeds, tau=10: worst queued-wrapper regret "
                     f"excess {worst_diff:.1f} (<= {slack:.0f}); pooled wrapper "
                     f"peaked at {max_pool} instances (<= {tau + 1})")

@@ -322,7 +322,9 @@ class TestMirrorDescent:
         with pytest.raises(ValueError, match=r"^q: must sum to 1"):
             MirrorDescent([0.7, 0.4])
 
-    @pytest.mark.parametrize("build", [MirrorDescent, BLORanker])
+    @pytest.mark.parametrize("build", [
+        MirrorDescent,
+        pytest.param(lambda q: BLORanker(q, rng=np.random.default_rng()), id="BLORanker")])
     def test_needs_horizon_or_eta(self, build):
         with pytest.raises(ValueError, match="horizon or an eta"):
             build(self.q)
@@ -499,7 +501,7 @@ class TestBLORanker:
         assert sum(ranker.last_marginals) == pytest.approx(1.0, abs=1e-8)
 
     def test_feed_before_act(self):
-        ranker = BLORanker([0.5, 0.5], horizon=100)
+        ranker = BLORanker([0.5, 0.5], horizon=100, rng=np.random.default_rng())
         with pytest.raises(RuntimeError, match="feed before act"):
             ranker.feed(1, 0, 1.0)
 

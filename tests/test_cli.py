@@ -67,6 +67,11 @@ class TestRun:
         assert main(["run", str(bad)]) == 1
         assert "window.q" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, config_path, capsys, workers):
+        assert main(["run", str(config_path), "--workers", workers]) == 1
+        assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+
     def test_missing_config(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err

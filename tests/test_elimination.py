@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import types
@@ -6,7 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import family_contains, recorded_episode, utility_sequence_episode
+from conftest import (
+    AdaptiveWindows, InformingPolicy, family_contains, recorded_episode,
+    utility_sequence_episode,
+)
 from rankbandit import elimination
 from rankbandit.core import Instance, optimal_family
 from rankbandit.elimination import (
@@ -18,7 +22,7 @@ from rankbandit.elimination import (
     inversion_budget_value,
 )
 from rankbandit.environments import (
-    AdaptiveWindows, GaussianPayoffs, MultinomialWindows, ScheduleWindows, run_episode,
+    GaussianPayoffs, MultinomialWindows, ScheduleWindows, run_episode,
 )
 from rankbandit.extensions import DelayModel, PooledDelayPolicy, QueuedDelayPolicy
 
@@ -580,6 +584,12 @@ def regret_seeking(instance):
     return fn
 
 
+# sha256 over seeds 0..3 in turn of the windows, picks and payoffs
+# (little-endian int64, int64, float64) and displayed orders (int16) of
+# EliminationRanker against the regret-seeking adversary
+ADAPTIVE_DIGEST = "c98d5b35a0653d797b5f1bfe02f59924088d4b5e0a06b4571feb9d38b0200131"
+
+
 class TestAdaptiveWindows:
     def test_regret_seeking_adversary_on_chain(self):
         # criterion 05's chain against windows chosen from the past picks
@@ -587,14 +597,18 @@ class TestAdaptiveWindows:
         inst = Instance(utilities=[1.0, 2.0, 3.0, 4.0, 5.0], means=[2.0, 1.5, 1.0, 0.5, 0.0])
         fam = optimal_family(inst)
         held = 0
+        digest = hashlib.sha256()
         for seed in range(4):
             def episode(cls):
-                return recorded_episode(cls(n, delta), inst,
-                                        GaussianPayoffs(inst.means, seed, 0),
-                                        AdaptiveWindows(regret_seeking(inst), n), horizon)
+                windows = AdaptiveWindows(regret_seeking(inst), n)
+                return recorded_episode(InformingPolicy(cls(n, delta), windows), inst,
+                                        GaussianPayoffs(inst.means, seed, 0), windows, horizon)
 
             (fast, fast_orders), (slow, slow_orders) = (episode(EliminationRanker),
                                                         episode(OracleEliminationRanker))
+            for column, dtype in ((fast.windows, "<i8"), (fast.selected, "<i8"),
+                                  (fast.payoffs, "<f8"), (fast_orders, "<i2")):
+                digest.update(np.ascontiguousarray(column, dtype=dtype).tobytes())
             assert np.array_equal(fast_orders, slow_orders), seed
             for name in ("windows", "selected", "payoffs"):
                 assert np.array_equal(getattr(fast, name), getattr(slow, name)), (seed, name)
@@ -608,6 +622,7 @@ class TestAdaptiveWindows:
             for (s, y), count in inverted.items():
                 assert count <= inversion_budget(inst.gap(s, y), horizon, delta, n), (seed, s, y)
         assert held >= 3, held
+        assert digest.hexdigest() == ADAPTIVE_DIGEST
 
 
 class TestEliminationRanker:

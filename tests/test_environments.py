@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import (
-    FixedPermutationPolicy, RecordingPolicy, read_trace_csv, recorded_episode, write_tape_csv,
+    AdaptiveWindows, FixedPermutationPolicy, InformingPolicy, RecordingPolicy, read_trace_csv,
+    recorded_episode, write_tape_csv,
 )
 from rankbandit.adversarial import EpsilonGreedyRanker
 from rankbandit.core import DegenerateInstanceError, Instance, optimal_family
 from rankbandit.environments import (
-    AdaptiveWindows,
     GaussianPayoffs,
     MultinomialWindows,
     RegretTrace,
@@ -166,11 +166,13 @@ class TestWindows:
             return 1
 
         win = AdaptiveWindows(fn, n=3)
+        policy = InformingPolicy(FixedPermutationPolicy((0, 1, 2)), win)
         assert win.draw(1) == 1
-        win.observe(1, 0, 0.2)
+        policy.feed(1, 0, 0.2)
         assert win.draw(2) == 1
-        win.observe(1, 0, 0.9)
+        policy.feed(2, 0, 0.9)
         assert win.draw(3) == 3
+        assert win.history == [(1, 0, 0.2), (1, 0, 0.9)]
 
     def test_adaptive_range_check(self):
         win = AdaptiveWindows(lambda t, h: 5, n=3)
@@ -361,14 +363,25 @@ class TestRunEpisode:
         assert np.array_equal(a.cum_regret, b.cum_regret)
 
     def test_observe_hook_receives_picks(self):
-        seen = []
+        # the loop tells the windows nothing: the policy wrapper does
         win = AdaptiveWindows(lambda t, h: 1 + (len(h) % 3), n=3)
-        trace = run_episode(FixedPermutationPolicy((0, 1, 2)), self.instance,
-                            GaussianPayoffs(self.instance.means, seed=41),
+        trace = run_episode(InformingPolicy(FixedPermutationPolicy((0, 1, 2)), win),
+                            self.instance, GaussianPayoffs(self.instance.means, seed=41),
                             win, 6)
-        assert len(win.history) == 6
-        assert [w for w, _, _ in win.history] == trace.windows.tolist()
-        assert [y for _, y, _ in win.history] == trace.selected.tolist()
+        assert trace.windows.tolist() == [1, 2, 3, 1, 2, 3]
+        assert win.history == list(zip(trace.windows.tolist(), trace.selected.tolist(),
+                                       trace.payoffs.tolist()))
+
+    def test_regret_at_reads_only_the_trials_of_the_trace(self):
+        trace = run_episode(
+            FixedPermutationPolicy((0, 1, 2)), self.instance,
+            GaussianPayoffs(self.instance.means, seed=31),
+            ScheduleWindows([1, 2, 3, 1], n=3), 4)
+        assert trace.cum_regret.tolist() == [2.0, 2.0, 2.0, 4.0]
+        assert trace.regret_at(4) == 4.0
+        for t in (0, -1, 5):
+            with pytest.raises(ValueError, match=rf"trial {t} outside 1\.\.4"):
+                trace.regret_at(t)
 
     @pytest.mark.parametrize("sequence", [None])
     def test_tied_means_fail_before_trial_one(self, sequence):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -736,6 +737,31 @@ class TestRunExperiment:
                     column = getattr(a, name)
                     assert column.dtype == getattr(b, name).dtype, name
                     assert column.tobytes() == getattr(b, name).tobytes(), name
+
+    def test_pool_never_exceeds_the_replications(self, monkeypatch):
+        # a stand-in pool records its size and maps in this process, so no
+        # worker starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = ExperimentConfig.from_dict(base_config())
+        assert cfg.replications == 2
+        pooled = run_experiment(cfg, workers=64)
+        assert sizes == [2]
+        assert pooled.to_dict() == run_experiment(cfg, workers=1).to_dict()
 
     def test_import_leaves_process_pool_unloaded(self):
         # only a run with workers > 1 imports the pool and multiprocessing

@@ -110,8 +110,6 @@ REACH = sorted(p for d in ("src", "bench") for p in (REPO / d).rglob("*.py")) \
 
 # Used in ways a syntax walk cannot see, each with its reason.
 ALLOWED = {
-    # run_episode looks the hook up with getattr; the README shows it
-    "environments.py: AdaptiveWindows.observe",
     # counters that ROADMAP item 1's per-replication diagnostics will read
     "adversarial.py: EpsilonGreedyRanker.explorations",
     "extensions.py: QueuedDelayPolicy.dequeued",
@@ -363,8 +361,64 @@ def test_public_surface_is_reached(module, reach):
     assert [item for item in found if item not in ALLOWED] == []
 
 
-def test_allow_list_is_current(reach):
-    found = {item for m in MODULES for item in unreached_surface(m.name, m.read_text(), reach)}
+def unnamed_definitions(name: str, source: str, named: set) -> list[str]:
+    """Public module-level functions and classes of a module that no code
+    names: neither ``named``, the names and attributes other files read (as
+    :func:`reached` finds them), nor the module's own code outside their
+    definition."""
+    tree = ast.parse(source)
+    out = []
+    for node in tree.body:
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        own = {id(sub) for sub in ast.walk(node)}
+        if node.name in named or any(
+                getattr(sub, "id", None) == node.name or getattr(sub, "attr", None) == node.name
+                for sub in ast.walk(tree) if id(sub) not in own):
+            continue
+        out.append(f"{name}: {node.name}")
+    return out
+
+
+def test_finds_a_definition_only_unit_tests_name():
+    module = ("def api():\n    return Helper()\n\n\n"
+              "class Helper:\n    def __init__(self):\n        self.n = 0\n\n\n"
+              "class Tested:\n    pass\n\n\n"
+              "def recursive():\n    return recursive()\n")
+    # Helper is named in the module outside its definition; a string names nothing
+    names, attributes, *_ = reached(['run(pkg.api)\nprint("Tested", "recursive")\n'])
+    assert unnamed_definitions("mod.py", module, names | attributes) == [
+        "mod.py: Tested", "mod.py: recursive"]
+
+
+@pytest.fixture(scope="module")
+def named_by_file():
+    """The names and attributes that each reaching file's code reads; the
+    package's ``__init__.py`` only re-exports, so it names nothing."""
+    out = {}
+    for path in REACH:
+        if path != PACKAGE / "__init__.py":
+            names, attributes, *_ = reached([path.read_text()])
+            out[path] = names | attributes
+    return out
+
+
+def _unnamed(module, named_by_file) -> list[str]:
+    named = set().union(*(found for path, found in named_by_file.items() if path != module))
+    return unnamed_definitions(module.name, module.read_text(), named)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_public_definitions_are_named(module, named_by_file):
+    # a class or function only unit tests name lives in the tests
+    assert [item for item in _unnamed(module, named_by_file) if item not in ALLOWED] == []
+
+
+def test_allow_list_is_current(reach, named_by_file):
+    found = {item for m in MODULES
+             for item in unreached_surface(m.name, m.read_text(), reach)
+             + _unnamed(m, named_by_file)}
     assert ALLOWED <= found
 
 

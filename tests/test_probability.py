@@ -124,14 +124,14 @@ class TestEveryConsumerAgrees:
         for build in (lambda: ExperimentConfig.from_dict(_config(q.tolist())),
                       lambda: MultinomialWindows(q, seed=0),
                       lambda: MirrorDescent(q, horizon=10),
-                      lambda: BLORanker(q, horizon=10),
+                      lambda: BLORanker(q, horizon=10, rng=np.random.default_rng()),
                       lambda: feasible_matrix(q, q),
                       lambda: lazy_alpha(q)):
             with pytest.raises(ValueError, match=">= 0"):
                 build()
 
     def test_engine_and_ranker_share_one_q(self):
-        ranker = BLORanker([0.5, 0.3, 0.2], horizon=10)
+        ranker = BLORanker([0.5, 0.3, 0.2], horizon=10, rng=np.random.default_rng())
         assert not hasattr(ranker, "q")
         assert ranker.engine.q.tolist() == [0.5, 0.3, 0.2]
 
