@@ -69,7 +69,7 @@ def _cmd_decompose(args) -> int:
         print(f"inadmissible: {exc.report.first}", file=sys.stderr)
         return 1
     for weight, perm in zip(decomp.weights, decomp.permutations):
-        print(json.dumps({"weight": float(weight), "ranking": list(perm)}))
+        print(json.dumps({"weight": float(weight), "ranking": perm.tolist()}))
     return 0
 
 

@@ -19,10 +19,11 @@ nonzero entries. The peeling holds every column's picked cell in one array,
 peels a round's weight off all of them in one array step, moves down only the
 columns whose cell that step empties, sums the matrix only when every picked cell
 is dust (a float sum of non-negative cells is never below its largest cell),
-and builds the rankings from the recorded picks after the last round, in one
-array pass for the rows that need no search. The check accepts an admissible
-matrix with four array reductions and scans for every violation only when one
-fails, so the work around the peel costs a fraction of the peel itself.
+and builds the rankings from the recorded picks after the last round, as the
+rows of one read-only integer array, in one array pass for the rows that need
+no search. The check accepts an admissible matrix with four array reductions
+and scans for every violation only when one fails, so the work around the peel
+costs a fraction of the peel itself.
 
 The coupling of target marginals with a window law is built from three
 helpers: the window columns of ``q``, the clamped cumulatives of the target
@@ -175,28 +176,58 @@ def _permutation_from_picks(picks: list[int]) -> Permutation:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A convex combination of rankings, in rank-label space."""
+    """A convex combination of rankings, in rank-label space.
+
+    ``permutations`` holds the rankings as the rows of one read-only integer
+    array, of shape ``(len(weights), n)``. Any sequence of rankings is
+    accepted; an array that is already read-only is kept as it is, and any
+    other input is stored as a read-only copy. A ragged, 1-D or non-integer
+    input, a row count other than ``len(weights)`` or an entry outside
+    ``0..n-1`` raises a ``ValueError`` that names ``permutations``.
+    """
 
     weights: np.ndarray
-    permutations: tuple[Permutation, ...]
+    permutations: np.ndarray
 
     def __post_init__(self):
         w = probability_vector(self.weights, name="weights")
-        if len(w) != len(self.permutations):
-            raise ValueError("weights and permutations must align")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
         object.__setattr__(self, "weights", w)
+        K = self.permutations
+        if not isinstance(K, np.ndarray) or K.flags.writeable:
+            try:
+                K = np.array(K)
+            except ValueError:
+                raise ValueError("permutations: the rankings must all have one length") from None
+            K.flags.writeable = False
+            object.__setattr__(self, "permutations", K)
+        if K.ndim != 2 or K.dtype.kind not in "iu":
+            raise ValueError(f"permutations: expected a 2-D integer array, got "
+                             f"{K.ndim}-D {K.dtype}")
+        if len(K) != len(w):
+            raise ValueError(f"permutations: expected {len(w)} rankings, one per weight, "
+                             f"got {len(K)}")
+        if K.size and (K.min() < 0 or K.max() >= K.shape[1]):
+            raise ValueError(f"permutations: entries must lie in 0..{K.shape[1] - 1}")
+
+    def __reduce__(self):
+        # through the constructor, so an unpickled copy is read-only as well
+        return Decomposition, (self.weights, self.permutations)
 
     def matrix(self) -> np.ndarray:
-        out = np.zeros((len(self.permutations[0]),) * 2)
-        for w, order in zip(self.weights, self.permutations):
-            out += w * rank_selection_matrix(order)
+        """The mixture's selection matrix: each ranking adds its weight, in row
+        order, to the cell of its prefix maximum in every column."""
+        top = np.maximum.accumulate(self.permutations, axis=1)
+        n = top.shape[1]
+        out = np.zeros((n, n))
+        np.add.at(out, (top, np.arange(n)), self.weights[:, None])
         return out
 
 
-def _rankings_from_picks(picks: np.ndarray) -> tuple[Permutation, ...]:
-    """:func:`_permutation_from_picks` of every row of ``picks`` (rounds by columns).
+def _rankings_from_picks(picks: np.ndarray) -> np.ndarray:
+    """:func:`_permutation_from_picks` of every row of ``picks`` (rounds by
+    columns), as the rows of one read-only array of the same shape.
 
     A row that never steps down and picks ``pick[c] >= c`` in every column
     needs no search: a repeated pick at position ``c`` is filled with the
@@ -207,25 +238,27 @@ def _rankings_from_picks(picks: np.ndarray) -> tuple[Permutation, ...]:
     one array pass: the unpicked ranks come from one flat mask indexed by
     ``pick + row * n``, which is the whole answer when every row is simple,
     as the peeling of an admissible matrix gives. Any other row takes the
-    list walk.
+    list walk, written into its own row.
     """
     n = picks.shape[1]
     ranks = np.arange(n)
     K = picks.copy()
+    S = K  # the simple rows
     simple = None
     if (K < ranks).any() or (K[:, 1:] < K[:, :-1]).any():
         simple = (K >= ranks).all(axis=1) & (K[:, 1:] >= K[:, :-1]).all(axis=1)
-        K = K[simple]
-    unpicked = np.ones(K.size, dtype=bool)
-    unpicked[K + np.arange(0, K.size, n)[:, None]] = False
-    repeat = np.zeros(K.shape, dtype=bool)
-    np.equal(K[:, 1:], K[:, :-1], out=repeat[:, 1:])
-    K[repeat] = np.tile(ranks, len(K))[unpicked]  # both walk the rows in order
-    if simple is None:
-        return tuple(map(tuple, K.tolist()))
-    built = iter(K.tolist())
-    return tuple(tuple(next(built)) if ok else _permutation_from_picks(row)
-                 for row, ok in zip(picks.tolist(), simple.tolist()))
+        S = K[simple]
+    unpicked = np.ones(S.size, dtype=bool)
+    unpicked[S + np.arange(0, S.size, n)[:, None]] = False
+    repeat = np.zeros(S.shape, dtype=bool)
+    np.equal(S[:, 1:], S[:, :-1], out=repeat[:, 1:])
+    S[repeat] = np.tile(ranks, len(S))[unpicked]  # both walk the rows in order
+    if simple is not None:
+        K[simple] = S
+        for r in np.flatnonzero(~simple).tolist():
+            K[r] = _permutation_from_picks(picks[r].tolist())
+    K.flags.writeable = False
+    return K
 
 
 def rfsm_decompose(P, *, atol: float = 1e-9) -> Decomposition:
@@ -267,7 +300,9 @@ def rfsm_decompose(P, *, atol: float = 1e-9) -> Decomposition:
     the loop each slot is picked from the round its column left the slot
     above to the round it was left itself (or the last round), so the picks
     are the slots' rows repeated that many rounds, and
-    :func:`_rankings_from_picks` builds the rankings from them.
+    :func:`_rankings_from_picks` builds the rankings from them, one per row
+    of a read-only integer array that the :class:`Decomposition` keeps as
+    it is.
     """
     P = np.asarray(P, dtype=float)
     report = admissibility_report(P, atol)

@@ -492,14 +492,15 @@ def random_mixture(rng, n, k):
 
 
 def sample_decomposition(decomposition, rng):
-    """The ranking of ``decomposition`` whose cumulative weight covers ``rng.random()``."""
+    """The ranking of ``decomposition`` whose cumulative weight covers
+    ``rng.random()``, as a tuple of ints."""
     r = float(rng.random()) * float(decomposition.weights.sum())
     acc = 0.0
     for w, order in zip(decomposition.weights, decomposition.permutations):
         acc += w
         if r < acc:
-            return order
-    return decomposition.permutations[-1]
+            return tuple(order.tolist())
+    return tuple(decomposition.permutations[-1].tolist())
 
 
 def random_instance(rng, n, *, mean_scale=1.0):

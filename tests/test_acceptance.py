@@ -175,7 +175,8 @@ def test_criterion_03_decomposition_round_trip():
         # any intermediate residual leaves the polytope
         oracle = rfsm_decompose_oracle(M, check_residuals=True)
         assert np.array_equal(decomp.weights, oracle.weights)
-        assert decomp.permutations == oracle.permutations
+        assert decomp.permutations.shape == oracle.permutations.shape
+        assert np.array_equal(decomp.permutations, oracle.permutations)
         worst_residual = max(worst_residual,
                              float(np.max(np.abs(decomp.matrix() - M))))
         support_cap = int(np.sum(M > 1e-12)) - n + 1

@@ -118,6 +118,23 @@ class TestDecompose:
                 capsys.readouterr().out.strip().splitlines()]
         assert rows == [{"weight": 1.0, "ranking": [0, 1, 2]}]
 
+    def test_stdout_is_pinned(self, tmp_path, capsys):
+        # an n = 6 mixture of five rankings that peels into seven
+        path = tmp_path / "m.json"
+        path.write_text(
+            "[[0.2, 0.0, 0.0, 0.0, 0.0, 0.0], [0.15, 0.0, 0.0, 0.0, 0.0, 0.0], "
+            "[0.35, 0.5, 0.15, 0.0, 0.0, 0.0], [0.25, 0.0, 0.0, 0.0, 0.0, 0.0], "
+            "[0.0, 0.2, 0.55, 0.2, 0.0, 0.0], [0.05, 0.3, 0.3, 0.8, 1.0, 1.0]]")
+        assert main(["decompose", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            '{"weight": 0.15, "ranking": [0, 2, 1, 4, 5, 3]}\n'
+            '{"weight": 0.05000000000000002, "ranking": [0, 2, 4, 1, 5, 3]}\n'
+            '{"weight": 0.15, "ranking": [1, 2, 4, 5, 0, 3]}\n'
+            '{"weight": 0.14999999999999994, "ranking": [2, 0, 4, 5, 1, 3]}\n'
+            '{"weight": 0.2, "ranking": [2, 4, 0, 5, 1, 3]}\n'
+            '{"weight": 0.25, "ranking": [3, 5, 0, 1, 2, 4]}\n'
+            '{"weight": 0.04999999999999999, "ranking": [5, 0, 1, 2, 3, 4]}\n')
+
     def test_inadmissible(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text("[[0.0, 1.0], [1.0, 0.0]]")

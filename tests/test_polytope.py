@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import pickle
 
@@ -224,10 +226,57 @@ class TestDecompositionType:
         with pytest.raises(ValueError):
             Decomposition(weights=np.array([1.0, 0.0]), permutations=((0, 1), (1, 0)))
 
+    @pytest.mark.parametrize("permutations, message", [
+        (((0, 1), (1,)), "one length"),
+        ((0, 1), "2-D integer"),
+        (((0.0, 1.0), (1.0, 0.0)), "2-D integer"),
+        (((True, False), (False, True)), "2-D integer"),
+        (((0, 1),), "expected 2 rankings, one per weight, got 1"),
+        (((0, 1), (1, 0), (0, 1)), "got 3"),
+        (((0, 2), (1, 0)), r"0\.\.1"),
+        (((0, 1), (-1, 0)), r"0\.\.1"),
+    ])
+    def test_bad_rankings_name_the_field(self, permutations, message):
+        with pytest.raises(ValueError, match=f"permutations: .*{message}"):
+            Decomposition([0.5, 0.5], permutations)
+
+    def test_rankings_are_a_read_only_array(self):
+        given = np.array([[0, 1, 2], [2, 1, 0]])
+        d = Decomposition([0.5, 0.5], given)
+        assert d.permutations.shape == (2, 3) and d.permutations.dtype.kind in "iu"
+        with pytest.raises(ValueError, match="read-only"):
+            d.permutations[0, 0] = 1
+        given[0, 0] = 1  # a writeable input is copied
+        assert d.permutations.tolist() == [[0, 1, 2], [2, 1, 0]]
+        # a read-only input is kept as it is
+        assert Decomposition([0.5, 0.5], d.permutations).permutations is d.permutations
+        assert Decomposition([1.0], [(1, 0)]).permutations.tolist() == [[1, 0]]
+        again = pickle.loads(pickle.dumps(d))
+        assert not again.permutations.flags.writeable
+        assert again.permutations.tolist() == d.permutations.tolist()
+        assert again.weights.tolist() == d.weights.tolist()
+
     def test_matrix_recombines(self):
         d = Decomposition(weights=np.array([0.3, 0.7]),
                           permutations=((0, 1), (1, 0)))
         assert np.allclose(d.matrix(), [[0.3, 0.0], [0.7, 1.0]])
+
+    def test_matrix_is_the_per_row_sum_to_the_bit(self):
+        """One scatter of the weights over the prefix maxima adds them to
+        each cell in row order, as a sum of selection matrices does:
+        ``x + w * 0.0`` is ``x``."""
+        rng = np.random.default_rng(131)
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            k = int(rng.integers(1, 41))
+            d = Decomposition(rng.dirichlet(np.ones(k)),
+                              [rng.permutation(n) for _ in range(k)])
+            M, _, _ = random_mixture(rng, n, k)
+            for mixture in (d, rfsm_decompose(M)):
+                want = np.zeros((n, n))
+                for w, order in zip(mixture.weights, mixture.permutations):
+                    want += w * rank_selection_matrix(order)
+                assert mixture.matrix().tobytes() == want.tobytes()
 
     def test_sample_frequencies(self):
         d = Decomposition(weights=np.array([0.25, 0.75]),
@@ -240,15 +289,61 @@ class TestDecompositionType:
 class TestPeeling:
     def test_frozen_two_item_example(self):
         d = rfsm_decompose([[0.3, 0.0], [0.7, 1.0]])
-        got = dict(zip(d.permutations, d.weights))
+        got = {tuple(row.tolist()): w for row, w in zip(d.permutations, d.weights)}
         assert got[(0, 1)] == pytest.approx(0.3, abs=1e-12)
         assert got[(1, 0)] == pytest.approx(0.7, abs=1e-12)
 
     def test_integral_input_single_term(self):
         order = (2, 0, 1, 3)
         d = rfsm_decompose(rank_selection_matrix(order))
-        assert d.permutations == (order,)
+        assert d.permutations.tolist() == [list(order)]
         assert d.weights.tolist() == [1.0]
+
+    def test_mixed_pick_rows_take_the_list_walk(self, monkeypatch):
+        """A cell of 5e-10 above the diagonal passes the default ``atol``, so
+        the first round picks a rank below its window (a row that needs the
+        list walk) and the rounds after it pick simple rows; every row of the
+        rankings is the list walk of its pick row."""
+        recorded = []
+
+        def recording(picks):
+            recorded.append(picks.copy())
+            return _rankings_from_picks(picks)
+
+        monkeypatch.setattr("rankbandit.polytope._rankings_from_picks", recording)
+        rng = np.random.default_rng(137)
+        mixed = 0
+        for _ in range(40):
+            n = int(rng.integers(3, 9))
+            M, _, _ = random_mixture(rng, n, int(rng.integers(2, 2 * n + 1)))
+            c = int(rng.integers(1, n))
+            M[int(rng.integers(c)), c] = 5e-10
+            M[int(np.argmax(M[:, c])), c] -= 5e-10
+            d = rfsm_decompose(M)
+            picks = recorded.pop()
+            assert d.permutations.shape == picks.shape
+            assert d.permutations.tolist() == [list(_permutation_from_picks(row))
+                                               for row in picks.tolist()]
+            simple = ((picks >= np.arange(n)).all(axis=1)
+                      & (np.diff(picks, axis=1) >= 0).all(axis=1))
+            mixed += bool(simple.any() and not simple.all())
+        assert mixed >= 30, mixed
+
+    def test_polytope_dense_rankings_are_pinned(self):
+        """The 60 matrices of ``polytope-dense`` at seed 1, built by the
+        benchmark's recipe: their rankings, as lists, hash to the value the
+        tuple-building peel gave."""
+        rng = np.random.default_rng([1, 104729])
+        n = 50
+        columns = np.arange(n)
+        digest = hashlib.sha256()
+        for _ in range(60):
+            M = np.zeros((n, n))
+            for w in rng.dirichlet(np.ones(30)):
+                M[np.maximum.accumulate(rng.permutation(n)), columns] += w
+            digest.update(json.dumps(rfsm_decompose(M).permutations.tolist()).encode())
+        assert digest.hexdigest() == (
+            "7829c8af61656a2713500ec3c8dc854ae05e4d786ef2f128ba3a58d195975b8f")
 
     def test_random_mixtures_recombine(self):
         rng = np.random.default_rng(47)
@@ -622,7 +717,8 @@ def assert_decomposition_matches_oracle(P, **kwargs):
     assert got_error == want_error
     if want is not None:
         assert np.array_equal(got.weights, want.weights)
-        assert got.permutations == want.permutations
+        assert got.permutations.shape == want.permutations.shape
+        assert np.array_equal(got.permutations, want.permutations)
     return want is not None
 
 
@@ -839,8 +935,10 @@ class TestRankingsFromPicks:
     def assert_matches_list_walk(picks):
         before = picks.copy()
         got = _rankings_from_picks(picks)
-        assert got == tuple(_permutation_from_picks(row) for row in picks.tolist())
-        assert all(type(i) is int for order in got for i in order)
+        assert got.dtype.kind in "iu"
+        assert not got.flags.writeable
+        assert got.shape == picks.shape
+        assert got.tolist() == [list(_permutation_from_picks(row)) for row in picks.tolist()]
         assert np.array_equal(picks, before)
 
     def test_matches_list_walk_row_by_row(self):
@@ -869,5 +967,5 @@ class TestRankingsFromPicks:
     @pytest.mark.parametrize("rounds", [1, 7])
     def test_single_rank(self, rounds):
         picks = np.zeros((rounds, 1), dtype=np.intp)
-        assert _rankings_from_picks(picks) == ((0,),) * rounds
+        assert _rankings_from_picks(picks).tolist() == [[0]] * rounds
         self.assert_matches_list_walk(picks)
