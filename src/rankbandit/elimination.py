@@ -23,16 +23,14 @@ No lower bound exceeds one ceiling, the largest mean less the radius at the
 largest count, since a smaller count has a larger radius. The ranker keeps
 the largest and the smallest mean between passes: ``feed`` changes one mean,
 so a new mean beyond a kept one replaces it, and a kept one that the fed
-position held and left is taken again. A first unplaced position that is
-unseen or has an upper bound above the ceiling is the pick. When the
-smallest mean plus the radius at the largest count beats the ceiling,
-every upper bound does (rounding is monotone), and the pass walks the
-least-played-first order once, taking each position not yet placed, at the
-cost of one radius in all. Otherwise the walk checks each pick at the cost
-of one radius; at the first position that is not certified so, the pass
-computes every remaining bound and finishes by the rule itself. The utilities must be pairwise distinct, as
-:func:`rankbandit.core.user_select` requires; ``act`` checks them, as
-:class:`rankbandit.core.Instance` does.
+position held and left is taken again. When the smallest mean plus the
+radius at the largest count beats the ceiling, every upper bound does
+(rounding is monotone), so every unplaced position is a contender, and the
+pass walks the least-played-first order once, taking each position not yet
+placed, at the cost of one radius in all. Otherwise the pass computes every
+seen position's bound and follows the rule from the first position. The
+utilities must be pairwise distinct, as :func:`rankbandit.core.user_select`
+requires; ``act`` checks them, as :class:`rankbandit.core.Instance` does.
 """
 
 from __future__ import annotations
@@ -63,21 +61,17 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
     ``max(means) - radius``: a seen position's count is at most ``most``, and
     division, ``sqrt`` and subtraction round monotonically. ``max(means)`` is
     the ranker's kept ``_top``, the same float as the maximum taken afresh.
-    So a first unplaced position that is unseen, or whose upper bound beats
-    the ceiling, is the pick, and while every pick is certified so, the
-    picks come from one forward walk over ``_ks``.
 
-    One comparison certifies the whole walk: if ``min(means) + radius`` beats
-    the ceiling, so does every upper bound, since a seen position has a mean
-    at least ``min(means)`` (the kept ``_bottom``) and a count at most
-    ``most``, and division, ``sqrt`` and addition round monotonically. The
-    walk then takes every position not yet placed without computing its
-    bound. Otherwise it checks each pick's bound against the ceiling, and
-    from the first position that is not certified, the pass computes the
-    bounds of the positions left and finishes by the rule itself. Both paths
-    append, per pick, the ranker's stored list of the pick and its blocked
-    set sorted by item index, so the output is a deterministic function of
-    the statistics.
+    The pass takes one of two paths. If ``min(means) + radius`` beats the
+    ceiling, so does every upper bound, since a seen position has a mean at
+    least ``min(means)`` (the kept ``_bottom``) and a count at most ``most``,
+    and division, ``sqrt`` and addition round monotonically. Every unplaced
+    position is then a contender, and the picks come from one forward walk
+    over ``_ks`` that computes no other bound. Otherwise the pass computes
+    every seen position's bound and follows the rule from position 0. Both
+    paths append, per pick, the ranker's stored list of the pick and its
+    blocked set sorted by item index, so the output is a deterministic
+    function of the statistics.
     """
     asc = ranker._asc
     n = len(asc)
@@ -92,31 +86,26 @@ def find_permutation(ranker: EliminationRanker, t: int) -> Permutation:
     most = counts[ks[-1]]
     if most:
         radius = math.sqrt(log_term / most)
-        ceiling = ranker._top - radius
-        certified = ranker._bottom + radius > ceiling
+        certified = ranker._bottom + radius > ranker._top - radius
     else:
-        ceiling = -math.inf
         certified = True
     out: list[int] = []
     s = 0
-    for k in ks:
-        if k < s:
-            continue
-        if not certified:
-            c = counts[k]
-            if c and means[k] + math.sqrt(log_term / c) <= ceiling:
-                break
-        out += blocked[s, k]
-        s = k + 1
-        if s == n:
-            return tuple(out)
+    if certified:
+        for k in ks:
+            if k >= s:
+                out += blocked[s, k]
+                s = k + 1
+                if s == n:
+                    break
+        return tuple(out)
 
-    # the exact completion: by position from s, the upper bound and the
-    # largest lower bound over the suffix starting there
+    # the exact rule: by position, the upper bound and the largest lower
+    # bound over the suffix starting there
     upper = [math.inf] * n
     sufmax = [0.0] * n
     best = -math.inf
-    for k in range(n - 1, s - 1, -1):
+    for k in range(n - 1, -1, -1):
         c = counts[k]
         if c:
             mean = means[k]
@@ -167,8 +156,8 @@ class EliminationRanker:
     the list has the largest count plus two entries. ``_blocked`` holds
     ``[asc[k]] + sorted(asc[s:k])``, a pick and its blocked set, for each
     ``(s, k)`` a pass has needed, ``k == s`` included. ``_top`` is
-    ``max(_means)`` and ``_bottom`` is ``min(_means)``, which the pass
-    compares to certify every pick at once.
+    ``max(_means)`` and ``_bottom`` is ``min(_means)``; the pass compares
+    them to take either its certified walk or the exact rule.
 
     ``feed`` updates the fed item's entries in place. Its count grows by
     one, so its position leaves the block of count ``c - 1`` for the block of

@@ -241,6 +241,11 @@ class ExperimentConfig:
         output_dir = raw.get("output_dir")
         _require(output_dir is None or isinstance(output_dir, str), "output_dir",
                  f"must be a string or null, got {output_dir!r}")
+        if output_dir:
+            out = Path(output_dir)
+            existing = next(p for p in (out, *out.parents) if p.exists())
+            _require(existing.is_dir(), "output_dir",
+                     f"{str(existing)!r} exists and is not a directory")
 
         cfg = cls(
             instance=instance, window=window, payoffs=payoffs, policy=policy,

@@ -174,7 +174,7 @@ def _permutation_from_picks(picks: list[int]) -> Permutation:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """A convex combination of rankings, in rank-label space.
 
@@ -184,6 +184,9 @@ class Decomposition:
     other input is stored as a read-only copy. A ragged, 1-D or non-integer
     input, a row count other than ``len(weights)`` or an entry outside
     ``0..n-1`` raises a ``ValueError`` that names ``permutations``.
+
+    Two decompositions are equal when their weights and their rankings are
+    equal arrays of the same shapes. A decomposition is not hashable.
     """
 
     weights: np.ndarray
@@ -210,6 +213,12 @@ class Decomposition:
                              f"got {len(K)}")
         if K.size and (K.min() < 0 or K.max() >= K.shape[1]):
             raise ValueError(f"permutations: entries must lie in 0..{K.shape[1] - 1}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Decomposition):
+            return NotImplemented
+        return (np.array_equal(self.weights, other.weights)
+                and np.array_equal(self.permutations, other.permutations))
 
     def __reduce__(self):
         # through the constructor, so an unpickled copy is read-only as well

@@ -76,6 +76,12 @@ class TestRun:
         assert main(["run", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_output_is_a_file(self, config_path, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", str(config_path), "--output", str(taken / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: output_dir: ")
+
     def test_tape_payoffs_npy(self, tmp_path, capsys):
         tape = np.random.default_rng(3).random((3, 80))
         tape_path = tmp_path / "tape.npy"
@@ -186,6 +192,13 @@ class TestBound:
         out = capsys.readouterr().out
         assert "elimination:" in out
         assert "mirror descent:" in out
+
+
+@pytest.mark.parametrize("command", ["check", "decompose", "run", "bound"])
+def test_directory_input_is_an_error(tmp_path, capsys, command):
+    # reading a directory raises IsADirectoryError, an OSError
+    assert main([command, str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("matrix, code", [("[[0.3, 0.0], [0.7, 1.0]]", 0),

@@ -247,7 +247,8 @@ class TestFindPermutation:
         whole = {True: 0, False: 0}  # passes certified whole, and the others
         for case in range(4000):
             # every fourth case puts the first key's upper bound on the
-            # ceiling that certifies picks, or one ulp either side of it
+            # ceiling, which is then the largest lower bound, or one ulp
+            # either side of it: the first key is a contender only above it
             boundary = case % 4 == 3
             n = int(rng.integers(2 if boundary else 1, 61))
             # small count ranges give many ties and unseen items, large ones
@@ -305,11 +306,13 @@ class TestFindPermutation:
 
     def test_eliminating_episode_matches_oracle(self, monkeypatch):
         # criterion 05's chain under block windows: the intervals separate,
-        # so picks stop being certified by the ceiling and the pass
-        # finishes exactly
+        # so the certificate fails and most passes follow the exact rule
         n, horizon = 5, 20_000
         inst = Instance(utilities=[1.0, 2.0, 3.0, 4.0, 5.0], means=[2.0, 1.5, 1.0, 0.5, 0.0])
-        certified = []  # items each pass places before its exact completion
+        # items the ceiling certifies one by one before a pick it does not;
+        # the pass takes the exact rule unless the certificate holds, so
+        # these counts describe the states, not the path taken
+        certified = []
         find = elimination.find_permutation
 
         def recorded(ranker, t):
@@ -328,14 +331,16 @@ class TestFindPermutation:
         assert np.array_equal(fast_orders, slow_orders)
         for name in ("selected", "payoffs"):
             assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
-        # most passes finish exactly; some are certified throughout, and
-        # some certify a pick before the exact completion takes over
+        # the states cover all three cases: no pick certified, every pick
+        # certified, and some but not all, where the exact rule must agree
+        # with the picks the ceiling certifies
         assert len(certified) == horizon
         assert certified.count(0) >= horizon // 2, certified.count(0)
         assert certified.count(n) >= 20, certified.count(n)
         assert sum(0 < c < n for c in certified) >= 5, certified
 
-    def test_certified_pass_computes_one_radius_per_pick(self, monkeypatch):
+    def test_certified_walk_computes_one_radius_and_exact_rule_one_per_item(
+            self, monkeypatch):
         # wide radii against equal means certify the whole pass at once, so
         # it walks the order and computes only the ceiling's radius
         n = 50
@@ -351,13 +356,14 @@ class TestFindPermutation:
         assert find_permutation_of(rewards, counts, *state) == order
         assert len(radii) == 1  # the ceiling's
         # the ceiling is now about -2e-4, and item 10's mean -0.6 plus the
-        # radius about 0.5 is below it: the pass checks each pick, and item
+        # radius about 0.5 is below it: the certificate fails, so the pass
+        # computes every item's bounds and follows the rule, in which item
         # 10 is only ever blocked
         rewards[10] = -0.6 * counts[10]
         radii.clear()
         assert find_permutation_of(rewards, counts, *state) == order
         assert find_permutation_oracle(rewards, counts, *state) == order
-        assert len(radii) == 3  # the ceiling's, then one per pick
+        assert len(radii) == 1 + n  # the ceiling's, then one per seen item
 
     def test_smallest_mean_on_the_ceiling_certifies_no_pass(self):
         # every count equal, so the first key's radius is the one at the
@@ -425,7 +431,7 @@ class TestCachedState:
         for _ in range(200):
             n = int(rng.integers(1, 61))
             # means far apart separate the intervals within a few feeds, so
-            # passes reach the exact completion as well as the certified walk
+            # passes take the exact rule as well as the certified walk
             means = rng.uniform(-20.0, 20.0, n)
             ranker = EliminationRanker(n, 0.1)
             u = rng.permutation(n) + 0.5

@@ -86,6 +86,11 @@ class TestConfig:
         path.write_text(json.dumps(base_config()))
         assert ExperimentConfig.from_json(path).horizon == 200
 
+    def test_empty_existing_or_new_output_dir_loads(self, tmp_path):
+        for output_dir in ("", str(tmp_path), str(tmp_path / "new"), str(tmp_path / "a" / "b")):
+            cfg = ExperimentConfig.from_dict(base_config(output_dir=output_dir))
+            assert cfg.output_dir == output_dir
+
     @pytest.mark.parametrize("mutate, path_fragment", [
         (lambda r: r.pop("instance"), "instance"),
         (lambda r: r.pop("horizon"), "horizon"),
@@ -145,6 +150,12 @@ class TestConfig:
         pytest.param(lambda r: r.update(window={"type": "schedule", "schedule": [1.5] * 200}),
                      r"^window.schedule\[0\]: ", id="schedule-entry-fraction"),
         pytest.param(lambda r: r.update(output_dir=5), "^output_dir: ", id="output_dir-number"),
+        # a file there, or above it, would fail only after every replication ran
+        pytest.param(lambda r: r.update(output_dir=__file__),
+                     "^output_dir: '[^']+' exists and is not a directory$", id="output_dir-file"),
+        pytest.param(lambda r: r.update(output_dir=os.path.join(__file__, "a", "b")),
+                     "^output_dir: '[^']+test_harness.py' exists and is not a directory$",
+                     id="output_dir-under-file"),
         pytest.param(lambda r: r["instance"].update(utilities=[math.nan, 2.0, 3.0]),
                      "^instance.utilities: ", id="utilities-nan"),
         pytest.param(lambda r: r["instance"].update(utilities=[math.nan, math.nan, 3.0]),

@@ -256,6 +256,20 @@ class TestDecompositionType:
         assert again.permutations.tolist() == d.permutations.tolist()
         assert again.weights.tolist() == d.weights.tolist()
 
+    def test_equal_by_value_and_unhashable(self):
+        M = np.array([[0.3, 0.0], [0.7, 1.0]])
+        d = rfsm_decompose(M)
+        assert (d == rfsm_decompose(M)) is True
+        assert d == Decomposition(d.weights.tolist(), d.permutations.tolist())
+        assert d != Decomposition(d.weights[::-1].copy(), d.permutations)
+        assert d != Decomposition(d.weights, d.permutations[::-1])
+        # a different shape is unequal, not an error
+        assert d != Decomposition([1.0], [(0, 1)])
+        assert d != Decomposition(d.weights, [(0, 1, 2), (2, 1, 0)])
+        assert d != d.weights.tolist()
+        with pytest.raises(TypeError, match="^unhashable type: 'Decomposition'$"):
+            hash(d)
+
     def test_matrix_recombines(self):
         d = Decomposition(weights=np.array([0.3, 0.7]),
                           permutations=((0, 1), (1, 0)))
